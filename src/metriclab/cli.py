@@ -35,7 +35,6 @@ class Scenario:
     seed: int = 0
     out_dir: Path = Path(".")
     formats: tuple = ("json", "csv")
-    threads: int = 1
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -303,15 +302,12 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="scenario JSON file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for module internals (advisory)")
     parser.add_argument("--format", action="append", choices=("json", "csv", "svg"),
                         help="output formats (repeatable; default json+csv)")
     args = parser.parse_args(argv)
     try:
         scenario = load_scenario(args.config)
         scenario.out_dir = Path(args.out)
-        scenario.threads = args.threads
         if args.seed is not None:
             scenario.seed = args.seed
         if args.format:

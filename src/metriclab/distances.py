@@ -1,20 +1,23 @@
 """Distances between metric spaces and between simplices of measures.
 
 Affine maps between simplices are represented by boundary point maps
-extended by pushforward; searches are exhaustive inside an explicit budget
-and otherwise return flagged upper bounds from deterministic local search.
+extended by pushforward. Every distance here is a least cost over one or
+two boundary maps, found by `search_maps`: exhaustive inside an explicit
+budget, otherwise a flagged upper bound from deterministic local search.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .config import TOL, DomainError
 from .spaces import FiniteMetricSpace, bridge_metric
-from .transport import Measure, ProbNet, prob_net, wasserstein1
+from .transport import Measure, ProbNet, prob_net, w1_hausdorff, wasserstein1
 
 
 @dataclass(frozen=True)
@@ -24,9 +27,18 @@ class SearchBudget:
     local_steps: int = 200
 
 
+# finest 1/m grid a SimplexNet may lie on
+_MAX_RESOLUTION = 10_000
+
+
 @dataclass(frozen=True, eq=False)
 class SimplexNet:
-    """Computable stand-in for a simplex of measures over a compact boundary."""
+    """Computable stand-in for a simplex of measures over a compact boundary.
+
+    The measures lie on one 1/m grid. The least such m is derived from the
+    weights as `resolution`, and `counts` holds the integer weights m * mu,
+    one row per measure.
+    """
 
     boundary: FiniteMetricSpace
     measures: tuple
@@ -43,6 +55,21 @@ class SimplexNet:
             target[i] = 1.0
             if not np.any(np.all(np.abs(W - target) <= TOL.weight_atol, axis=1)):
                 raise DomainError(f"net is missing the point mass at index {i}")
+        m = _grid_resolution(W)
+        object.__setattr__(self, "resolution", m)
+        object.__setattr__(self, "counts", np.rint(W * m).astype(np.int64))
+
+
+def _grid_resolution(W: np.ndarray) -> int:
+    """Least m such that every weight is a multiple of 1/m."""
+    m = 1
+    for w in np.unique(W):
+        m = math.lcm(m, Fraction(float(w)).limit_denominator(_MAX_RESOLUTION).denominator)
+        if m > _MAX_RESOLUTION:
+            break
+    if m > _MAX_RESOLUTION or np.abs(W * m - np.rint(W * m)).max() > TOL.weight_atol * m:
+        raise DomainError("net measures do not lie on one 1/m grid")
+    return m
 
 
 def simplex_net(X: FiniteMetricSpace, m: int, max_size: int = 200_000) -> SimplexNet:
@@ -62,19 +89,101 @@ class AlmostIsometryReport:
 
 
 # ---------------------------------------------------------------------------
-# Gromov-Hausdorff between finite metric spaces
+# the map search shared by every distance below
+
+@dataclass(frozen=True)
+class MapCost:
+    """Cost of boundary maps given as rows of integer arrays, one array per
+    block: the max of each block's unary term and, for two blocks, of a
+    cross term over every pair of rows."""
+
+    unary: tuple                      # per block: (N, n_from) -> (N,)
+    cross: Callable | None = None     # (N1, n_from1), (N2, n_from2) -> (N1, N2)
+
+
+# rows of maps, or pairs of rows, scored in one vectorised call
+_CHUNK = 1 << 14
+
 
 def _all_maps(n_from: int, n_to: int) -> np.ndarray:
-    return np.asarray(list(itertools.product(range(n_to), repeat=n_from)), dtype=int)
+    return np.asarray(list(itertools.product(range(n_to), repeat=n_from)), dtype=np.int64)
 
 
-def _map_distortion(DX, DY, maps) -> np.ndarray:
-    """Distortion of each map in `maps` (rows) from (X, DX) into (Y, DY)."""
-    out = np.empty(len(maps))
-    for k, f in enumerate(maps):
-        out[k] = np.abs(DY[np.ix_(f, f)] - DX).max()
-    return out
+def search_maps(blocks, cost: MapCost, budget: SearchBudget, seeds):
+    """Least cost over one or two boundary maps, block k mapping range(n_from)
+    into range(n_to) for blocks[k] = (n_from, n_to).
 
+    While the number of map tuples fits `budget.max_map_pairs`, each block's
+    maps are enumerated once and the first minimum in lexicographic order is
+    returned. Otherwise coordinate descent runs from each seed (one map per
+    block): a sweep moves every coordinate of every block, in order, to its
+    best value when that lowers the cost by more than 1e-15, and the descent
+    stops after a sweep without a move or after `budget.local_steps` sweeps.
+    Returns (value, witness: one tuple per block, exhaustive).
+    """
+    if math.prod(n_to ** n_from for n_from, n_to in blocks) <= budget.max_map_pairs:
+        return (*_enumerate(blocks, cost), True)
+    best = (math.inf, None)
+    for seed in seeds:
+        found = _descend(blocks, cost, seed, budget.local_steps)
+        if found[0] < best[0]:
+            best = found
+    return (*best, False)
+
+
+def _enumerate(blocks, cost: MapCost):
+    maps = [_all_maps(*b) for b in blocks]
+    unary = [np.concatenate([u(M[s:s + _CHUNK]) for s in range(0, len(M), _CHUNK)])
+             for u, M in zip(cost.unary, maps)]
+    if len(maps) == 1:
+        k = int(np.argmin(unary[0]))
+        return float(unary[0][k]), (tuple(maps[0][k].tolist()),)
+    F, G = maps
+    best, arg = math.inf, (0, 0)
+    rows = max(1, _CHUNK // len(G))
+    for s in range(0, len(F), rows):
+        vals = np.maximum(cost.cross(F[s:s + rows], G),
+                          np.maximum(unary[0][s:s + rows, None], unary[1][None, :]))
+        k = int(np.argmin(vals))
+        if vals.flat[k] < best:
+            best = float(vals.flat[k])
+            i, j = divmod(k, len(G))
+            arg = (s + i, j)
+    return best, (tuple(F[arg[0]].tolist()), tuple(G[arg[1]].tolist()))
+
+
+def _descend(blocks, cost: MapCost, seed, steps: int):
+    maps = [np.array(f, dtype=np.int64) for f in seed]
+    unary = [float(u(f[None])[0]) for u, f in zip(cost.unary, maps)]
+
+    def score(k, rows):
+        """(unary term, cost) of candidate rows for block k, the others fixed."""
+        u = cost.unary[k](rows)
+        if len(maps) == 1:
+            return u, u
+        other = maps[1 - k][None]
+        cross = cost.cross(rows, other)[:, 0] if k == 0 else cost.cross(other, rows)[0]
+        return u, np.maximum(np.maximum(u, unary[1 - k]), cross)
+
+    value = float(score(0, maps[0][None])[1][0])
+    for _ in range(steps):
+        improved = False
+        for k, (n_from, n_to) in enumerate(blocks):
+            for x in range(n_from):
+                rows = np.repeat(maps[k][None], n_to, axis=0)
+                rows[:, x] = np.arange(n_to)
+                u, vals = score(k, rows)
+                y = int(np.argmin(vals))
+                if vals[y] < value - 1e-15:
+                    maps[k], unary[k], value = rows[y], float(u[y]), float(vals[y])
+                    improved = True
+        if not improved:
+            break
+    return value, tuple(tuple(f.tolist()) for f in maps)
+
+
+# ---------------------------------------------------------------------------
+# Gromov-Hausdorff between finite metric spaces
 
 def gh_distance(X: FiniteMetricSpace, Y: FiniteMetricSpace,
                 budget: SearchBudget = SearchBudget()) -> tuple[float, str]:
@@ -87,138 +196,152 @@ def gh_distance(X: FiniteMetricSpace, Y: FiniteMetricSpace,
     nx, ny = X.size, Y.size
     DX, DY = X.dist, Y.dist
     lower = 0.5 * abs(X.diameter - Y.diameter)
-    total = ny ** nx * nx ** ny
-    if total <= budget.max_map_pairs:
-        phis = _all_maps(nx, ny)
-        psis = _all_maps(ny, nx)
-        dis_phi = _map_distortion(DX, DY, phis)
-        dis_psi = _map_distortion(DY, DX, psis)
-        # cross term: |DX[x, psi(y)] - DY[phi(x), y]| over (x, y)
-        A = np.stack([DX[:, psi] for psi in psis])            # (Npsi, nx, ny)
-        B = np.stack([DY[phi, :] for phi in phis])            # (Nphi, nx, ny)
-        best = math.inf
-        chunk = max(1, budget.max_map_pairs // (len(psis) * nx * ny + 1))
-        for s in range(0, len(phis), chunk):
-            cross = np.abs(B[s:s + chunk, None, :, :] - A[None, :, :, :]).max(axis=(2, 3))
-            cand = np.maximum(cross, np.maximum(dis_phi[s:s + chunk, None], dis_psi[None, :]))
-            best = min(best, float(cand.min()))
-        value = 0.5 * best
-        if value < lower - TOL.metric_atol:
-            raise DomainError("exhaustive GH search fell below its own lower bound")
-        return value, "exact"
 
-    # deterministic sampled upper bound
-    best = math.inf
-    for start in range(budget.restarts):
-        phi = np.argmin(np.abs(DX[:, :, None] - DY[None, start % ny, :]).min(axis=1), axis=1)
-        psi = np.argmin(np.abs(DY[:, :, None] - DX[None, start % nx, :]).min(axis=1), axis=1)
-        for _ in range(budget.local_steps):
-            improved = False
-            for x in range(nx):
-                cands = []
-                for y in range(ny):
-                    phi2 = phi.copy()
-                    phi2[x] = y
-                    cands.append((_pair_distortion(DX, DY, phi2, psi), y))
-                val, y = min(cands)
-                if phi[x] != y:
-                    phi[x] = y
-                    improved = True
-            if not improved:
-                break
-        best = min(best, _pair_distortion(DX, DY, phi, psi))
-    return max(0.5 * best, lower), "upper"
+    def distortion(DA, DB):
+        return lambda F: np.abs(DB[F[:, :, None], F[:, None, :]] - DA).max(axis=(1, 2))
 
+    def cross(Phi, Psi):
+        # |DX[x, psi(y)] - DY[phi(x), y]| over (x, y)
+        A = DX[:, Psi].transpose(1, 0, 2)       # (Npsi, nx, ny)
+        return np.abs(DY[Phi][:, None] - A[None]).max(axis=(2, 3))
 
-def _pair_distortion(DX, DY, phi, psi) -> float:
-    a = np.abs(DY[np.ix_(phi, phi)] - DX).max()
-    b = np.abs(DX[np.ix_(psi, psi)] - DY).max()
-    c = np.abs(DX[:, psi] - DY[phi, :]).max()
-    return float(max(a, b, c))
+    seeds = [(np.argmin(np.abs(DX[:, :, None] - DY[None, s % ny, :]).min(axis=1), axis=1),
+              np.argmin(np.abs(DY[:, :, None] - DX[None, s % nx, :]).min(axis=1), axis=1))
+             for s in range(budget.restarts)]
+    cost = MapCost((distortion(DX, DY), distortion(DY, DX)), cross)
+    best, _, exhaustive = search_maps([(nx, ny), (ny, nx)], cost, budget, seeds)
+    value = 0.5 * best
+    if not exhaustive:
+        return max(value, lower), "upper"
+    if value < lower - TOL.metric_atol:
+        raise DomainError("exhaustive GH search fell below its own lower bound")
+    return value, "exact"
 
 
 # ---------------------------------------------------------------------------
-# W1 tables with caching, shared by the searches below
+# W1 tables over grid-coded net measures, shared by the searches below
 
-class _W1Cache:
-    def __init__(self):
-        self._cache: dict = {}
+class _W1Table:
+    """W1 between grid measures on one boundary, coded by their integer
+    weights at a fixed scale. Each entry is solved once, on first use, in the
+    orientation it is first asked for."""
 
-    @staticmethod
-    def _key(mu: Measure) -> tuple:
-        return tuple(np.round(mu.weights, 12))
+    def __init__(self, space: FiniteMetricSpace, scale: int):
+        if (scale + 1) ** space.size > np.iinfo(np.int64).max:
+            raise DomainError("net grid is too fine to index on this boundary")
+        self.space, self.scale = space, scale
+        self._radix = (scale + 1) ** np.arange(space.size, dtype=np.int64)
+        self._codes = np.empty(0, dtype=np.int64)   # known codes, ascending
+        self._slots = np.empty(0, dtype=np.int64)   # table slot of each known code
+        self._measures: list[Measure] = []          # measure of each slot
+        self._table = np.zeros((0, 0))              # NaN until solved
 
-    def dist(self, mu: Measure, nu: Measure) -> float:
-        k = (id(mu.space), self._key(mu), self._key(nu))
-        if k not in self._cache:
-            v, _ = wasserstein1(mu, nu)
-            self._cache[k] = v
-            self._cache[(id(mu.space), k[2], k[1])] = v
-        return self._cache[k]
+    def index(self, counts: np.ndarray) -> np.ndarray:
+        """Table slot of each count vector along the last axis."""
+        codes = counts @ self._radix
+        new = np.setdiff1d(codes, self._codes)
+        if new.size:
+            K = len(self._measures)
+            for code in new.tolist():
+                counts_new = code // self._radix % (self.scale + 1)
+                self._measures.append(Measure(self.space, counts_new / self.scale))
+            codes_all = np.concatenate([self._codes, new])
+            order = np.argsort(codes_all)
+            self._codes = codes_all[order]
+            self._slots = np.concatenate([self._slots, np.arange(K, K + new.size)])[order]
+            table = np.full((K + new.size,) * 2, np.nan)
+            table[:K, :K] = self._table
+            np.fill_diagonal(table, 0.0)
+            self._table = table
+        return self._slots[np.searchsorted(self._codes, codes)]
 
-
-def _net_w1_table(cache: _W1Cache, net: SimplexNet) -> np.ndarray:
-    S = len(net.measures)
-    T = np.zeros((S, S))
-    for i in range(S):
-        for j in range(i + 1, S):
-            T[i, j] = T[j, i] = cache.dist(net.measures[i], net.measures[j])
-    return T
-
-
-def _push_index(cache: _W1Cache, net: SimplexNet, target: SimplexNet, f) -> list[Measure]:
-    """Pushforward of every net measure under the boundary map f into target's space."""
-    out = []
-    for mu in net.measures:
-        w = np.zeros(target.boundary.size)
-        np.add.at(w, np.asarray(f, dtype=int), mu.weights)
-        out.append(Measure(target.boundary, w))
-    return out
-
-
-def _iso_defect(cache: _W1Cache, net: SimplexNet, target: SimplexNet, f,
-                base_table: np.ndarray) -> float:
-    pushed = _push_index(cache, net, target, f)
-    S = len(pushed)
-    worst = 0.0
-    for i in range(S):
-        for j in range(i + 1, S):
-            worst = max(worst, abs(cache.dist(pushed[i], pushed[j]) - base_table[i, j]))
-    return worst
-
-
-def _inv_defect(cache: _W1Cache, net: SimplexNet, comp) -> float:
-    """max over net measures nu of W1(comp_* nu, nu) for comp: boundary -> itself."""
-    worst = 0.0
-    comp = np.asarray(comp, dtype=int)
-    for mu in net.measures:
-        w = np.zeros(mu.space.size)
-        np.add.at(w, comp, mu.weights)
-        worst = max(worst, cache.dist(Measure(mu.space, w), mu))
-    return worst
+    def dist(self, i, j) -> np.ndarray:
+        """W1 between the measures in slots i and j, broadcast together."""
+        i, j = np.broadcast_arrays(i, j)
+        vals = self._table[i, j]
+        todo = np.isnan(vals)
+        if todo.any():
+            a, b = i[todo], j[todo]
+            K = len(self._table)
+            _, first = np.unique(np.minimum(a, b) * K + np.maximum(a, b), return_index=True)
+            for p, q in zip(a[first].tolist(), b[first].tolist()):
+                v, _ = wasserstein1(self._measures[p], self._measures[q])
+                self._table[p, q] = self._table[q, p] = v
+            vals = self._table[i, j]
+        return vals
 
 
-def _surj_defect(cache: _W1Cache, SX: SimplexNet, SY: SimplexNet, f) -> float:
-    pushed = _push_index(cache, SX, SY, f)
-    worst = 0.0
-    for nu in SY.measures:
-        worst = max(worst, min(cache.dist(p, nu) for p in pushed))
-    return worst
+@dataclass(frozen=True)
+class _Side:
+    """A net's measures as integer weights at a shared scale and as slots of
+    its boundary's W1 table."""
+
+    counts: np.ndarray
+    slots: np.ndarray
+    table: _W1Table
+
+
+def _sides(SX: SimplexNet, SY: SimplexNet) -> tuple[_Side, _Side]:
+    """Both nets on the finest of their grids, where every pushforward between
+    the two boundaries lies too; nets on one boundary share its table."""
+    scale = math.lcm(SX.resolution, SY.resolution)
+    tx = _W1Table(SX.boundary, scale)
+    ty = tx if SY.boundary is SX.boundary else _W1Table(SY.boundary, scale)
+    sides = []
+    for S, table in ((SX, tx), (SY, ty)):
+        counts = S.counts * (scale // S.resolution)
+        sides.append(_Side(counts, table.index(counts), table))
+    return sides[0], sides[1]
+
+
+def _push(a: _Side, maps: np.ndarray, table: _W1Table) -> np.ndarray:
+    """Slots in `table` of the pushforwards of a's net measures under every
+    map (rows of maps): shape (maps, measures)."""
+    onehot = (maps[:, :, None] == np.arange(table.space.size)).astype(np.int64)
+    return table.index(a.counts @ onehot)
+
+
+def _iso_defect(a: _Side, b: _Side, maps: np.ndarray) -> np.ndarray:
+    """Per map f from a's boundary to b's: max over pairs of a's net measures
+    of |W1(f_* mu, f_* nu) - W1(mu, nu)|."""
+    i, j = np.triu_indices(len(a.slots), 1)
+    base = a.table.dist(a.slots[i], a.slots[j])
+    pushed = _push(a, maps, b.table)
+    return np.abs(b.table.dist(pushed[:, i], pushed[:, j]) - base).max(axis=1, initial=0.0)
+
+
+def _surj_defect(a: _Side, b: _Side, maps: np.ndarray) -> np.ndarray:
+    """Per map f: max over b's net measures nu of min over a's mu of W1(f_* mu, nu)."""
+    pushed = _push(a, maps, b.table)
+    return b.table.dist(pushed[:, None, :], b.slots[None, :, None]).min(axis=2).max(axis=1)
+
+
+def _inv_defect(a: _Side, comps: np.ndarray) -> np.ndarray:
+    """Per self-map c of a's boundary (last axis of comps): max over a's net
+    measures nu of W1(c_* nu, nu). Each distinct map is pushed once."""
+    n = comps.shape[-1]
+    flat = comps.reshape(-1, n)
+    if n < 16:      # base-n codes of self-maps fit in int64
+        _, first, back = np.unique(flat @ n ** np.arange(n), return_index=True,
+                                   return_inverse=True)
+    else:
+        first = back = np.arange(len(flat))
+    worst = a.table.dist(_push(a, flat[first], a.table), a.slots).max(axis=1, initial=0.0)
+    return worst[back].reshape(comps.shape[:-1])
 
 
 def epsilon_isometry_check(f, SX: SimplexNet, SY: SimplexNet,
                            eps: float | None = None) -> AlmostIsometryReport:
     """Exact distortion of a boundary map on boundary pairs and on the nets."""
     f = tuple(int(v) for v in f)
-    cache = _W1Cache()
+    F = np.asarray([f], dtype=np.int64)
     DX, DY = SX.boundary.dist, SY.boundary.dist
-    fb = np.asarray(f, dtype=int)
-    boundary_dis = float(np.abs(DY[np.ix_(fb, fb)] - DX).max())
-    table = _net_w1_table(cache, SX)
-    net_dis = _iso_defect(cache, SX, SY, f, table)
-    dens = _surj_defect(cache, SX, SY, f)
-    return AlmostIsometryReport(forward=f, backward=None, distortion=net_dis,
-                                inversion_defect=math.inf, density_defect=dens,
+    boundary_dis = float(np.abs(DY[np.ix_(f, f)] - DX).max())
+    x, y = _sides(SX, SY)
+    return AlmostIsometryReport(forward=f, backward=None,
+                                distortion=float(_iso_defect(x, y, F)[0]),
+                                inversion_defect=math.inf,
+                                density_defect=float(_surj_defect(x, y, F)[0]),
                                 boundary_distortion=boundary_dis)
 
 
@@ -227,13 +350,6 @@ class GapResult:
     value: float
     report: AlmostIsometryReport
     exhaustive: bool
-
-
-def _gap_tables(SX: SimplexNet, SY: SimplexNet):
-    cache = _W1Cache()
-    TX = _net_w1_table(cache, SX)
-    TY = _net_w1_table(cache, SY)
-    return cache, TX, TY
 
 
 def intertwining_gap(SX: SimplexNet, SY: SimplexNet,
@@ -246,107 +362,30 @@ def intertwining_gap(SX: SimplexNet, SY: SimplexNet,
     pair is returned (an upper bound for the gap).
     """
     nx, ny = SX.boundary.size, SY.boundary.size
-    cache, TX, TY = _gap_tables(SX, SY)
+    x, y = _sides(SX, SY)
 
-    def pair_eps(f, g):
-        a = _iso_defect(cache, SX, SY, f, TX)
-        b = _iso_defect(cache, SY, SX, g, TY)
-        fg = np.asarray(f, dtype=int)[np.asarray(g, dtype=int)]   # Y -> Y
-        gf = np.asarray(g, dtype=int)[np.asarray(f, dtype=int)]   # X -> X
-        inv = max(_inv_defect(cache, SY, fg), _inv_defect(cache, SX, gf))
-        return max(a, b, inv), (a, b, inv)
+    def inversion(F, G):
+        # f o g on Y's net and g o f on X's net, for every pair of rows
+        return np.maximum(_inv_defect(y, F[:, G]), _inv_defect(x, G[:, F].transpose(1, 0, 2)))
 
-    if fixed_pair is not None:
-        f, g = fixed_pair
-        val, (a, b, inv) = pair_eps(f, g)
-        rep = AlmostIsometryReport(tuple(map(int, f)), tuple(map(int, g)),
-                                   distortion=max(a, b), inversion_defect=inv,
-                                   density_defect=_surj_defect(cache, SX, SY, f),
-                                   exhaustive=False)
-        return GapResult(val, rep, False)
-
-    total = ny ** nx * nx ** ny
-    if total <= budget.max_map_pairs:
-        fs = _all_maps(nx, ny)
-        gs = _all_maps(ny, nx)
-        A = np.asarray([_iso_defect(cache, SX, SY, f, TX) for f in fs])
-        B = np.asarray([_iso_defect(cache, SY, SX, g, TY) for g in gs])
-        invY = {}
-        invX = {}
-        comp_y = fs[:, gs]            # (Nf, Ng, ny): (f o g)(y) = f[g[y]]
-        comp_x = gs[:, fs].transpose(1, 0, 2)  # (Nf, Ng, nx): (g o f)(x) = g[f[x]]
-        radix_y = ny ** np.arange(ny)
-        radix_x = nx ** np.arange(nx)
-        ids_y = comp_y @ radix_y
-        ids_x = comp_x @ radix_x
-        flat_y = ids_y.ravel()
-        flat_x = ids_x.ravel()
-        maps_y = comp_y.reshape(-1, ny)
-        maps_x = comp_x.reshape(-1, nx)
-        buf_y = np.empty(flat_y.size)
-        buf_x = np.empty(flat_x.size)
-        for pos in range(flat_y.size):
-            key = int(flat_y[pos])
-            if key not in invY:
-                invY[key] = _inv_defect(cache, SY, maps_y[pos])
-            buf_y[pos] = invY[key]
-            key = int(flat_x[pos])
-            if key not in invX:
-                invX[key] = _inv_defect(cache, SX, maps_x[pos])
-            buf_x[pos] = invX[key]
-        inv_y_vals = buf_y.reshape(ids_y.shape)
-        inv_x_vals = buf_x.reshape(ids_x.shape)
-        eps_mat = np.maximum(np.maximum(A[:, None], B[None, :]),
-                             np.maximum(inv_y_vals, inv_x_vals))
-        k = int(np.argmin(eps_mat))
-        fi, gi = divmod(k, len(gs))
-        f, g = tuple(fs[fi]), tuple(gs[gi])
-        val = float(eps_mat.flat[k])
-        rep = AlmostIsometryReport(f, g, distortion=float(max(A[fi], B[gi])),
-                                   inversion_defect=float(max(inv_y_vals[fi, gi],
-                                                              inv_x_vals[fi, gi])),
-                                   density_defect=_surj_defect(cache, SX, SY, f),
-                                   exhaustive=True)
-        if val > 2.0 * max(SX.boundary.diameter, SY.boundary.diameter) + TOL.metric_atol:
-            raise DomainError("gap search exceeded the trivial 2*diameter bound")
-        return GapResult(val, rep, True)
-
-    # local search from a distance-profile seed
-    f = _coupling_seed(SX, SY)
-    g = _coupling_seed(SY, SX)
-    best_val, _ = pair_eps(f, g)
-    for _ in range(budget.local_steps):
-        improved = False
-        for x in range(nx):
-            vals = []
-            for y in range(ny):
-                f2 = list(f)
-                f2[x] = y
-                vals.append((pair_eps(f2, g)[0], y))
-            v, y = min(vals)
-            if v < best_val - 1e-15:
-                f = tuple(list(f[:x]) + [y] + list(f[x + 1:]))
-                best_val = v
-                improved = True
-        for yy in range(ny):
-            vals = []
-            for x in range(nx):
-                g2 = list(g)
-                g2[yy] = x
-                vals.append((pair_eps(f, g2)[0], x))
-            v, x = min(vals)
-            if v < best_val - 1e-15:
-                g = tuple(list(g[:yy]) + [x] + list(g[yy + 1:]))
-                best_val = v
-                improved = True
-        if not improved:
-            break
-    val, (a, b, inv) = pair_eps(f, g)
-    rep = AlmostIsometryReport(tuple(f), tuple(g), distortion=max(a, b),
-                               inversion_defect=inv,
-                               density_defect=_surj_defect(cache, SX, SY, f),
-                               exhaustive=False)
-    return GapResult(val, rep, False)
+    cost = MapCost((lambda F: _iso_defect(x, y, F), lambda G: _iso_defect(y, x, G)), inversion)
+    if fixed_pair is None:
+        _, (f, g), exhaustive = search_maps([(nx, ny), (ny, nx)], cost, budget,
+                                            [(_coupling_seed(SX, SY), _coupling_seed(SY, SX))])
+    else:
+        f, g = (tuple(int(v) for v in m) for m in fixed_pair)
+        exhaustive = False
+    F, G = np.asarray([f], dtype=np.int64), np.asarray([g], dtype=np.int64)
+    a, b = float(cost.unary[0](F)[0]), float(cost.unary[1](G)[0])
+    inv = float(inversion(F, G)[0, 0])
+    val = max(a, b, inv)
+    rep = AlmostIsometryReport(f, g, distortion=max(a, b), inversion_defect=inv,
+                               density_defect=float(_surj_defect(x, y, F)[0]),
+                               exhaustive=exhaustive)
+    diameter = max(SX.boundary.diameter, SY.boundary.diameter)
+    if exhaustive and val > 2.0 * diameter + TOL.metric_atol:
+        raise DomainError("gap search exceeded the trivial 2*diameter bound")
+    return GapResult(val, rep, exhaustive)
 
 
 def _coupling_seed(SA: SimplexNet, SB: SimplexNet) -> tuple:
@@ -367,48 +406,16 @@ def fukaya_distance(SX: SimplexNet, SY: SimplexNet,
                     budget: SearchBudget = SearchBudget()) -> GapResult:
     """Least eps admitting a single pushforward map that is eps-isometric on
     the net and eps-surjective onto the target net."""
-    nx, ny = SX.boundary.size, SY.boundary.size
-    cache, TX, _ = _gap_tables(SX, SY)
-
-    def f_eps(f):
-        a = _iso_defect(cache, SX, SY, f, TX)
-        s = _surj_defect(cache, SX, SY, f)
-        return max(a, s), (a, s)
-
-    total = ny ** nx
-    if total <= budget.max_map_pairs:
-        best = (math.inf, None, (0.0, 0.0))
-        for f in itertools.product(range(ny), repeat=nx):
-            v, parts = f_eps(f)
-            if v < best[0]:
-                best = (v, f, parts)
-        val, f, (a, s) = best
-        rep = AlmostIsometryReport(tuple(f), None, distortion=a,
-                                   inversion_defect=math.inf, density_defect=s,
-                                   exhaustive=True)
-        return GapResult(float(val), rep, True)
-
-    f = _coupling_seed(SX, SY)
-    best_val, _ = f_eps(f)
-    for _ in range(budget.local_steps):
-        improved = False
-        for x in range(nx):
-            vals = []
-            for y in range(ny):
-                f2 = list(f)
-                f2[x] = y
-                vals.append((f_eps(f2)[0], y))
-            v, y = min(vals)
-            if v < best_val - 1e-15:
-                f = tuple(list(f[:x]) + [y] + list(f[x + 1:]))
-                best_val = v
-                improved = True
-        if not improved:
-            break
-    val, (a, s) = f_eps(f)
-    rep = AlmostIsometryReport(tuple(f), None, distortion=a, inversion_defect=math.inf,
-                               density_defect=s, exhaustive=False)
-    return GapResult(float(val), rep, False)
+    x, y = _sides(SX, SY)
+    cost = MapCost((lambda F: np.maximum(_iso_defect(x, y, F), _surj_defect(x, y, F)),))
+    val, (f,), exhaustive = search_maps([(SX.boundary.size, SY.boundary.size)], cost, budget,
+                                        [(_coupling_seed(SX, SY),)])
+    F = np.asarray([f], dtype=np.int64)
+    rep = AlmostIsometryReport(f, None, distortion=float(_iso_defect(x, y, F)[0]),
+                               inversion_defect=math.inf,
+                               density_defect=float(_surj_defect(x, y, F)[0]),
+                               exhaustive=exhaustive)
+    return GapResult(float(val), rep, exhaustive)
 
 
 def dq_upper(SX: SimplexNet, SY: SimplexNet, f, delta: float | None = None) -> float:
@@ -436,7 +443,4 @@ def dq_upper(SX: SimplexNet, SY: SimplexNet, f, delta: float | None = None) -> f
         w = np.zeros(bridge.size)
         w[nx:] = nu.weights
         lifted_y.append(Measure(bridge, w))
-    cache = _W1Cache()
-    fwd = max(min(cache.dist(a, b) for b in lifted_y) for a in lifted_x)
-    bwd = max(min(cache.dist(a, b) for a in lifted_x) for b in lifted_y)
-    return float(max(fwd, bwd))
+    return w1_hausdorff(lifted_x, lifted_y)

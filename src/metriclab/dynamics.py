@@ -15,9 +15,10 @@ from itertools import combinations
 import numpy as np
 
 from .config import TOL, DomainError
+from .distances import MapCost, SearchBudget, search_maps
 from .lipgeom import Nucleus, Observable, lipschitz_seminorm
 from .spaces import FiniteMetricSpace
-from .transport import mix, pushforward, uniform_measure, wasserstein1
+from .transport import mix, pushforward, uniform_measure, w1_hausdorff, wasserstein1
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,11 +215,7 @@ def invariant_simplex_hausdorff(h1: DynMap, h2: DynMap, m: int = 2) -> float:
         raise DomainError("dynamics live on different spaces")
     A = simplex_mixtures(invariant_measures(h1), m)
     B = simplex_mixtures(invariant_measures(h2), m)
-    table = np.empty((len(A), len(B)))
-    for i, mu in enumerate(A):
-        for j, nu in enumerate(B):
-            table[i, j] = wasserstein1(mu, nu)[0]
-    return float(max(table.min(axis=1).max(), table.min(axis=0).max()))
+    return w1_hausdorff(A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -315,51 +312,28 @@ def z_action_window(h: DynMap, N: int | None = None) -> list[DynMap]:
 def _egh_one_side(maps1, maps2, X1: FiniteMetricSpace, X2: FiniteMetricSpace,
                   require_isometry: bool, max_maps: int):
     """min over f: X1 -> X2 of max(equivariance defect, density defect
-    [, distortion]); exhaustive under the budget, else greedy + local search."""
-    n1, n2 = X1.size, X2.size
+    [, distortion]); exhaustive under the budget, else local search from a
+    distance-profile seed."""
     D2 = X2.dist
     proj_pad = max(m.projection_error for m in maps1 + maps2)
 
-    def defect(f: np.ndarray) -> float:
-        dens = float(D2[np.ix_(f, range(n2))].min(axis=0).max())
-        eq = 0.0
+    def defect(F: np.ndarray) -> np.ndarray:
+        dens = D2[F].min(axis=1).max(axis=1)
+        eq = np.zeros(len(F))
         for a1, a2 in zip(maps1, maps2):
-            eq = max(eq, float(D2[a2.idx[f], f[a1.idx]].max()))
-        val = max(dens, eq + proj_pad)
+            eq = np.maximum(eq, D2[a2.idx[F], F[:, a1.idx]].max(axis=1))
+        val = np.maximum(dens, eq + proj_pad)
         if require_isometry:
-            val = max(val, float(np.abs(D2[np.ix_(f, f)] - X1.dist).max()))
+            dis = np.abs(D2[F[:, :, None], F[:, None, :]] - X1.dist).max(axis=(1, 2))
+            val = np.maximum(val, dis)
         return val
 
-    exhaustive = n2 ** n1 <= max_maps
-    if exhaustive:
-        best, best_f = math.inf, None
-        from itertools import product
-        for f in product(range(n2), repeat=n1):
-            fa = np.asarray(f, dtype=int)
-            v = defect(fa)
-            if v < best:
-                best, best_f = v, fa
-        return best, tuple(best_f), True
-
-    f = np.argmin(np.abs(np.sort(D2, axis=1)[:, :min(n1, n2)]
-                         - np.sort(X1.dist, axis=1)[:, None, :min(n1, n2)]).max(axis=2), axis=1)
-    best = defect(f)
-    for _ in range(200):
-        improved = False
-        for x in range(n1):
-            vals = []
-            for y in range(n2):
-                f2 = f.copy()
-                f2[x] = y
-                vals.append((defect(f2), y))
-            v, y = min(vals)
-            if v < best - 1e-15:
-                f[x] = y
-                best = v
-                improved = True
-        if not improved:
-            break
-    return best, tuple(int(v) for v in f), False
+    k = min(X1.size, X2.size)
+    seed = np.argmin(np.abs(np.sort(D2, axis=1)[:, :k]
+                            - np.sort(X1.dist, axis=1)[:, None, :k]).max(axis=2), axis=1)
+    value, (f,), exhaustive = search_maps([(X1.size, X2.size)], MapCost((defect,)),
+                                          SearchBudget(max_map_pairs=max_maps), [(seed,)])
+    return value, f, exhaustive
 
 
 def egh_distance(action1, action2, max_maps: int = 70_000,

@@ -18,7 +18,7 @@ from .dynamics import (DynMap, invariant_measures, measure_mixtures, rotation,
                        sine_pluck)
 from .lipgeom import Observable, lipschitz_seminorm, nucleus_net
 from .spaces import FiniteMetricSpace, circle_net, validate_metric
-from .transport import Measure, convex_grid, wasserstein1
+from .transport import Measure, convex_grid, w1_hausdorff
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +430,6 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
 
     dhat = np.zeros((T, T))
     gamma = np.zeros((T, T))
-    cacheable = {}
-
-    def w1(mu, nu):
-        key = (tuple(np.round(mu.weights, 12)), tuple(np.round(nu.weights, 12)))
-        if key not in cacheable:
-            cacheable[key] = wasserstein1(mu, nu)[0]
-            cacheable[(key[1], key[0])] = cacheable[key]
-        return cacheable[key]
-
     # The comparison map (g_s o g_t^{-1})_* carries the t-fibre extremes onto
     # the s-fibre extremes one by one, so its affine extension matches mixtures
     # with equal weights: the inversion defect vanishes exactly and the
@@ -446,12 +437,7 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
     # evaluated on the exact (continuum) fibre atoms.
     for s in range(T):
         for t in range(s + 1, T):
-            A, B = nets[s], nets[t]
-            table = np.empty((len(A), len(B)))
-            for i, mu in enumerate(A):
-                for j, nu in enumerate(B):
-                    table[i, j] = w1(mu, nu)
-            dhat[s, t] = dhat[t, s] = max(table.min(axis=1).max(), table.min(axis=0).max())
+            dhat[s, t] = dhat[t, s] = w1_hausdorff(nets[s], nets[t])
             gamma[s, t] = gamma[t, s] = float(np.abs(atom_tables[s] - atom_tables[t]).max())
     return RotationFieldReport(t_grid, (p, q), net_size,
                                tuple(len(ex) for ex in extreme_sets),

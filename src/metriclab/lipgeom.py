@@ -147,7 +147,8 @@ class Nucleus:
     space: FiniteMetricSpace
     r: float
     values: np.ndarray     # (members, points)
-    density: float         # sup-norm density: guaranteed if complete, measured otherwise
+    density: float         # sup-norm density: guaranteed if complete; otherwise the worst
+                           # of the random probes, a lower estimate and not a bound
     complete: bool
     target_eps: float
 
@@ -176,16 +177,22 @@ class Nucleus:
 def _enumerate_grid_members(D, grid, slack, cap):
     """DFS over grid functions that are 1-Lipschitz up to `slack` pairwise.
 
-    Returns the list of assignments, or None once more than `cap` exist.
+    Returns the assignments as rows of an array, or None once more than
+    `cap` exist.
     """
     n = D.shape[0]
-    out = []
+    # one block for up to cap + 1 rows: that many small arrays would fragment
+    # the heap and keep it resident after they are dropped
+    out = np.empty((cap + 1, n))
+    count = 0
     vals = np.empty(n)
 
     def rec(pos: int) -> bool:
+        nonlocal count
         if pos == n:
-            out.append(vals.copy())
-            return len(out) <= cap
+            out[count] = vals
+            count += 1
+            return count <= cap
         lo, hi = -np.inf, np.inf
         for j in range(pos):
             lo = max(lo, vals[j] - D[pos, j] - slack)
@@ -198,7 +205,7 @@ def _enumerate_grid_members(D, grid, slack, cap):
         return True
 
     ok = rec(0)
-    return out if ok else None
+    return out[:count].copy() if ok else None
 
 
 def nucleus_net(X: FiniteMetricSpace, r: float, eps: float,

@@ -216,8 +216,10 @@ def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
         pos = maps_table[choices[:, k][:, None], pos]
         n = k + 1
         if n == n_values[mark]:
-            exceed[:, mark] = deviations(n) > eps
-            mark += 1
+            hit = deviations(n) > eps
+            while mark < len(n_values) and n_values[mark] == n:
+                exceed[:, mark] = hit
+                mark += 1
             if mark == len(n_values):
                 break
 

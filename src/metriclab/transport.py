@@ -260,6 +260,12 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple[float, Coupling]:
     return cost, Coupling(mu, nu, full)
 
 
+def w1_hausdorff(A, B) -> float:
+    """Hausdorff distance in (Prob(X), W1) between two finite sets of measures."""
+    table = np.asarray([[wasserstein1(mu, nu)[0] for nu in B] for mu in A])
+    return float(max(table.min(axis=1).max(), table.min(axis=0).max()))
+
+
 def wasserstein1_dual(mu: Measure, nu: Measure) -> tuple[float, Potential]:
     """Kantorovich dual value via an independent LP over 1-Lipschitz potentials.
 

@@ -32,6 +32,12 @@ class TestScenarioLoading:
         p = write_scenario(tmp_path, {"kind": "wasserstein", "params": {}})
         assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
 
+    def test_threads_flag_is_unknown(self, tmp_path):
+        p = write_scenario(tmp_path, {"kind": "wasserstein", "params": {}})
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(p), "--threads", "2"])
+        assert exc.value.code == 2
+
 
 class TestRun:
     def test_wasserstein_point_masses(self, tmp_path):

@@ -8,7 +8,7 @@ from metriclab import (DomainError, Measure, SearchBudget, circle_net, dq_upper,
                        epsilon_isometry_check, fukaya_distance, gh_distance,
                        intertwining_gap, interval_net, point_mass, simplex_net,
                        validate_metric, wasserstein1)
-from metriclab.distances import SimplexNet
+from metriclab.distances import MapCost, SimplexNet, search_maps
 
 from oracles import gh_exhaustive
 
@@ -57,8 +57,51 @@ class TestGH:
         assert kind == "upper"
         assert v >= 0.5 * abs(X.diameter - Y.diameter) - 1e-12
 
+    def test_upper_descends_on_both_maps(self):
+        # the exact value is 0.1; a descent on phi alone stops at 0.6
+        v, kind = gh_distance(interval_net(5, 1.0), interval_net(5, 1.2),
+                              SearchBudget(max_map_pairs=100))
+        assert kind == "upper"
+        assert 0.1 - 1e-12 <= v < 0.6
+
+
+class TestSearchMaps:
+    def test_one_block_first_minimum(self, rng):
+        table = rng.integers(0, 3, size=(3, 3, 3))      # few values, many ties
+        cost = MapCost((lambda F: table[tuple(F.T)].astype(float),))
+        value, witness, exhaustive = search_maps([(3, 3)], cost, SearchBudget(), [])
+        expect = min(itertools.product(range(3), repeat=3), key=lambda f: table[f])
+        assert exhaustive
+        assert witness == (expect,) and value == table[expect]
+
+    def test_two_blocks_first_minimum(self, rng):
+        t_f = rng.integers(0, 4, size=(2, 2, 2))
+        t_g = rng.integers(0, 4, size=(3, 3))
+        t_fg = rng.integers(0, 4, size=(2, 2, 2, 3, 3))
+        cost = MapCost((lambda F: t_f[tuple(F.T)].astype(float),
+                        lambda G: t_g[tuple(G.T)].astype(float)),
+                       lambda F, G: t_fg[tuple(F.T[:, :, None]) + tuple(G.T[:, None, :])])
+        value, witness, exhaustive = search_maps([(3, 2), (2, 3)], cost, SearchBudget(), [])
+        pairs = itertools.product(itertools.product(range(2), repeat=3),
+                                  itertools.product(range(3), repeat=2))
+        f, g = min(pairs, key=lambda p: max(t_f[p[0]], t_g[p[1]], t_fg[p[0] + p[1]]))
+        assert exhaustive
+        assert witness == (f, g) and value == max(t_f[f], t_g[g], t_fg[f + g])
+
 
 class TestSimplexNet:
+    def test_off_grid_measures_rejected(self):
+        X = interval_net(3, 1.0)
+        masses = tuple(point_mass(X, i) for i in range(3))
+        w = 1.0 / math.pi
+        with pytest.raises(DomainError):
+            SimplexNet(X, masses + (Measure(X, [w, 1.0 - w, 0.0]),), 0.1)
+        # measures on two grids lie on their common one
+        net = SimplexNet(X, masses + (Measure(X, [0.5, 0.5, 0.0]),
+                                      Measure(X, [1 / 3, 0.0, 2 / 3])), 0.5)
+        assert net.resolution == 6
+        assert net.counts[-1].tolist() == [2, 0, 4]
+
     def test_point_masses_required(self):
         X = interval_net(3, 1.0)
         with pytest.raises(DomainError):

@@ -244,6 +244,15 @@ class TestEgh:
         relaxed = egh_distance(a1, a2, require_isometry=False)
         assert relaxed.value <= strict.value
 
+    def test_budget_forced_descent_bounds_exhaustive(self):
+        from metriclab.dynamics import z_action_window
+        a = z_action_window(rotation(circle_net(6, 2 * math.pi), 1), 1)
+        b = z_action_window(rotation(circle_net(6, 2 * math.pi * 1.3), 2), 1)
+        exact = egh_distance(a, b)
+        res = egh_distance(a, b, max_maps=100)
+        assert exact.exhaustive and not res.exhaustive
+        assert res.value >= exact.value - 1e-12
+
     def test_z_action_window(self):
         from metriclab.dynamics import z_action_window
         X = circle_net(4, 2.0)

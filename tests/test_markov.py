@@ -150,6 +150,14 @@ class TestLdp:
         assert rep.c2 > 0
         assert rep.fit_quality >= 0.9
 
+    def test_repeated_horizon(self):
+        X, fam = two_contraction_family(16)
+        nuc = nucleus_net(X, X.radius, 0.25, sample_budget=64, probe_count=16)
+        p = ldp_experiment(fam, nuc, 0.1, [2, 4, 8], trials=500).probabilities
+        rep = ldp_experiment(fam, nuc, 0.1, [2, 2, 4, 8], trials=500)
+        assert rep.n_values == (2, 2, 4, 8)
+        assert rep.probabilities == (p[0], p[0], p[1], p[2])
+
     def test_requires_unique_stationary(self):
         X = circle_net(4, 2.0)
         h = rotation(X, 2)
