@@ -18,7 +18,7 @@ class Tolerances:
     hermitian_atol: float = 1e-12    # Hermitian symmetry of matrix fields
     trace_null_atol: float = 1e-9    # tracially null certificates
     eig_atol: float = 1e-10          # operator norms via eigenvalues
-    feasibility_atol: float = 1e-9   # max-flow feasibility slack
+    feasibility_atol: float = 1e-9   # mass a W-infinity threshold plan may move beyond t
     quadrature_atol: float = 1e-10   # adaptive Simpson target
 
 

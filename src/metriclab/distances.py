@@ -330,8 +330,7 @@ def _inv_defect(a: _Side, comps: np.ndarray) -> np.ndarray:
     return worst[back].reshape(comps.shape[:-1])
 
 
-def epsilon_isometry_check(f, SX: SimplexNet, SY: SimplexNet,
-                           eps: float | None = None) -> AlmostIsometryReport:
+def epsilon_isometry_check(f, SX: SimplexNet, SY: SimplexNet) -> AlmostIsometryReport:
     """Exact distortion of a boundary map on boundary pairs and on the nets."""
     f = tuple(int(v) for v in f)
     F = np.asarray([f], dtype=np.int64)

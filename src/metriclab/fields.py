@@ -16,7 +16,7 @@ import numpy as np
 from .config import TOL, DomainError
 from .dynamics import (DynMap, invariant_measures, measure_mixtures, rotation,
                        sine_pluck)
-from .lipgeom import Observable, lipschitz_seminorm, nucleus_net
+from .lipgeom import Observable, _lipschitz_excess, lipschitz_seminorm, nucleus_net
 from .spaces import FiniteMetricSpace, circle_net, validate_metric
 from .transport import Measure, convex_grid, w1_hausdorff
 
@@ -272,8 +272,8 @@ def nucleus_field(fld: MetricField, r: float, eps: float, **nucleus_kwargs):
         for (src, dst, Kc) in ((a, spaces[i + 1], env.K[i + 1, i]),
                                (b, spaces[i], env.K[i, i + 1])):
             moved = retract_between_fibres(src.values, Kc, r)
-            diffs = np.abs(moved[:, :, None] - moved[:, None, :]) - dst.dist[None, :, :]
-            if diffs.max() > TOL.lipschitz_atol or np.abs(moved).max() > r + TOL.lipschitz_atol:
+            if (_lipschitz_excess(moved, dst.dist) > TOL.lipschitz_atol
+                    or np.abs(moved).max() > r + TOL.lipschitz_atol):
                 ok = False
         if haus[i] > bound[i] + TOL.lipschitz_atol:
             ok = False

@@ -135,9 +135,19 @@ def extend_to_simplex(f: Observable, states) -> np.ndarray:
 # nuclei
 
 def mcshane_project(space: FiniteMetricSpace, values) -> np.ndarray:
-    """Largest 1-Lipschitz function dominating the input values."""
+    """Least 1-Lipschitz function dominating the input values; a 2-D input is
+    projected row by row, one point at a time to keep transients (rows, n)."""
     v = np.asarray(values, dtype=float)
-    return (v[None, :] - space.dist).max(axis=1)
+    out = np.empty_like(v)
+    for i, row in enumerate(space.dist):
+        out[..., i] = (v - row).max(axis=-1)
+    return out
+
+
+def _lipschitz_excess(values, dist) -> float:
+    """max over rows and point pairs of |f(x) - f(y)| - d(x, y), one point at a time."""
+    v = np.asarray(values, dtype=float)
+    return max(float((np.abs(v - v[..., i:i + 1]) - row).max()) for i, row in enumerate(dist))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +166,7 @@ class Nucleus:
         vals = np.asarray(self.values, dtype=float)
         if np.abs(vals).max() > self.r + TOL.lipschitz_atol:
             raise DomainError("nucleus member exceeds the norm bound r")
-        diffs = np.abs(vals[:, :, None] - vals[:, None, :]) - self.space.dist[None, :, :]
-        if diffs.max() > TOL.lipschitz_atol:
+        if _lipschitz_excess(vals, self.space.dist) > TOL.lipschitz_atol:
             raise DomainError("nucleus member is not 1-Lipschitz")
         vals = vals.copy()
         vals.flags.writeable = False
@@ -205,6 +214,7 @@ def _enumerate_grid_members(D, grid, slack, cap):
         return True
 
     ok = rec(0)
+    del rec   # rec refers to itself; left to the cycle collector it would keep `out` alive
     return out[:count].copy() if ok else None
 
 
@@ -235,8 +245,7 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float,
 
     members = _enumerate_grid_members(X.dist, grid, slack=h, cap=size_cap)
     if members is not None:
-        raw = np.asarray(members)
-        proj = np.clip((raw[:, None, :] - X.dist[None, :, :]).max(axis=2), -r, r)
+        proj = np.clip(mcshane_project(X, members), -r, r)
         proj = np.unique(np.round(proj, 12), axis=0)
         # rounding a member to the grid moves it h/2; projection cannot widen that
         return Nucleus(X, r, proj, density=h / 2.0, complete=True, target_eps=eps)
@@ -249,20 +258,21 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float,
         rows.append(-cone)
     for c in np.arange(-r, r + eps / 2.0, eps):
         rows.append(np.full(n, min(c, r)))
-    rng = SplitMix64(seed)
-    for _ in range(sample_budget):
-        g = np.array([rng.uniform() * 2.0 * r - r for _ in range(n)])
-        g = grid[np.clip(np.round((g + r) / h).astype(int), 0, len(grid) - 1)]
-        rows.append(np.clip(mcshane_project(X, g), -r, r))
+    g = _uniform_rows(SplitMix64(seed), sample_budget, n, r)
+    g = grid[np.clip(np.round((g + r) / h).astype(int), 0, len(grid) - 1)]
+    rows.extend(np.clip(mcshane_project(X, g), -r, r))
     vals = np.unique(np.round(np.asarray(rows), 12), axis=0)
 
-    probe_rng = SplitMix64(seed ^ 0x5EED)
+    probes = _uniform_rows(SplitMix64(seed ^ 0x5EED), probe_count, n, r)
     worst = 0.0
-    for _ in range(probe_count):
-        g = np.array([probe_rng.uniform() * 2.0 * r - r for _ in range(n)])
-        member = np.clip(mcshane_project(X, g), -r, r)
+    for member in np.clip(mcshane_project(X, probes), -r, r):
         worst = max(worst, float(np.abs(vals - member[None, :]).max(axis=1).min()))
     return Nucleus(X, r, vals, density=worst, complete=False, target_eps=eps)
+
+
+def _uniform_rows(rng: SplitMix64, count: int, n: int, r: float) -> np.ndarray:
+    """count rows of n draws uniform on [-r, r], filled in stream order."""
+    return np.asarray(rng.uniforms(count * n)).reshape(count, n) * 2.0 * r - r
 
 
 def nucleus_to_csv(nuc: Nucleus) -> str:

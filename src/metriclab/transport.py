@@ -1,7 +1,8 @@
 """Probability measures on finite metric spaces and exact optimal transport.
 
 Primal 1-Wasserstein distances come from a transportation network simplex
-written here (desk-scale exactness, deterministic pivoting). The dual is
+written here (desk-scale exactness, deterministic pivoting); the same simplex
+decides the thresholds of the infinity-Wasserstein search. The dual is
 solved independently as a linear program over 1-Lipschitz potentials, so
 the mandatory duality-gap check really compares two routes.
 """
@@ -299,54 +300,14 @@ def wasserstein1_dual(mu: Measure, nu: Measure) -> tuple[float, Potential]:
 
 
 # ---------------------------------------------------------------------------
-# infinity-Wasserstein by threshold + max-flow feasibility
-
-def _maxflow_value(a, b, allowed) -> float:
-    """Max flow from sources (supplies a) to sinks (demands b) through
-    the admissible bipartite arcs. Edmonds-Karp on a dense residual matrix."""
-    n, m = len(a), len(b)
-    N = n + m + 2
-    S, T = n + m, n + m + 1
-    cap = np.zeros((N, N))
-    cap[S, :n] = a
-    for j in range(m):
-        cap[n + j, T] = b[j]
-    big = float(a.sum()) + 1.0
-    cap[:n, n:n + m] = np.where(allowed, big, 0.0)
-    total = 0.0
-    while True:
-        parent = np.full(N, -1, dtype=int)
-        parent[S] = S
-        queue = [S]
-        while queue:
-            x = queue.pop(0)
-            if x == T:
-                break
-            for y in np.flatnonzero(cap[x] > TOL.feasibility_atol * 1e-3):
-                if parent[y] < 0:
-                    parent[y] = x
-                    queue.append(y)
-        if parent[T] < 0:
-            return total
-        bottleneck = math.inf
-        y = T
-        while y != S:
-            x = parent[y]
-            bottleneck = min(bottleneck, cap[x, y])
-            y = x
-        y = T
-        while y != S:
-            x = parent[y]
-            cap[x, y] -= bottleneck
-            cap[y, x] += bottleneck
-            y = x
-        total += bottleneck
-
+# infinity-Wasserstein by threshold search on the network simplex
 
 def wasserstein_inf(mu: Measure, nu: Measure) -> float:
     """Bottleneck transport distance: least threshold t such that a coupling
     supported on pairs with d <= t exists. Binary search over the sorted
-    distance values with a max-flow feasibility test at each candidate."""
+    distance values; at each candidate the network simplex finds the least
+    mass a coupling must move farther than t, and t is feasible when that
+    mass is at most TOL.feasibility_atol."""
     X = _same_space(mu, nu)
     if np.array_equal(mu.weights, nu.weights):
         return 0.0
@@ -356,8 +317,8 @@ def wasserstein_inf(mu: Measure, nu: Measure) -> float:
     cands = np.unique(D)
 
     def feasible(t: float) -> bool:
-        allowed = D <= t + TOL.feasibility_atol * 1e-3
-        return _maxflow_value(a, b, allowed) >= 1.0 - TOL.feasibility_atol
+        beyond = (D > t + TOL.feasibility_atol * 1e-3).astype(float)
+        return _transport_simplex(a, b, beyond)[0] <= TOL.feasibility_atol
 
     lo, hi = 0, len(cands) - 1
     if not feasible(cands[hi]):

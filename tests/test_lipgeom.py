@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from metriclab import (DomainError, MatrixObservable, Measure, Observable,
+from metriclab import (DomainError, MatrixObservable, Measure, Nucleus, Observable,
                        circle_net, extend_to_simplex, interval_net,
                        lipnorm_from_state_metric, lipschitz_seminorm,
                        matrix_nucleus_membership, matrix_trace_observable,
@@ -121,6 +121,20 @@ class TestNucleus:
             g = np.array([gen.uniform() * 2 * r - r for _ in range(3)])
             member = np.clip(mcshane_project(X, g), -r, r)
             assert np.abs(nuc.values - member).max(axis=1).min() <= eps + 1e-12
+
+    def test_mcshane_rows_match_single_projections(self):
+        X = circle_net(5, 4.0)
+        rows = np.random.default_rng(3).uniform(-2.0, 2.0, size=(7, 5))
+        proj = mcshane_project(X, rows)
+        assert np.array_equal(proj, [mcshane_project(X, row) for row in rows])
+        assert (proj >= rows).all()
+        assert (np.abs(proj[:, :, None] - proj[:, None, :]) - X.dist).max() <= 1e-12
+
+    def test_non_lipschitz_member_rejected(self):
+        X = interval_net(3, 1.0)
+        vals = np.array([[0.0, 0.0, 0.0], [0.0, 0.1, 0.7]])   # |0.1 - 0.7| > d = 0.5
+        with pytest.raises(DomainError, match="1-Lipschitz"):
+            Nucleus(X, 1.0, vals, density=0.1, complete=False, target_eps=0.1)
 
     def test_fallback_reports_measured_density(self):
         X = circle_net(8, 2 * math.pi)

@@ -11,7 +11,7 @@ from metriclab import (Coupling, DomainError, Measure, SpaceMismatchError, circl
                        wasserstein1_dual, wasserstein_inf)
 from metriclab.transport import convex_grid
 
-from oracles import w1_exhaustive, w1_line, winf_exhaustive
+from oracles import w1_exhaustive, w1_line, winf_exhaustive, winf_hall
 
 
 def random_space(rng, n):
@@ -145,6 +145,27 @@ class TestWinf:
             X = random_space(rng, int(rng.integers(2, 7)))
             mu, nu = random_measure(rng, X), random_measure(rng, X)
             assert wasserstein1(mu, nu)[0] <= wasserstein_inf(mu, nu) + 1e-9
+
+    def test_matches_hall_oracle_on_tied_circle_distances(self):
+        # the 6-point circle has three distinct distances: many 0/1 threshold
+        # costs tie, the degenerate case for the simplex feasibility test
+        X = circle_net(6, 2 * math.pi)
+        D = X.dist.tolist()
+        grid = [Measure(X, w) for w in convex_grid(6, 2)]
+        pairs = list(itertools.combinations(grid, 2))
+        assert len(pairs) == 210
+        for mu, nu in pairs:
+            assert wasserstein_inf(mu, nu) == pytest.approx(
+                winf_hall(mu.weights.tolist(), nu.weights.tolist(), D), abs=1e-9)
+
+    def test_threshold_slack_counts_near_ties_as_equal(self):
+        # d12 exceeds the candidate 1 by 5e-13, inside the 1e-12 threshold slack
+        X = validate_metric(np.array([[0.0, 1.0, 2.0],
+                                      [1.0, 0.0, 1.0 + 5e-13],
+                                      [2.0, 1.0 + 5e-13, 0.0]]))
+        mu = Measure(X, [0.5, 0.5, 0.0])
+        nu = Measure(X, [0.0, 0.5, 0.5])
+        assert wasserstein_inf(mu, nu) == 1.0
 
 
 class TestPushforward:
