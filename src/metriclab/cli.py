@@ -20,10 +20,6 @@ from .spaces import space_from_json
 from .transport import measure_from_json, wasserstein1, wasserstein1_dual, wasserstein_inf
 from .svg import emit_plot
 
-KINDS = ("wasserstein", "gh", "gap", "nucleus", "birkhoff", "ldp",
-         "wave-field", "rotation-field", "check")
-
-
 class ConfigError(Exception):
     pass
 
@@ -267,6 +263,7 @@ _HANDLERS = {
     "rotation-field": _run_rotation_field,
     "check": _run_check,
 }
+KINDS = tuple(_HANDLERS)
 
 
 def run(scenario: Scenario) -> int:

@@ -72,8 +72,8 @@ def _grid_resolution(W: np.ndarray) -> int:
     return m
 
 
-def simplex_net(X: FiniteMetricSpace, m: int, max_size: int = 200_000) -> SimplexNet:
-    net: ProbNet = prob_net(X, m, max_size=max_size)
+def simplex_net(X: FiniteMetricSpace, m: int) -> SimplexNet:
+    net: ProbNet = prob_net(X, m)
     return SimplexNet(X, net.measures, net.density)
 
 
@@ -387,18 +387,20 @@ def intertwining_gap(SX: SimplexNet, SY: SimplexNet,
     return GapResult(val, rep, exhaustive)
 
 
+def profile_seed(DA, DB) -> np.ndarray:
+    """Map from A to B sending each point to the first point of B whose sorted
+    distance profile (its k = min(|A|, |B|) smallest distances) is nearest in
+    the max norm."""
+    k = min(DA.shape[1], DB.shape[1])
+    prof_a, prof_b = np.sort(DA, axis=1)[:, :k], np.sort(DB, axis=1)[:, :k]
+    return np.abs(prof_b - prof_a[:, None, :]).max(axis=2).argmin(axis=1)
+
+
 def _coupling_seed(SA: SimplexNet, SB: SimplexNet) -> tuple:
     """Deterministic starting map: match points by sorted distance profiles."""
     if SA.boundary is SB.boundary:
         return tuple(range(SA.boundary.size))
-    DA, DB = SA.boundary.dist, SB.boundary.dist
-    k = min(DA.shape[1], DB.shape[1])
-    profB = np.sort(DB, axis=1)[:, :k]
-    f = []
-    for x in range(SA.boundary.size):
-        rows = np.abs(profB - np.sort(DA[x])[None, :k])
-        f.append(int(np.argmin(rows.max(axis=1))))
-    return tuple(f)
+    return tuple(profile_seed(SA.boundary.dist, SB.boundary.dist).tolist())
 
 
 def fukaya_distance(SX: SimplexNet, SY: SimplexNet,

@@ -15,10 +15,11 @@ from itertools import combinations
 import numpy as np
 
 from .config import TOL, DomainError
-from .distances import MapCost, SearchBudget, search_maps
+from .distances import MapCost, SearchBudget, profile_seed, search_maps
 from .lipgeom import Nucleus, Observable, lipschitz_seminorm
 from .spaces import FiniteMetricSpace
-from .transport import mix, pushforward, uniform_measure, w1_hausdorff, wasserstein1
+from .transport import (convex_grid, mix, pushforward, uniform_measure, w1_hausdorff,
+                        wasserstein1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,18 +195,12 @@ def invariant_measures(h: DynMap) -> InvariantSimplex:
     return InvariantSimplex(extremes, h)
 
 
-def measure_mixtures(measures, m: int, max_size: int = 200_000):
+def measure_mixtures(measures, m: int):
     """All 1/m-grid convex combinations of the given measures."""
     e = len(measures)
     if e == 1 or m < 1:
         return list(measures)
-    from .transport import convex_grid
-    return [mix(measures, lam) for lam in convex_grid(e, m, max_size)]
-
-
-def simplex_mixtures(simplex: InvariantSimplex, m: int, max_size: int = 200_000):
-    """All 1/m-grid convex combinations of the extreme invariant measures."""
-    return measure_mixtures(simplex.extremes, m, max_size)
+    return [mix(measures, lam) for lam in convex_grid(e, m)]
 
 
 def invariant_simplex_hausdorff(h1: DynMap, h2: DynMap, m: int = 2) -> float:
@@ -213,8 +208,8 @@ def invariant_simplex_hausdorff(h1: DynMap, h2: DynMap, m: int = 2) -> float:
     two invariant simplices."""
     if h1.space is not h2.space:
         raise DomainError("dynamics live on different spaces")
-    A = simplex_mixtures(invariant_measures(h1), m)
-    B = simplex_mixtures(invariant_measures(h2), m)
+    A = measure_mixtures(invariant_measures(h1).extremes, m)
+    B = measure_mixtures(invariant_measures(h2).extremes, m)
     return w1_hausdorff(A, B)
 
 
@@ -328,11 +323,9 @@ def _egh_one_side(maps1, maps2, X1: FiniteMetricSpace, X2: FiniteMetricSpace,
             val = np.maximum(val, dis)
         return val
 
-    k = min(X1.size, X2.size)
-    seed = np.argmin(np.abs(np.sort(D2, axis=1)[:, :k]
-                            - np.sort(X1.dist, axis=1)[:, None, :k]).max(axis=2), axis=1)
     value, (f,), exhaustive = search_maps([(X1.size, X2.size)], MapCost((defect,)),
-                                          SearchBudget(max_map_pairs=max_maps), [(seed,)])
+                                          SearchBudget(max_map_pairs=max_maps),
+                                          [(profile_seed(X1.dist, D2),)])
     return value, f, exhaustive
 
 
@@ -375,7 +368,7 @@ def crossed_product_seminorm(a0: Observable, h: DynMap, mode: str = "general",
     simplex = invariant_measures(h)
     if simplex.uniquely_ergodic:
         raise DomainError("invariant simplex is a single point; use mode='uniquely_ergodic'")
-    net = simplex_mixtures(simplex, resolution)
+    net = measure_mixtures(simplex.extremes, resolution)
     vals = np.asarray([mu.integrate(a0.values) for mu in net])
     best = 0.0
     for i, j in combinations(range(len(net)), 2):

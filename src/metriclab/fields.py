@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOL, DomainError
-from .dynamics import (DynMap, invariant_measures, measure_mixtures, rotation,
-                       sine_pluck)
+from .dynamics import (DynMap, birkhoff_rate, invariant_measures, measure_mixtures,
+                       rotation, sine_pluck)
 from .lipgeom import Observable, _lipschitz_excess, lipschitz_seminorm, nucleus_net
 from .spaces import FiniteMetricSpace, circle_net, validate_metric
 from .transport import Measure, convex_grid, w1_hausdorff
@@ -306,7 +306,6 @@ def birkhoff_field(fld: MetricField, h, eps: float, r: float, n_max: int,
                    **nucleus_kwargs) -> BirkhoffFieldReport:
     """Per-fibre Birkhoff rates with that fibre's nucleus, plus an upper
     semicontinuity diagnostic at the grid resolution."""
-    from .dynamics import birkhoff_rate
     idx = getattr(h, "idx", h)
     rates = []
     for k in range(len(fld)):

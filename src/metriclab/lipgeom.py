@@ -2,9 +2,10 @@
 
 A nucleus at level r is a finite family inside the polytope of r-bounded
 1-Lipschitz functions. Small spaces get a complete quantize-and-project
-enumeration; larger ones fall back to metric cones, constants and random
-projected samples, with the achieved sup-norm density measured by probing
-instead of assumed.
+enumeration, built point by point over the admissible grid prefixes; as soon
+as a point's prefix count exceeds the size cap, the net falls back to metric
+cones, constants and random projected samples, with the achieved sup-norm
+density measured by probing instead of assumed.
 """
 from __future__ import annotations
 
@@ -184,38 +185,35 @@ class Nucleus:
 
 
 def _enumerate_grid_members(D, grid, slack, cap):
-    """DFS over grid functions that are 1-Lipschitz up to `slack` pairwise.
+    """Grid functions that are 1-Lipschitz up to `slack` pairwise, as rows in
+    lexicographic order of grid index, or None when more than `cap` exist.
 
-    Returns the assignments as rows of an array, or None once more than
-    `cap` exist.
+    The admissible prefixes are extended one point at a time. Their count
+    never drops from one point to the next when `slack` is the grid step: a
+    prefix admits point p at the values in [max_j(v_j - d_pj) - slack,
+    min_j(v_j + d_pj) + slack], which by the triangle inequality is at least
+    `slack` long and, as every v_j lies in the grid's range, meets that range
+    in a stretch as long, so it holds a grid value. The first count over
+    `cap` therefore decides, before any row of that point is built. (A
+    matrix accepted with a triangle defect above the 1e-12 test slack could
+    leave a prefix without extensions, and then be refused a net that the
+    cap admits.)
     """
     n = D.shape[0]
-    # one block for up to cap + 1 rows: that many small arrays would fragment
-    # the heap and keep it resident after they are dropped
-    out = np.empty((cap + 1, n))
-    count = 0
-    vals = np.empty(n)
-
-    def rec(pos: int) -> bool:
-        nonlocal count
-        if pos == n:
-            out[count] = vals
-            count += 1
-            return count <= cap
-        lo, hi = -np.inf, np.inf
+    rows = np.empty((1, n))
+    for pos in range(n):
+        lo = np.full(len(rows), -np.inf)
+        hi = np.full(len(rows), np.inf)
         for j in range(pos):
-            lo = max(lo, vals[j] - D[pos, j] - slack)
-            hi = min(hi, vals[j] + D[pos, j] + slack)
-        for g in grid:
-            if lo - 1e-12 <= g <= hi + 1e-12:
-                vals[pos] = g
-                if not rec(pos + 1):
-                    return False
-        return True
-
-    ok = rec(0)
-    del rec   # rec refers to itself; left to the cycle collector it would keep `out` alive
-    return out[:count].copy() if ok else None
+            lo = np.maximum(lo, rows[:, j] - D[pos, j] - slack)
+            hi = np.minimum(hi, rows[:, j] + D[pos, j] + slack)
+        ok = ((lo - 1e-12)[:, None] <= grid) & (grid <= (hi + 1e-12)[:, None])
+        if np.count_nonzero(ok) > cap:
+            return None
+        prefix, value = np.nonzero(ok)      # row-major: the lexicographic order
+        rows = rows[prefix]
+        rows[:, pos] = grid[value]
+    return rows
 
 
 def nucleus_net(X: FiniteMetricSpace, r: float, eps: float,
@@ -237,7 +235,7 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float,
     n = X.size
     steps = max(1, math.ceil(4.0 * r / eps))
     grid = np.linspace(-r, r, steps + 1)
-    h = grid[1] - grid[0] if steps >= 1 else eps / 2.0
+    h = grid[1] - grid[0]
 
     if n == 1:
         vals = grid[:, None]

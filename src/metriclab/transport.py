@@ -8,6 +8,7 @@ the mandatory duality-gap check really compares two routes.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -364,20 +365,13 @@ def convex_grid(k: int, m: int, max_size: int = 200_000) -> np.ndarray:
         raise DomainError(
             f"grid would hold {count} weight vectors (> cap {max_size}); "
             "use a coarser m or restrict the support")
-    rows = []
-    comp = np.zeros(k, dtype=int)
-
-    def rec(pos: int, left: int):
-        if pos == k - 1:
-            comp[pos] = left
-            rows.append(comp / m)
-            return
-        for c in range(left + 1):
-            comp[pos] = c
-            rec(pos + 1, left - c)
-
-    rec(0, m)
-    return np.asarray(rows)
+    # stars and bars: k - 1 bars among m + k - 1 slots, in lexicographic order,
+    # give the parts (gaps between bars) in lexicographic order
+    bars = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(m + k - 1), k - 1)), dtype=int, count=count * (k - 1))
+    edges = np.column_stack([np.full(count, -1), bars.reshape(count, k - 1),
+                             np.full(count, m + k - 1)])
+    return (np.diff(edges, axis=1) - 1) / m
 
 
 def prob_net(X: FiniteMetricSpace, m: int, support=None,

@@ -172,3 +172,29 @@ def permutation_invariant_measures(idx):
             if v.min() > -1e-9:
                 out.append(np.clip(v, 0, None))
     return out
+
+
+def grid_members_dfs(D, grid, slack, cap):
+    """Depth-first enumeration of grid functions with |v_i - v_j| <= d_ij +
+    slack pairwise (up to 1e-12), in lexicographic order of grid index, or
+    None once more than cap complete members exist."""
+    n = len(D)
+    out = []
+    vals = [0.0] * n
+
+    def rec(pos):
+        if pos == n:
+            out.append(list(vals))
+            return len(out) <= cap
+        lo, hi = -math.inf, math.inf
+        for j in range(pos):
+            lo = max(lo, vals[j] - D[pos][j] - slack)
+            hi = min(hi, vals[j] + D[pos][j] + slack)
+        for g in grid:
+            if lo - 1e-12 <= g <= hi + 1e-12:
+                vals[pos] = g
+                if not rec(pos + 1):
+                    return False
+        return True
+
+    return np.asarray(out, dtype=float).reshape(len(out), n) if rec(0) else None

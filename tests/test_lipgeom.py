@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from metriclab import (DomainError, MatrixObservable, Measure, Nucleus, Observab
                        mcshane_project, nucleus_decompose, nucleus_net, point_mass,
                        prob_net, state_metric, validate_metric, wasserstein1,
                        wasserstein1_dual)
-from metriclab.lipgeom import (matrix_observable_from_json, nucleus_to_csv,
-                               operator_norm)
+from metriclab.lipgeom import (_enumerate_grid_members, matrix_observable_from_json,
+                               nucleus_to_csv, operator_norm)
 from metriclab.rng import SplitMix64
+
+from oracles import grid_members_dfs
 
 
 def random_hermitian_field(rng, X, n):
@@ -146,6 +149,35 @@ class TestNucleus:
         X = interval_net(3, 2.0)
         with pytest.raises(DomainError):
             nucleus_net(X, 0.5 * X.radius, 0.2)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_enumeration_matches_dfs_oracle(self, n):
+        pts = np.random.default_rng(n).uniform(0.0, 2.0, size=(n, 2))
+        planar = validate_metric(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2)))
+        for X in (circle_net(n, 2.0), interval_net(n, 2.0), planar):
+            grid = np.linspace(-X.radius, X.radius, 5)
+            h = grid[1] - grid[0]
+            full = grid_members_dfs(X.dist, grid, h, 200_000)
+            for cap in (len(full) - 1, len(full), 200_000):
+                want = grid_members_dfs(X.dist, grid, h, cap) if cap < len(full) else full
+                got = _enumerate_grid_members(X.dist, grid, h, cap)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got is not None and np.array_equal(got, want)
+
+    def test_fallback_decided_without_enumerating(self):
+        # 8-point circle at eps 0.15 is over the 200k cap; a full enumeration
+        # block alone would take 200 001 x 8 floats (12.2 MiB)
+        X = circle_net(8, 2 * math.pi)
+        tracemalloc.start()
+        try:
+            nuc = nucleus_net(X, math.pi / 2, 0.15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not nuc.complete
+        assert peak < 6 * 2 ** 20
 
 
 class TestExtension:

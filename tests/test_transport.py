@@ -233,6 +233,14 @@ class TestProbNetMix:
         assert len(net3.measures) == 3
         assert all(m.weights.max() == 1.0 for m in net3.measures)
 
+    def test_convex_grid_lexicographic(self):
+        for k in range(1, 7):
+            for m in range(1, 7):
+                want = [c for c in itertools.product(range(m + 1), repeat=k) if sum(c) == m]
+                got = convex_grid(k, m)
+                assert got.shape == (len(want), k)
+                assert np.array_equal(got, np.asarray(want) / m)
+
     def test_cap_error(self):
         X = interval_net(10, 1.0)
         with pytest.raises(DomainError):
