@@ -270,7 +270,7 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float,
 
 def _uniform_rows(rng: SplitMix64, count: int, n: int, r: float) -> np.ndarray:
     """count rows of n draws uniform on [-r, r], filled in stream order."""
-    return np.asarray(rng.uniforms(count * n)).reshape(count, n) * 2.0 * r - r
+    return rng.uniforms(count * n).reshape(count, n) * 2.0 * r - r
 
 
 def nucleus_to_csv(nuc: Nucleus) -> str:

@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .config import TOL, DomainError
 from .lipgeom import Nucleus
-from .rng import RNG_VERSION, SplitMix64, derive_seed
+from .rng import RNG_VERSION, SplitMix64, derive_seeds, uniform_block
 from .spaces import FiniteMetricSpace, epsilon_net
 from .transport import Measure
 
@@ -120,13 +120,12 @@ def simulate(P: MarkovKernel, x0: int, n: int, seed: int) -> np.ndarray:
     point order, driven by the pinned generator. Bit-identical across runs."""
     if n < 1:
         raise DomainError("need at least one step")
-    rng = SplitMix64(seed)
     cum = np.cumsum(P.P, axis=1)
     out = np.empty(n + 1, dtype=int)
     out[0] = x0
     x = x0
-    for k in range(1, n + 1):
-        x = int(np.searchsorted(cum[x], rng.uniform(), side="right"))
+    for k, u in enumerate(SplitMix64(seed).uniforms(n), start=1):
+        x = int(np.searchsorted(cum[x], u, side="right"))
         x = min(x, P.space.size - 1)
         out[k] = x
     return out
@@ -184,35 +183,35 @@ def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
     cum_p = np.cumsum(F.probabilities)
     n_max = n_values[-1]
 
-    # per-trial derived seeds; map choices drawn trial by trial for portability
-    choices = np.empty((trials, n_max), dtype=np.int64)
-    for t in range(trials):
-        rng = SplitMix64(derive_seed(seed, t))
-        row = choices[t]
-        for k in range(n_max):
-            row[k] = np.searchsorted(cum_p, rng.uniform(), side="right")
+    # trial t draws its map choices from SplitMix64(derive_seed(seed, t)); the
+    # counter-based block gives the same bits as drawing trial by trial
+    choices = np.searchsorted(cum_p, uniform_block(derive_seeds(seed, trials), n_max),
+                              side="right")
     choices = np.minimum(choices, len(F.maps) - 1)
 
+    S = len(starts)
     pos = np.tile(starts[None, :], (trials, 1))           # (trials, starts)
-    counts = np.zeros((trials, len(starts), X.size))
+    counts = np.zeros((trials, S, X.size))
     exceed = np.zeros((trials, len(n_values)), dtype=bool)
-    t_rows = np.arange(trials)[:, None]
-    s_cols = np.arange(len(starts))[None, :]
+    base = np.arange(trials * S).reshape(trials, S) * X.size
 
     def deviations(n: int) -> np.ndarray:
+        # rounded seg / n - mean is nondecreasing in seg, so its largest |.|
+        # over starts is at the largest or the smallest seg: exact, not close
         out = np.empty(trials)
-        flat = counts.reshape(trials * len(starts), X.size)
-        block = max(1, 2_000_000 // max(1, len(starts) * len(nucleus)))
+        flat = counts.reshape(trials * S, X.size)
+        block = max(1, 2_000_000 // max(1, S * len(nucleus)))
         for lo in range(0, trials, block):
             hi = min(trials, lo + block)
-            seg = flat[lo * len(starts):hi * len(starts)] @ nucleus.values.T
-            seg = np.abs(seg / n - mean[None, :])
-            out[lo:hi] = seg.reshape(hi - lo, len(starts), -1).max(axis=(1, 2))
+            seg = (flat[lo * S:hi * S] @ nucleus.values.T).reshape(hi - lo, S, -1)
+            top = np.abs(seg.max(axis=1) / n - mean)
+            bot = np.abs(seg.min(axis=1) / n - mean)
+            out[lo:hi] = np.maximum(top, bot).max(axis=1)
         return out
 
     mark = 0
     for k in range(n_max):
-        counts[t_rows, s_cols, pos] += 1.0
+        counts.reshape(-1)[base + pos] += 1.0
         pos = maps_table[choices[:, k][:, None], pos]
         n = k + 1
         if n == n_values[mark]:

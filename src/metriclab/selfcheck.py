@@ -26,13 +26,13 @@ class CheckResult:
 
 
 def _random_space(rng: SplitMix64, n: int):
-    pts = np.array([[rng.uniform() * 4.0 for _ in range(2)] for _ in range(n)])
+    pts = rng.uniforms(2 * n).reshape(n, 2) * 4.0
     D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     return validate_metric(D)
 
 
 def _random_measure(rng: SplitMix64, space) -> Measure:
-    w = np.array([rng.uniform() for _ in range(space.size)]) + 1e-3
+    w = rng.uniforms(space.size) + 1e-3
     return Measure(space, w / w.sum())
 
 
@@ -88,8 +88,7 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     for _ in range(20):
         X = _random_space(rng, 3 + rng.randint(3))
         n = 2 + rng.randint(2)
-        vals = np.array([[[rng.uniform() - 0.5 for _ in range(n)] for _ in range(n)]
-                         for _ in range(X.size)])
+        vals = rng.uniforms(X.size * n * n).reshape(X.size, n, n) - 0.5
         herm = vals + vals.transpose(0, 2, 1)
         F = MatrixObservable(X, n, herm.astype(complex))
         tr = matrix_trace_observable(F)
@@ -113,7 +112,7 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     for _ in range(10):
         X = _random_space(rng, 4)
         ms = [_random_measure(rng, X) for _ in range(3)]
-        lam = np.array([rng.uniform() for _ in range(3)])
+        lam = rng.uniforms(3)
         lam /= lam.sum()
         h = np.array([rng.randint(X.size) for _ in range(X.size)])
         a = pushforward(mix(ms, lam), h)

@@ -171,10 +171,8 @@ def _transport_simplex(a, b, C, opt_tol=1e-11, max_pivots=None):
         stack = [0]
         seen[0] = True
         u[0] = 0.0
-        order = []
         while stack:
             node = stack.pop()
-            order.append(node)
             for nb in adj[node]:
                 if not seen[nb]:
                     seen[nb] = True

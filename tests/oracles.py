@@ -198,3 +198,42 @@ def grid_members_dfs(D, grid, slack, cap):
         return True
 
     return np.asarray(out, dtype=float).reshape(len(out), n) if rec(0) else None
+
+
+def ldp_probabilities_scalar(maps_table, probabilities, values, mean, starts,
+                             eps, n_values, trials, seed):
+    """Exceedance fractions of the LDP experiment, computed the slow way: one
+    scalar splitmix64 draw per (trial, step), and |seg / n - mean| over every
+    (trial, start, member) before the max. `maps_table` is (maps, points),
+    `values` the nucleus members (members, points), `mean` their stationary
+    means and `starts` the start points."""
+    from metriclab.rng import SplitMix64, derive_seed
+
+    cum_p = np.cumsum(probabilities)
+    n_max = max(n_values)
+    choices = np.empty((trials, n_max), dtype=np.int64)
+    for t in range(trials):
+        rng = SplitMix64(derive_seed(seed, t))
+        for k in range(n_max):
+            choices[t, k] = np.searchsorted(cum_p, rng.uniform(), side="right")
+    choices = np.minimum(choices, len(maps_table) - 1)
+
+    S, N = len(starts), maps_table.shape[1]
+    pos = np.tile(np.asarray(starts)[None, :], (trials, 1))
+    counts = np.zeros((trials, S, N))
+    t_rows, s_cols = np.arange(trials)[:, None], np.arange(S)[None, :]
+    block = max(1, 2_000_000 // max(1, S * len(values)))
+    hit = {}
+    for k in range(n_max):
+        counts[t_rows, s_cols, pos] += 1.0
+        pos = maps_table[choices[:, k][:, None], pos]
+        n = k + 1
+        if n in n_values:
+            flat = counts.reshape(trials * S, N)
+            dev = np.empty(trials)
+            for lo in range(0, trials, block):
+                hi = min(trials, lo + block)
+                seg = np.abs(flat[lo * S:hi * S] @ values.T / n - mean[None, :])
+                dev[lo:hi] = seg.reshape(hi - lo, S, -1).max(axis=(1, 2))
+            hit[n] = dev > eps
+    return tuple(float(hit[n].mean()) for n in sorted(n_values))

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,13 @@ from metriclab import (DomainError, DynMap, MarkovKernel, Measure, RandomMapFami
                        circle_net, identity_map, interval_net, kernel_from_maps,
                        ldp_experiment, nucleus_net, point_mass, rotation, simulate,
                        stationary_measures, wasserstein1)
+from metriclab.cli import main
 from metriclab.dynamics import birkhoff_rate
+from metriclab.lipgeom import Nucleus
 from metriclab.spaces import epsilon_net
+from oracles import ldp_probabilities_scalar
+
+LDP_SCENARIO = Path(__file__).resolve().parents[1] / "scripts" / "scenarios" / "ldp.json"
 
 
 def two_contraction_family(n=16):
@@ -22,6 +29,23 @@ def two_contraction_family(n=16):
     half = DynMap(X, np.array([proj(c / 2) for c in coords]), label="half")
     shift = DynMap(X, np.array([proj(c / 2 + 0.5) for c in coords]), label="half+")
     return X, RandomMapFamily((half, shift), np.array([0.5, 0.5]))
+
+
+def three_map_family(n=16):
+    """The two contractions plus x -> x/3 + 1/3, with unequal probabilities."""
+    X, fam = two_contraction_family(n)
+    coords = np.asarray(X.meta["coords"])
+    third = DynMap(X, np.array([int(np.argmin(np.abs(coords - (c / 3 + 1 / 3))))
+                                for c in coords]), label="third")
+    return X, RandomMapFamily(fam.maps + (third,), np.array([0.2, 0.5, 0.3]))
+
+
+def scalar_ldp_probabilities(fam, nuc, eps, n_values, trials, seed):
+    nu = stationary_measures(kernel_from_maps(fam))[0]
+    return ldp_probabilities_scalar(
+        np.stack([m.idx for m in fam.maps]), fam.probabilities, nuc.values,
+        nuc.values @ nu.weights, epsilon_net(fam.space, eps / 4).indices,
+        eps, n_values, trials, seed)
 
 
 class TestKernel:
@@ -157,6 +181,38 @@ class TestLdp:
         rep = ldp_experiment(fam, nuc, 0.1, [2, 2, 4, 8], trials=500)
         assert rep.n_values == (2, 2, 4, 8)
         assert rep.probabilities == (p[0], p[0], p[1], p[2])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_contractions_match_scalar_oracle(self, seed):
+        X, fam = two_contraction_family(16)
+        nuc = nucleus_net(X, X.radius, 0.25, sample_budget=64, probe_count=16)
+        n_values = [2, 4, 8, 8, 16, 32]
+        rep = ldp_experiment(fam, nuc, 0.15, n_values, trials=300, seed=seed)
+        assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, 0.15, n_values,
+                                                             300, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_three_map_family_matches_scalar_oracle(self, seed):
+        X, fam = three_map_family(16)
+        full = nucleus_net(X, X.radius, 0.25, sample_budget=64, probe_count=16)
+        # members with a positive sum only: no member is then the negative of
+        # another, so the min over starts decides some deviations on its own
+        keep = full.values.sum(axis=1) > 0
+        nuc = Nucleus(X, full.r, full.values[keep], full.density, False, full.target_eps)
+        n_values = [1, 3, 9, 27]
+        rep = ldp_experiment(fam, nuc, 0.12, n_values, trials=300, seed=seed)
+        assert any(0.0 < p < 1.0 for p in rep.probabilities)
+        assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, 0.12, n_values,
+                                                             300, seed)
+
+    def test_shipped_scenario_values(self, tmp_path):
+        assert main(["--config", str(LDP_SCENARIO), "--out", str(tmp_path),
+                     "--format", "json"]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["probabilities"] == [1.0, 0.8911, 0.461, 0.1647, 0.0247]
+        assert report["c2"] == 2.7873374522218626
+        assert report["fit_quality"] == 0.9976909476440213
+        assert report["rng"] == "splitmix64-v1"
 
     def test_requires_unique_stationary(self):
         X = circle_net(4, 2.0)
