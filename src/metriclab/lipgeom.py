@@ -188,18 +188,22 @@ def _enumerate_grid_members(D, grid, slack, cap):
     """Grid functions that are 1-Lipschitz up to `slack` pairwise, as rows in
     lexicographic order of grid index, or None when more than `cap` exist.
 
-    The admissible prefixes are extended one point at a time. Their count
-    never drops from one point to the next when `slack` is the grid step: a
-    prefix admits point p at the values in [max_j(v_j - d_pj) - slack,
-    min_j(v_j + d_pj) + slack], which by the triangle inequality is at least
-    `slack` long and, as every v_j lies in the grid's range, meets that range
-    in a stretch as long, so it holds a grid value. The first count over
-    `cap` therefore decides, before any row of that point is built. (A
-    matrix accepted with a triangle defect above the 1e-12 test slack could
-    leave a prefix without extensions, and then be refused a net that the
-    cap admits.)
+    The admissible prefixes are extended one point at a time, each test
+    widened by tol = 1e-12 + delta, where delta = max(0, d_ac - d_ba - d_bc)
+    over all triples is D's worst triangle defect (`validate_metric` accepts
+    defects up to TOL.metric_atol). Their count never drops from one point
+    to the next when `slack` is the grid step: a prefix admits point p at
+    the values in [max_j(v_j - d_pj) - slack, min_k(v_k + d_pk) + slack]
+    widened by tol on each side. Admitted values have v_j - v_k <= d_kj +
+    slack + tol and d_kj <= d_pj + d_pk + delta, so that interval is at
+    least slack + tol - delta > slack long and, as every v_j lies in the
+    grid's range, meets that range in a stretch as long, so it holds a grid
+    value. The first count over `cap` therefore decides, before any row of
+    that point is built.
     """
     n = D.shape[0]
+    delta = max(0.0, max(float((D - D[b][:, None] - D[b][None, :]).max()) for b in range(n)))
+    tol = 1e-12 + delta
     rows = np.empty((1, n))
     for pos in range(n):
         lo = np.full(len(rows), -np.inf)
@@ -207,7 +211,7 @@ def _enumerate_grid_members(D, grid, slack, cap):
         for j in range(pos):
             lo = np.maximum(lo, rows[:, j] - D[pos, j] - slack)
             hi = np.minimum(hi, rows[:, j] + D[pos, j] + slack)
-        ok = ((lo - 1e-12)[:, None] <= grid) & (grid <= (hi + 1e-12)[:, None])
+        ok = ((lo - tol)[:, None] <= grid) & (grid <= (hi + tol)[:, None])
         if np.count_nonzero(ok) > cap:
             return None
         prefix, value = np.nonzero(ok)      # row-major: the lexicographic order

@@ -2,9 +2,13 @@
 
 Primal 1-Wasserstein distances come from a transportation network simplex
 written here (desk-scale exactness, deterministic pivoting); the same simplex
-decides the thresholds of the infinity-Wasserstein search. The dual is
-solved independently as a linear program over 1-Lipschitz potentials, so
-the mandatory duality-gap check really compares two routes.
+decides the thresholds of the infinity-Wasserstein search. Its basis is a
+spanning tree rooted at the first source point and updated in place: each
+pivot finds its cycle by climbing parent pointers to the lowest common
+ancestor of the entering arc's ends, and recomputes potentials only on the
+subtree that the leaving arc cuts off. The dual is solved independently
+as a linear program over 1-Lipschitz potentials, so the mandatory
+duality-gap check really compares two routes.
 """
 from __future__ import annotations
 
@@ -123,22 +127,34 @@ class _SimplexStall(DomainError):
     pass
 
 
-def _transport_simplex(a, b, C, opt_tol=1e-11, max_pivots=None):
+def _transport_simplex(a, b, C, opt_tol=TOL.simplex_opt_tol, max_pivots=None):
     """min <C, P> s.t. P 1 = a, P^T 1 = b, P >= 0 with a, b > 0 summing alike.
 
     Northwest-corner start, MODI pivoting (most-negative entering arc, first
     index on ties) with a Bland's-rule fallback against degenerate cycling.
     Returns (cost, P, u, v) with (u, v) the optimal node potentials.
+
+    Rows are nodes 0..n-1 and columns nodes n..n+m-1. The basis is a spanning
+    tree rooted at row 0 (u_0 = 0), kept as parent, depth and adjacency lists;
+    each potential follows from its tree parent through the arc cost. A pivot
+    finds the entering arc's cycle by climbing parent pointers from both ends
+    to their lowest common ancestor; the arcs that lose flow are those whose
+    child is a row on the row end's side and a column on the column end's
+    side. Dropping the leaving arc cuts one subtree off, which holds one end
+    of the entering arc; that subtree alone is re-rooted at that end and has
+    its parents, depths and potentials recomputed from the new parent, so
+    every potential equals a from-scratch walk from the root.
     """
     n, m = len(a), len(b)
     ra, rb = a.copy(), b.copy()
-    basis: list[tuple[int, int]] = []
     flow: dict[tuple[int, int], float] = {}
+    adj: list[list[int]] = [[] for _ in range(n + m)]
     i = j = 0
     while True:
         q = min(ra[i], rb[j])
-        basis.append((i, j))
         flow[(i, j)] = q
+        adj[i].append(n + j)
+        adj[n + j].append(i)
         ra[i] -= q
         rb[j] -= q
         if i == n - 1 and j == m - 1:
@@ -154,57 +170,38 @@ def _transport_simplex(a, b, C, opt_tol=1e-11, max_pivots=None):
         max_pivots = 200 + 60 * (n + m) ** 2
     bland_after = 100 + 20 * (n + m) ** 2
 
-    adj: dict[int, list[int]] = {k: [] for k in range(n + m)}
+    cost_rows = C.tolist()
+    parent = [-1] * (n + m)
+    depth = [0] * (n + m)
+    pot = [0.0] * (n + m)      # u then v
 
-    def rebuild_adj():
-        for k in adj:
-            adj[k].clear()
-        for (bi, bj) in basis:
-            adj[bi].append(n + bj)
-            adj[n + bj].append(bi)
-
-    u = np.zeros(n)
-    v = np.zeros(m)
-
-    def recompute_potentials():
-        seen = [False] * (n + m)
-        stack = [0]
-        seen[0] = True
-        u[0] = 0.0
+    def hang(top: int) -> None:
+        """Point every node below `top` at its parent, and set the depth and
+        potential of `top` and of every node below it from its parent;
+        `parent[top]` is already in place (-1 for the root)."""
+        stack = [top]
         while stack:
             node = stack.pop()
+            up = parent[node]
+            if up >= 0:
+                depth[node] = depth[up] + 1
+                if node < n:
+                    pot[node] = cost_rows[node][up - n] - pot[up]
+                else:
+                    pot[node] = cost_rows[up][node - n] - pot[up]
             for nb in adj[node]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    if node < n:
-                        v[nb - n] = C[node, nb - n] - u[node]
-                    else:
-                        u[nb] = C[nb, node - n] - v[node - n]
-                    stack.append(nb)
-        if not all(seen):
-            raise _SimplexStall("basis tree is disconnected")
-
-    def tree_path(src: int, dst: int) -> list[int]:
-        parent = {src: -1}
-        stack = [src]
-        while stack:
-            node = stack.pop()
-            if node == dst:
-                break
-            for nb in adj[node]:
-                if nb not in parent:
+                if nb != up:
                     parent[nb] = node
                     stack.append(nb)
-        path = [dst]
-        while path[-1] != src:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
+
+    hang(0)
+    if -1 in parent[1:]:
+        raise _SimplexStall("basis tree is disconnected")
 
     pivots = 0
     while True:
-        rebuild_adj()
-        recompute_potentials()
+        u = np.array(pot[:n])
+        v = np.array(pot[n:])
         R = C - u[:, None] - v[None, :]
         if pivots < bland_after:
             k = int(np.argmin(R))
@@ -219,31 +216,56 @@ def _transport_simplex(a, b, C, opt_tol=1e-11, max_pivots=None):
         pivots += 1
         if pivots > max_pivots:
             raise _SimplexStall("network simplex exceeded its pivot budget")
+        if (ei, ej) in flow:
+            # a basic arc's reduced cost is rounding error, larger than
+            # opt_tol at large costs; pivoting on it changes nothing
+            raise _SimplexStall("rounding error in the potentials exceeds the optimality tolerance")
 
-        path = tree_path(ei, n + ej)
-        arcs = []
-        for t in range(len(path) - 1):
-            x, y = path[t], path[t + 1]
-            arc = (x, y - n) if x < n else (y, x - n)
-            arcs.append(arc)
-        # entering arc takes +theta; path arcs alternate -,+,- from the source end
-        minus = arcs[0::2]
+        # the entering arc takes +theta; around the cycle the arcs alternate
+        x, y = ei, n + ej
+        minus: list[tuple[int, int]] = []
+        plus: list[tuple[int, int]] = []
+        while x != y:
+            if depth[x] >= depth[y]:
+                up = parent[x]
+                if x < n:
+                    minus.append((x, up - n))
+                else:
+                    plus.append((up, x - n))
+                x = up
+            else:
+                up = parent[y]
+                if y < n:
+                    plus.append((y, up - n))
+                else:
+                    minus.append((up, y - n))
+                y = up
         theta = min(flow[arc] for arc in minus)
-        leave = min((arc for arc in minus if flow[arc] <= theta), key=lambda arc: arc)
-        for t, arc in enumerate(arcs):
-            flow[arc] += theta if t % 2 else -theta
+        leave = min(arc for arc in minus if flow[arc] <= theta)
+        for arc in minus:
+            flow[arc] -= theta
             if flow[arc] < 0:
                 flow[arc] = 0.0
-        flow[(ei, ej)] = flow.get((ei, ej), 0.0) + theta
-        basis.remove(leave)
-        basis.append((ei, ej))
+        for arc in plus:
+            flow[arc] += theta
         del flow[leave]
+        flow[(ei, ej)] = theta
+
+        li, lj = leave
+        adj[li].remove(n + lj)
+        adj[n + lj].remove(li)
+        adj[ei].append(n + ej)
+        adj[n + ej].append(ei)
+        # a leaving arc whose child is a row lies on the row end's side
+        top, anchor = (ei, n + ej) if parent[li] == n + lj else (n + ej, ei)
+        parent[top] = anchor
+        hang(top)
 
     P = np.zeros((n, m))
     for (bi, bj), q in flow.items():
         P[bi, bj] = q
     cost = float((P * C).sum())
-    return cost, P, u.copy(), v.copy()
+    return cost, P, u, v
 
 
 def wasserstein1(mu: Measure, nu: Measure) -> tuple[float, Coupling]:
@@ -316,7 +338,7 @@ def wasserstein_inf(mu: Measure, nu: Measure) -> float:
     cands = np.unique(D)
 
     def feasible(t: float) -> bool:
-        beyond = (D > t + TOL.feasibility_atol * 1e-3).astype(float)
+        beyond = (D > t + TOL.threshold_slack).astype(float)
         return _transport_simplex(a, b, beyond)[0] <= TOL.feasibility_atol
 
     lo, hi = 0, len(cands) - 1

@@ -174,9 +174,19 @@ def permutation_invariant_measures(idx):
     return out
 
 
-def grid_members_dfs(D, grid, slack, cap):
+def _grid_extensions(D, grid, slack, tol, vals, pos):
+    """Grid values g with |g - vals[j]| <= D[pos][j] + slack (up to tol) for
+    every j < pos."""
+    lo, hi = -math.inf, math.inf
+    for j in range(pos):
+        lo = max(lo, vals[j] - D[pos][j] - slack)
+        hi = min(hi, vals[j] + D[pos][j] + slack)
+    return [g for g in grid if lo - tol <= g <= hi + tol]
+
+
+def grid_members_dfs(D, grid, slack, cap, tol=1e-12):
     """Depth-first enumeration of grid functions with |v_i - v_j| <= d_ij +
-    slack pairwise (up to 1e-12), in lexicographic order of grid index, or
+    slack pairwise (up to tol), in lexicographic order of grid index, or
     None once more than cap complete members exist."""
     n = len(D)
     out = []
@@ -186,18 +196,32 @@ def grid_members_dfs(D, grid, slack, cap):
         if pos == n:
             out.append(list(vals))
             return len(out) <= cap
-        lo, hi = -math.inf, math.inf
-        for j in range(pos):
-            lo = max(lo, vals[j] - D[pos][j] - slack)
-            hi = min(hi, vals[j] + D[pos][j] + slack)
-        for g in grid:
-            if lo - 1e-12 <= g <= hi + 1e-12:
-                vals[pos] = g
-                if not rec(pos + 1):
-                    return False
+        for g in _grid_extensions(D, grid, slack, tol, vals, pos):
+            vals[pos] = g
+            if not rec(pos + 1):
+                return False
         return True
 
     return np.asarray(out, dtype=float).reshape(len(out), n) if rec(0) else None
+
+
+def grid_dead_prefixes(D, grid, slack, tol=1e-12):
+    """Number of admissible prefixes of grid_members_dfs that no grid value
+    extends to the next point."""
+    n = len(D)
+    vals = [0.0] * n
+
+    def rec(pos):
+        if pos == n:
+            return 0
+        ext = _grid_extensions(D, grid, slack, tol, vals, pos)
+        dead = 0 if ext else 1
+        for g in ext:
+            vals[pos] = g
+            dead += rec(pos + 1)
+        return dead
+
+    return rec(0)
 
 
 def ldp_probabilities_scalar(maps_table, probabilities, values, mean, starts,
@@ -237,3 +261,132 @@ def ldp_probabilities_scalar(maps_table, probabilities, values, mean, starts,
                 dev[lo:hi] = seg.reshape(hi - lo, S, -1).max(axis=(1, 2))
             hit[n] = dev > eps
     return tuple(float(hit[n].mean()) for n in sorted(n_values))
+
+
+def transport_simplex_rebuild(a, b, C, opt_tol=1e-11, max_pivots=None):
+    """min <C, P> s.t. P 1 = a, P^T 1 = b, P >= 0 with a, b > 0 summing alike,
+    by the network simplex that rebuilds its basis tree at every pivot.
+
+    The reference for `transport._transport_simplex`: the same start and
+    pivot rules, but the adjacency lists, all potentials (a walk from row 0)
+    and the entering arc's cycle (a path search) are found from scratch at
+    every pivot, from a plain list of basic arcs.
+
+    Northwest-corner start, MODI pivoting (most-negative entering arc, first
+    index on ties) with a Bland's-rule fallback against degenerate cycling.
+    Returns (cost, P, u, v) with (u, v) the optimal node potentials.
+    """
+    n, m = len(a), len(b)
+    ra, rb = a.copy(), b.copy()
+    basis: list[tuple[int, int]] = []
+    flow: dict[tuple[int, int], float] = {}
+    i = j = 0
+    while True:
+        q = min(ra[i], rb[j])
+        basis.append((i, j))
+        flow[(i, j)] = q
+        ra[i] -= q
+        rb[j] -= q
+        if i == n - 1 and j == m - 1:
+            break
+        if ra[i] <= 0 and i < n - 1:
+            i += 1
+        elif j < m - 1:
+            j += 1
+        else:
+            i += 1
+
+    if max_pivots is None:
+        max_pivots = 200 + 60 * (n + m) ** 2
+    bland_after = 100 + 20 * (n + m) ** 2
+
+    adj: dict[int, list[int]] = {k: [] for k in range(n + m)}
+
+    def rebuild_adj():
+        for k in adj:
+            adj[k].clear()
+        for (bi, bj) in basis:
+            adj[bi].append(n + bj)
+            adj[n + bj].append(bi)
+
+    u = np.zeros(n)
+    v = np.zeros(m)
+
+    def recompute_potentials():
+        seen = [False] * (n + m)
+        stack = [0]
+        seen[0] = True
+        u[0] = 0.0
+        while stack:
+            node = stack.pop()
+            for nb in adj[node]:
+                if not seen[nb]:
+                    seen[nb] = True
+                    if node < n:
+                        v[nb - n] = C[node, nb - n] - u[node]
+                    else:
+                        u[nb] = C[nb, node - n] - v[node - n]
+                    stack.append(nb)
+        if not all(seen):
+            raise RuntimeError("basis tree is disconnected")
+
+    def tree_path(src: int, dst: int) -> list[int]:
+        parent = {src: -1}
+        stack = [src]
+        while stack:
+            node = stack.pop()
+            if node == dst:
+                break
+            for nb in adj[node]:
+                if nb not in parent:
+                    parent[nb] = node
+                    stack.append(nb)
+        path = [dst]
+        while path[-1] != src:
+            path.append(parent[path[-1]])
+        path.reverse()
+        return path
+
+    pivots = 0
+    while True:
+        rebuild_adj()
+        recompute_potentials()
+        R = C - u[:, None] - v[None, :]
+        if pivots < bland_after:
+            k = int(np.argmin(R))
+            if R.flat[k] >= -opt_tol:
+                break
+            ei, ej = divmod(k, m)
+        else:
+            cand = np.argwhere(R < -opt_tol)
+            if len(cand) == 0:
+                break
+            ei, ej = (int(cand[0][0]), int(cand[0][1]))
+        pivots += 1
+        if pivots > max_pivots:
+            raise RuntimeError("network simplex exceeded its pivot budget")
+
+        path = tree_path(ei, n + ej)
+        arcs = []
+        for t in range(len(path) - 1):
+            x, y = path[t], path[t + 1]
+            arc = (x, y - n) if x < n else (y, x - n)
+            arcs.append(arc)
+        # entering arc takes +theta; path arcs alternate -,+,- from the source end
+        minus = arcs[0::2]
+        theta = min(flow[arc] for arc in minus)
+        leave = min((arc for arc in minus if flow[arc] <= theta), key=lambda arc: arc)
+        for t, arc in enumerate(arcs):
+            flow[arc] += theta if t % 2 else -theta
+            if flow[arc] < 0:
+                flow[arc] = 0.0
+        flow[(ei, ej)] = flow.get((ei, ej), 0.0) + theta
+        basis.remove(leave)
+        basis.append((ei, ej))
+        del flow[leave]
+
+    P = np.zeros((n, m))
+    for (bi, bj), q in flow.items():
+        P[bi, bj] = q
+    cost = float((P * C).sum())
+    return cost, P, u.copy(), v.copy()

@@ -14,8 +14,9 @@ from metriclab import (DomainError, MatrixObservable, Measure, Nucleus, Observab
 from metriclab.lipgeom import (_enumerate_grid_members, matrix_observable_from_json,
                                nucleus_to_csv, operator_norm)
 from metriclab.rng import SplitMix64
+from metriclab.spaces import check_metric
 
-from oracles import grid_members_dfs
+from oracles import grid_dead_prefixes, grid_members_dfs
 
 
 def random_hermitian_field(rng, X, n):
@@ -165,6 +166,33 @@ class TestNucleus:
                     assert got is None
                 else:
                     assert got is not None and np.array_equal(got, want)
+
+    def test_noisy_line_prefixes_all_extend(self):
+        # 3-5 points on a 1/4 grid of a line with symmetric noise up to 9e-10:
+        # validate_metric accepts triangle defects that large, and at a 1e-12
+        # test tolerance some admissible prefix has no extension, so a prefix
+        # count can exceed the final count and the early stop refuse a net
+        # that the cap admits
+        rng = np.random.default_rng(35)
+        grid = np.arange(-4, 5) / 4
+        dead_at_1e12 = 0
+        for _ in range(150):
+            n = int(rng.integers(3, 6))
+            xs = rng.choice(9, size=n, replace=False) / 4
+            noise = np.triu(rng.uniform(-9e-10, 9e-10, size=(n, n)), 1)
+            D = np.abs(xs[:, None] - xs[None, :]) + noise + noise.T
+            if check_metric(D):
+                continue
+            X = validate_metric(D)
+            D = X.dist.tolist()
+            defect = max(0.0, max(D[a][c] - D[b][a] - D[b][c]
+                                  for a in range(n) for b in range(n) for c in range(n)))
+            dead_at_1e12 += grid_dead_prefixes(D, grid, 0.25) > 0
+            assert grid_dead_prefixes(D, grid, 0.25, 1e-12 + defect) == 0
+            full = grid_members_dfs(D, grid, 0.25, 200_000, 1e-12 + defect)
+            got = _enumerate_grid_members(X.dist, grid, 0.25, len(full))
+            assert got is not None and np.array_equal(got, full)
+        assert dead_at_1e12 > 0
 
     def test_fallback_decided_without_enumerating(self):
         # 8-point circle at eps 0.15 is over the 200k cap; a full enumeration

@@ -9,9 +9,11 @@ from metriclab import (Coupling, DomainError, Measure, SpaceMismatchError, circl
                        interval_net, mix, point_mass, prob_net, pushforward,
                        uniform_measure, validate_metric, wasserstein1,
                        wasserstein1_dual, wasserstein_inf)
-from metriclab.transport import convex_grid
+from metriclab.config import TOL
+from metriclab.transport import _SimplexStall, _transport_simplex, convex_grid
 
-from oracles import w1_exhaustive, w1_line, winf_exhaustive, winf_hall
+from oracles import (transport_simplex_rebuild, w1_exhaustive, w1_line, winf_exhaustive,
+                     winf_hall)
 
 
 def random_space(rng, n):
@@ -24,6 +26,100 @@ def random_space(rng, n):
 def random_measure(rng, X):
     w = rng.uniform(0.01, 1.0, size=X.size)
     return Measure(X, w / w.sum())
+
+
+def simplex_inputs(kind, count, seed=7):
+    """Seeded (a, b, C) transport problems of one kind."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        if kind == "planar":
+            n, m = (int(k) for k in rng.integers(2, 41, size=2))
+            pa, pb = rng.uniform(0, 5, size=(n, 2)), rng.uniform(0, 5, size=(m, 2))
+            C = np.sqrt(((pa[:, None] - pb[None]) ** 2).sum(axis=2))
+            a, b = rng.uniform(0.01, 1.0, size=n), rng.uniform(0.01, 1.0, size=m)
+            out.append((a / a.sum(), b / b.sum(), C))
+        elif kind == "integer":
+            # integer masses or a 1/k grid, integer costs: degenerate pivots
+            n, m = (int(k) for k in rng.integers(2, 13, size=2))
+            total = int(rng.integers(max(n, m), 3 * max(n, m) + 1))
+            a = 1.0 + rng.multinomial(total - n, np.ones(n) / n)
+            b = 1.0 + rng.multinomial(total - m, np.ones(m) / m)
+            if len(out) % 2:
+                a, b = a / total, b / total
+            out.append((a, b, rng.integers(0, 5, size=(n, m)).astype(float)))
+        elif kind == "threshold":
+            # the 0/1 "farther than t" costs of wasserstein_inf
+            n = int(rng.integers(2, 25))
+            X = random_space(rng, n)
+            sa = np.flatnonzero(rng.uniform(size=n) < 0.7)
+            sb = np.flatnonzero(rng.uniform(size=n) < 0.7)
+            if len(sa) == 0 or len(sb) == 0:
+                continue
+            D = X.dist[np.ix_(sa, sb)]
+            t = rng.choice(np.unique(D))
+            a, b = rng.uniform(0.01, 1.0, size=len(sa)), rng.uniform(0.01, 1.0, size=len(sb))
+            out.append((a / a.sum(), b / b.sum(), (D > t + TOL.threshold_slack).astype(float)))
+        elif kind == "circle":
+            # tied distances of a circle net, weights on a 1/4 grid
+            k = int(rng.integers(3, 10))
+            X = circle_net(k, 2 * math.pi)
+            wa, wb = (rng.multinomial(4, np.ones(k) / k) / 4 for _ in range(2))
+            sa, sb = np.flatnonzero(wa), np.flatnonzero(wb)
+            out.append((wa[sa], wb[sb], X.dist[np.ix_(sa, sb)]))
+        else:
+            # one source or one target
+            k = int(rng.integers(1, 41))
+            w = rng.uniform(0.01, 1.0, size=k)
+            C = rng.uniform(0, 5, size=(1, k))
+            if len(out) % 2:
+                out.append((np.ones(1), w / w.sum(), C))
+            else:
+                out.append((w / w.sum(), np.ones(1), C.T.copy()))
+    return out
+
+
+# 550 inputs in all
+SIMPLEX_KINDS = {"planar": 200, "integer": 150, "threshold": 100, "circle": 60, "single": 40}
+
+
+class TestSimplex:
+    @pytest.mark.parametrize("kind", SIMPLEX_KINDS)
+    def test_matches_rebuild_oracle(self, kind):
+        # the rooted-tree solver makes the same pivots as the one that
+        # rebuilds its tree every pivot: (cost, P, u, v) agree bit for bit
+        for a, b, C in simplex_inputs(kind, SIMPLEX_KINDS[kind]):
+            cost, P, u, v = _transport_simplex(a, b, C)
+            want = transport_simplex_rebuild(a, b, C)
+            assert cost == want[0]
+            assert np.array_equal(P, want[1])
+            assert np.array_equal(u, want[2]) and np.array_equal(v, want[3])
+
+    @pytest.mark.parametrize("kind", SIMPLEX_KINDS)
+    def test_potentials_certify_optimality(self, kind):
+        for a, b, C in simplex_inputs(kind, SIMPLEX_KINDS[kind]):
+            cost, P, u, v = _transport_simplex(a, b, C)
+            reduced = C - u[:, None] - v[None, :]
+            assert reduced.min() >= -TOL.simplex_opt_tol
+            assert np.abs(reduced[P > 0]).max(initial=0.0) <= 1e-12
+            assert abs(a @ u + b @ v - cost) <= 1e-12
+
+    def test_pivot_budget(self):
+        # the northwest corner ships along the diagonal at cost 1; optimum 0
+        a = b = np.array([0.5, 0.5])
+        C = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(_SimplexStall):
+            _transport_simplex(a, b, C, max_pivots=0)
+        assert _transport_simplex(a, b, C, max_pivots=1)[0] == 0.0
+
+    def test_basic_arc_never_enters(self):
+        # at costs near 1e7 the rounding error of the potentials exceeds
+        # opt_tol and a basic arc shows a negative reduced cost; the solver
+        # stops at once instead of pivoting on it until the budget runs out
+        a = b = np.array([0.5, 0.5])
+        C = np.array([[6000000.1, 1000000.8], [8000000.4, 9000000.0]])
+        with pytest.raises(_SimplexStall, match="rounding error"):
+            _transport_simplex(a, b, C)
 
 
 class TestMeasure:
