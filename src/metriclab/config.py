@@ -17,7 +17,6 @@ class Tolerances:
     lipschitz_atol: float = 1e-9     # 1-Lipschitz certificates
     hermitian_atol: float = 1e-12    # Hermitian symmetry of matrix fields
     trace_null_atol: float = 1e-9    # tracially null certificates
-    eig_atol: float = 1e-10          # operator norms via eigenvalues
     feasibility_atol: float = 1e-9   # mass a W-infinity threshold plan may move beyond t
     threshold_slack: float = 1e-12   # distance above a W-infinity threshold that still counts as equal
     simplex_opt_tol: float = 1e-11   # reduced cost below which the network simplex is optimal

@@ -11,8 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .config import TOL, DomainError
 from .lipgeom import Nucleus
@@ -84,20 +82,20 @@ def stationary_measures(P: MarkovKernel) -> list[Measure]:
     Uniqueness is equivalent to the returned list having length one.
     """
     n = P.space.size
-    adj = csr_matrix(P.P > TOL.weight_atol)
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
-    # a class is recurrent when no positive transition leaves it
-    leaves = np.zeros(n_comp, dtype=bool)
-    rows, cols = np.nonzero(P.P > TOL.weight_atol)
-    for r, c in zip(rows, cols):
-        if labels[r] != labels[c]:
-            leaves[labels[r]] = True
+    R = ((P.P > TOL.weight_atol) | np.eye(n, dtype=bool)).astype(float)
+    # after k squarings R[x, y] > 0 iff y is reachable from x in at most 2^k
+    # steps; each product entry counts midpoints, at most n, so it is exact
+    for _ in range((n - 1).bit_length()):
+        R = (R @ R > 0).astype(float)
+    R = R > 0
+    # x is recurrent when every point it reaches reaches it back, and its
+    # class is then R[x]; taking each class at its least point keeps the
+    # classes in that order
+    recurrent = ~(R & ~R.T).any(axis=1)
+    least = R.argmax(axis=1) == np.arange(n)
     out = []
-    order = sorted(range(n_comp), key=lambda c: int(np.flatnonzero(labels == c)[0]))
-    for comp in order:
-        if leaves[comp]:
-            continue
-        idx = np.flatnonzero(labels == comp)
+    for x in np.flatnonzero(recurrent & least):
+        idx = np.flatnonzero(R[x])
         Q = P.P[np.ix_(idx, idx)]
         A = (Q.T - np.eye(len(idx)))
         A[-1, :] = 1.0

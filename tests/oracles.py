@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 These deliberately avoid the package's own algorithms: exhaustive
-enumeration, closed forms, and dense sampling only.
+enumeration, closed forms, dense sampling, general-purpose SciPy solvers
+(the HiGHS LP, strongly connected components), and the package's earlier
+algorithms kept as references for their replacements.
 """
 from __future__ import annotations
 
@@ -9,6 +11,9 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 def enumerate_integer_couplings(units_a, units_b):
@@ -390,3 +395,64 @@ def transport_simplex_rebuild(a, b, C, opt_tol=1e-11, max_pivots=None):
         P[bi, bj] = q
     cost = float((P * C).sum())
     return cost, P, u.copy(), v.copy()
+
+
+def w1_dual_lp(D, wa, wb):
+    """Kantorovich dual of W1 between weights wa and wb on the metric D, by
+    an independent HiGHS LP over 1-Lipschitz potentials anchored at f_0 = 0,
+    then McShane regularisation of the solver's potential.
+
+    Returns (value, f)."""
+    D = np.asarray(D, dtype=float)
+    n = len(D)
+    # maximize (wa - wb) . f  s.t.  f_i - f_j <= d_ij ; fix f_0 = 0
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    A = np.zeros((len(pairs), n))
+    ub = np.empty(len(pairs))
+    for row, (i, j) in enumerate(pairs):
+        A[row, i] = 1.0
+        A[row, j] = -1.0
+        ub[row] = D[i, j]
+    bounds = [(0.0, 0.0)] + [(None, None)] * (n - 1)
+    res = linprog(np.asarray(wb) - np.asarray(wa), A_ub=A, b_ub=ub, bounds=bounds,
+                  method="highs")
+    if not res.success:
+        raise RuntimeError(f"dual LP failed: {res.message}")
+    f = np.asarray(res.x, dtype=float)
+    # McShane regularisation absorbs solver-level Lipschitz slack
+    f = (f[None, :] - D).max(axis=1)
+    return -float(res.fun), f
+
+
+def stationary_measures_scc(P, atol=1e-12):
+    """Extreme invariant weight vectors of the row-stochastic matrix P, one
+    per recurrent class, by strongly connected components of the transitions
+    above atol: a class is recurrent when no such transition leaves it.
+    Classes come in order of their least point, and each is solved by the
+    same linear system as `markov.stationary_measures`."""
+    n = len(P)
+    adj = csr_matrix(P > atol)
+    n_comp, labels = connected_components(adj, directed=True, connection="strong")
+    leaves = np.zeros(n_comp, dtype=bool)
+    rows, cols = np.nonzero(P > atol)
+    for r, c in zip(rows, cols):
+        if labels[r] != labels[c]:
+            leaves[labels[r]] = True
+    out = []
+    order = sorted(range(n_comp), key=lambda c: int(np.flatnonzero(labels == c)[0]))
+    for comp in order:
+        if leaves[comp]:
+            continue
+        idx = np.flatnonzero(labels == comp)
+        Q = P[np.ix_(idx, idx)]
+        A = (Q.T - np.eye(len(idx)))
+        A[-1, :] = 1.0
+        b = np.zeros(len(idx))
+        b[-1] = 1.0
+        pi = np.linalg.solve(A, b)
+        pi = np.clip(pi, 0.0, None)
+        pi /= pi.sum()
+        w = np.zeros(n)
+        w[idx] = pi
+        out.append(w)
+    return out

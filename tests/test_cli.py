@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import metriclab
 from metriclab.cli import Scenario, load_scenario, main, run
 from metriclab.selfcheck import run_checks
 from metriclab.svg import emit_plot
@@ -193,3 +197,29 @@ class TestSelfCheck:
     def test_all_pass(self):
         results = run_checks(seed=0)
         assert results and all(r.ok for r in results)
+
+
+NO_SCIPY_PROGRAM = """
+import sys
+import numpy as np
+from metriclab import (MarkovKernel, interval_net, point_mass, stationary_measures,
+                       uniform_measure, wasserstein1_dual)
+from metriclab.cli import main
+X = interval_net(3, 1.0)
+wasserstein1_dual(point_mass(X, 0), uniform_measure(X))
+stationary_measures(MarkovKernel(X, np.full((3, 3), 1 / 3)))
+assert main(["--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # a fresh interpreter: this test process has SciPy loaded for the oracles
+    src = str(Path(metriclab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    scenario = Path(__file__).resolve().parents[1] / "scripts" / "scenarios" / "wasserstein.json"
+    res = subprocess.run([sys.executable, "-c", NO_SCIPY_PROGRAM, str(scenario), str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"

@@ -12,8 +12,8 @@ from metriclab import (DomainError, DynMap, MarkovKernel, Measure, RandomMapFami
 from metriclab.cli import main
 from metriclab.dynamics import birkhoff_rate
 from metriclab.lipgeom import Nucleus
-from metriclab.spaces import epsilon_net
-from oracles import ldp_probabilities_scalar
+from metriclab.spaces import epsilon_net, validate_metric
+from oracles import ldp_probabilities_scalar, stationary_measures_scc
 
 LDP_SCENARIO = Path(__file__).resolve().parents[1] / "scripts" / "scenarios" / "ldp.json"
 
@@ -46,6 +46,24 @@ def scalar_ldp_probabilities(fam, nuc, eps, n_values, trials, seed):
         np.stack([m.idx for m in fam.maps]), fam.probabilities, nuc.values,
         nuc.values @ nu.weights, epsilon_net(fam.space, eps / 4).indices,
         eps, n_values, trials, seed)
+
+
+def random_kernels(count, seed=5):
+    """Seeded sparse row-stochastic matrices of 1-16 points: transient
+    points, several recurrent classes, absorbing rows and transitions below
+    TOL.weight_atol all occur."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        n = 1 if k % 50 == 0 else int(rng.integers(2, 17))
+        M = rng.uniform(0.01, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.5))
+        M[np.arange(n), rng.integers(0, n, size=n)] += rng.uniform(0.01, 1.0, size=n)
+        absorbing = rng.uniform(size=n) < 0.15
+        M[absorbing] = np.eye(n)[absorbing]
+        if k % 7 == 0:
+            M[rng.integers(n), rng.integers(n)] += 5e-13
+        out.append(M / M.sum(axis=1, keepdims=True))
+    return out
 
 
 class TestKernel:
@@ -115,6 +133,27 @@ class TestStationary:
             lam = rng.dirichlet(np.ones(len(out)))
             mix_w = sum(l * m.weights for l, m in zip(lam, out))
             assert np.abs(mix_w @ P.P - mix_w).max() <= 1e-9
+
+    def test_matches_scc_oracle(self):
+        # reachability finds the classes of the strongly connected component
+        # search, in the same order, so every weight is equal bit for bit
+        spaces = {}
+        seen = {"one point": 0, "transient": 0, "several classes": 0, "absorbing": 0}
+        for M in random_kernels(1200):
+            n = len(M)
+            if n not in spaces:
+                spaces[n] = validate_metric(np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]))
+            K = MarkovKernel(spaces[n], M)
+            got = [m.weights for m in stationary_measures(K)]
+            want = stationary_measures_scc(K.P)
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            support = sum(w > 0 for w in want)
+            seen["one point"] += n == 1
+            seen["transient"] += bool((support == 0).any())
+            seen["several classes"] += len(want) > 1
+            seen["absorbing"] += bool((np.diag(K.P) == 1.0).any())
+        assert min(seen.values()) >= 20, seen
 
 
 class TestSimulate:
