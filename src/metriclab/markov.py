@@ -146,6 +146,12 @@ class LdpReport:
         return list(zip(self.n_values, self.probabilities))
 
 
+# trials per block of ldp_experiment: the block's visit counts and member
+# sums take about this many floats (1 MB), so each step and each horizon works
+# in cache instead of streaming whole-experiment arrays through main memory
+_LDP_BLOCK_CELLS = 1 << 17
+
+
 def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
                    n_values, trials: int = 10_000, seed: int = 0) -> LdpReport:
     """Empirical finite-time large-deviation curve for the random system.
@@ -181,44 +187,35 @@ def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
     cum_p = np.cumsum(F.probabilities)
     n_max = n_values[-1]
 
-    # trial t draws its map choices from SplitMix64(derive_seed(seed, t)); the
-    # counter-based block gives the same bits as drawing trial by trial
-    choices = np.searchsorted(cum_p, uniform_block(derive_seeds(seed, trials), n_max),
-                              side="right")
-    choices = np.minimum(choices, len(F.maps) - 1)
-
+    seeds = derive_seeds(seed, trials)
     S = len(starts)
-    pos = np.tile(starts[None, :], (trials, 1))           # (trials, starts)
-    counts = np.zeros((trials, S, X.size))
     exceed = np.zeros((trials, len(n_values)), dtype=bool)
-    base = np.arange(trials * S).reshape(trials, S) * X.size
-
-    def deviations(n: int) -> np.ndarray:
-        # rounded seg / n - mean is nondecreasing in seg, so its largest |.|
-        # over starts is at the largest or the smallest seg: exact, not close
-        out = np.empty(trials)
-        flat = counts.reshape(trials * S, X.size)
-        block = max(1, 2_000_000 // max(1, S * len(nucleus)))
-        for lo in range(0, trials, block):
-            hi = min(trials, lo + block)
-            seg = (flat[lo * S:hi * S] @ nucleus.values.T).reshape(hi - lo, S, -1)
+    block = max(1, _LDP_BLOCK_CELLS // (S * max(X.size, len(nucleus))))
+    for lo in range(0, trials, block):
+        hi = min(trials, lo + block)
+        # trial t draws its map choices from SplitMix64(derive_seed(seed, t));
+        # the counter-based block gives the same bits as drawing trial by trial
+        choices = np.searchsorted(cum_p, uniform_block(seeds[lo:hi], n_max), side="right")
+        choices = np.minimum(choices, len(F.maps) - 1)
+        pos = np.tile(starts[None, :], (hi - lo, 1))       # (block, starts)
+        counts = np.zeros((hi - lo) * S * X.size)
+        base = np.arange((hi - lo) * S).reshape(hi - lo, S) * X.size
+        mark = 0
+        for k in range(n_max):
+            counts[base + pos] += 1.0
+            pos = maps_table[choices[:, k][:, None], pos]
+            n = k + 1
+            if n != n_values[mark]:
+                continue
+            seg = (counts.reshape(-1, X.size) @ nucleus.values.T).reshape(hi - lo, S, -1)
+            # rounded seg / n - mean is nondecreasing in seg, so its largest
+            # |.| over starts is at the largest or the smallest seg: exact
             top = np.abs(seg.max(axis=1) / n - mean)
             bot = np.abs(seg.min(axis=1) / n - mean)
-            out[lo:hi] = np.maximum(top, bot).max(axis=1)
-        return out
-
-    mark = 0
-    for k in range(n_max):
-        counts.reshape(-1)[base + pos] += 1.0
-        pos = maps_table[choices[:, k][:, None], pos]
-        n = k + 1
-        if n == n_values[mark]:
-            hit = deviations(n) > eps
+            hit = np.maximum(top, bot).max(axis=1) > eps
             while mark < len(n_values) and n_values[mark] == n:
-                exceed[:, mark] = hit
+                exceed[lo:hi, mark] = hit
                 mark += 1
-            if mark == len(n_values):
-                break
 
     probs = exceed.mean(axis=0)
     ns = np.asarray(n_values, dtype=float)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metriclab import markov
 from metriclab import (DomainError, DynMap, MarkovKernel, Measure, RandomMapFamily,
                        circle_net, identity_map, interval_net, kernel_from_maps,
                        ldp_experiment, nucleus_net, point_mass, rotation, simulate,
@@ -229,6 +230,18 @@ class TestLdp:
         rep = ldp_experiment(fam, nuc, 0.15, n_values, trials=300, seed=seed)
         assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, 0.15, n_values,
                                                              300, seed)
+
+    @pytest.mark.parametrize("cells", [1, 30_000, 1 << 30])
+    def test_trial_blocks_do_not_change_the_result(self, cells, monkeypatch):
+        # one trial per block, several blocks and a shorter last one, and
+        # every trial in one block
+        X, fam = two_contraction_family(16)
+        nuc = nucleus_net(X, X.radius, 0.25, sample_budget=64, probe_count=16)
+        monkeypatch.setattr(markov, "_LDP_BLOCK_CELLS", cells)
+        n_values = [1, 4, 4, 16, 40]
+        rep = ldp_experiment(fam, nuc, 0.15, n_values, trials=97, seed=5)
+        assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, 0.15, n_values,
+                                                             97, 5)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_three_map_family_matches_scalar_oracle(self, seed):
