@@ -21,6 +21,7 @@ class Tolerances:
     threshold_slack: float = 1e-12   # distance above a W-infinity threshold that still counts as equal
     simplex_opt_tol: float = 1e-11   # reduced cost below which the network simplex is optimal
     quadrature_atol: float = 1e-10   # adaptive Simpson target
+    atom_slack: float = 1e-15        # circle atoms this far past a breakpoint count as reached there
 
 
 TOL = Tolerances()

@@ -18,7 +18,7 @@ from .dynamics import (DynMap, birkhoff_rate, invariant_measures, measure_mixtur
                        rotation, sine_pluck)
 from .lipgeom import Observable, _lipschitz_excess, lipschitz_seminorm, nucleus_net
 from .spaces import FiniteMetricSpace, circle_net, validate_metric
-from .transport import Measure, convex_grid, w1_hausdorff
+from .transport import Measure, _circle_w1, convex_grid, w1_hausdorff
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +327,34 @@ def birkhoff_field(fld: MetricField, h, eps: float, r: float, n_max: int,
 # ---------------------------------------------------------------------------
 # rotation fields
 
+def _circle_cdfs(pos, W, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoint geometry of atoms on a circle of circumference L.
+
+    The breakpoints are the atom positions (taken mod L) with 0 and L. Returns
+    the arc lengths between consecutive breakpoints and, for each row of the
+    weights W (aligned with pos), the mass on [0, x] at every breakpoint x
+    before L; an atom within TOL.atom_slack past a breakpoint counts as
+    reached there.
+    """
+    pos = np.asarray(pos, dtype=float) % L
+    pts = np.unique(np.concatenate([pos, [0.0, L]]))
+    order = np.argsort(pos, kind="stable")
+    reached = np.searchsorted(pos[order], pts[:-1] + TOL.atom_slack, side="right")
+    F = np.cumsum(np.asarray(W, dtype=float)[..., order], axis=-1)
+    F = np.concatenate([np.zeros(F.shape[:-1] + (1,)), F], axis=-1)
+    return np.diff(pts), F[..., reached]
+
+
 def circle_w1_atoms(pos_a, w_a, pos_b, w_b, L: float) -> float:
     """Exact 1-Wasserstein distance between atomic measures on a circle of
     circumference L with the arc metric: minimise the integral of
     |F_a - F_b - alpha| over the shift alpha (weighted median)."""
-    pos_a = np.asarray(pos_a, dtype=float) % L
-    pos_b = np.asarray(pos_b, dtype=float) % L
-    pts = np.unique(np.concatenate([pos_a, pos_b, [0.0, L]]))
-    G = np.empty(len(pts) - 1)
-    for k in range(len(pts) - 1):
-        x = pts[k]
-        G[k] = w_a[pos_a <= x + 1e-15].sum() - w_b[pos_b <= x + 1e-15].sum()
-    lens = np.diff(pts)
-    order = np.argsort(G)
-    Gs, Ls = G[order], lens[order]
-    cum = np.cumsum(Ls)
-    alpha = Gs[np.searchsorted(cum, 0.5 * Ls.sum())]
-    return float((lens * np.abs(G - alpha)).sum())
+    na = len(pos_a)
+    W = np.zeros((2, na + len(pos_b)))
+    W[0, :na] = w_a
+    W[1, na:] = w_b
+    arcs, F = _circle_cdfs(np.concatenate([pos_a, pos_b]), W, L)
+    return float(_circle_w1(F[0] - F[1], arcs))
 
 
 def _barycentric_circle_kernel(X: FiniteMetricSpace, fn) -> np.ndarray:
@@ -395,6 +406,11 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
     non-injective; pushforwards are still exact). Pairwise tables: dhat from
     mixture-net Hausdorff distances, gamma from the intertwining defect
     witnessed by the projected fibre maps g_s o g_t^{-1}.
+
+    Both tables are closed-form W1 on the circle: the net is a cycle metric,
+    so each dhat entry is one `w1_hausdorff` over a `w1_table`, and each
+    fibre's table of W1 between mixtures of its exact atoms is one
+    weighted-median pass over all mixture pairs.
     """
     if q <= 0 or math.gcd(p, q) != 1:
         raise DomainError("theta must be given as a reduced fraction p/q")
@@ -410,21 +426,18 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
     extreme_sets = [[Measure(X, mu.weights @ K) for mu in base.extremes] for K in kernels]
     nets = [measure_mixtures(ex, resolution) for ex in extreme_sets]
 
-    # exact fibre geometry: atoms moved analytically, one atom bundle per orbit
+    # exact fibre geometry: atoms moved analytically, one atom bundle per orbit;
+    # every mixture weighs the same atoms, so one breakpoint set serves the table
     base_pos = [np.asarray(X.meta["coords"])[mu.support] for mu in base.extremes]
     lam_grid = convex_grid(len(base.extremes), max(resolution, 1))
+    orbit_size = len(base_pos[0])
+    weights = np.repeat(lam_grid / orbit_size, orbit_size, axis=1)
+    iu = np.triu_indices(len(lam_grid), k=1)
     atom_tables = []
     for g in analytic:
-        positions = [np.array([g(x) for x in pos]) for pos in base_pos]
-        M = len(lam_grid)
-        tab = np.zeros((M, M))
-        cat = np.concatenate(positions)
-        orbit_size = len(base_pos[0])
-        weights = [np.repeat(lam / orbit_size, orbit_size) for lam in lam_grid]
-        for i in range(M):
-            for j in range(i + 1, M):
-                tab[i, j] = tab[j, i] = circle_w1_atoms(cat, weights[i], cat, weights[j],
-                                                        circumference)
+        arcs, F = _circle_cdfs([g(x) for pos in base_pos for x in pos], weights, circumference)
+        tab = np.zeros((len(lam_grid), len(lam_grid)))
+        tab[iu] = tab[iu[::-1]] = _circle_w1(F[iu[0]] - F[iu[1]], arcs)
         atom_tables.append(tab)
 
     dhat = np.zeros((T, T))

@@ -5,12 +5,12 @@ import pytest
 
 from metriclab import (DomainError, MetricField, WaveProfile, birkhoff_field,
                        circle_net, circle_wave_metric, field_continuity_check,
-                       interval_net, lipschitz_envelope, nucleus_field,
+                       interval_net, lipschitz_envelope, measure_mixtures, nucleus_field,
                        rotation, rotation_field, validate_metric, wave_metric_field,
                        Measure, wasserstein1)
 from metriclab.fields import adaptive_simpson, circle_w1_atoms, retract_between_fibres
 
-from oracles import riemann_arc_length
+from oracles import circle_w1_atoms_loop, riemann_arc_length
 
 
 def scaled_field(base, thetas, scale):
@@ -217,6 +217,17 @@ class TestRotationField:
         rep = rotation_field(1, 4, [-0.5, 0.0, 0.5], 16, resolution=1)
         assert rep.extremes_per_fibre == (4, 4, 4)
 
+    def test_resolution_two_dhat_against_simplex(self):
+        rep = rotation_field(1, 4, [-0.8, -0.1, 0.5, 1.0], 16, resolution=2)
+        nets = [measure_mixtures(ex, 2) for ex in rep.extremes]
+        assert [len(net) for net in nets] == [10] * 4
+        for s in range(4):
+            for t in range(s + 1, 4):
+                W = np.array([[wasserstein1(a, b)[0] for b in nets[t]] for a in nets[s]])
+                want = max(W.min(axis=1).max(), W.min(axis=0).max())
+                assert abs(rep.dhat[s, t] - want) <= 1e-12
+                assert rep.dhat[t, s] == rep.dhat[s, t]
+
 
 class TestCircleW1Atoms:
     def test_against_network_simplex_on_net_measures(self, rng):
@@ -228,6 +239,29 @@ class TestCircleW1Atoms:
             net_val, _ = wasserstein1(Measure(X, wa), Measure(X, wb))
             atom_val = circle_w1_atoms(coords, wa, coords, wb, math.pi)
             assert atom_val == pytest.approx(net_val, abs=1e-9)
+
+
+class TestCircleW1AtomsVectorised:
+    def test_against_loop_oracle(self, rng):
+        for _ in range(300):
+            L = float(rng.uniform(0.5, 8.0))
+            na, nb = (int(v) for v in rng.integers(1, 13, size=2))
+            pos_a, pos_b = rng.uniform(-L, 2 * L, na), rng.uniform(-L, 2 * L, nb)
+            # coincident atoms within and across the two measures (up to a
+            # turn or a sub-slack offset), and atoms at 0, L, 2L and just below 0
+            shared = int(rng.integers(0, min(na, nb) + 1))
+            pos_b[:shared] = pos_a[:shared] + rng.choice([0.0, L, -L, 4e-16], size=shared)
+            if na > 1:
+                pos_a[1] = pos_a[0]
+            pos_a[0] = rng.choice([pos_a[0], 0.0, L, -L, 2 * L, -1e-20])
+            w_a, w_b = rng.uniform(0.0, 1.0, na), rng.uniform(0.0, 1.0, nb)
+            w_a[rng.uniform(size=na) < 0.3] = 0.0
+            w_b[rng.uniform(size=nb) < 0.3] = 0.0
+            w_a[0] += 0.1
+            w_b[-1] += 0.1
+            w_a, w_b = w_a / w_a.sum(), w_b / w_b.sum()
+            got = circle_w1_atoms(pos_a, w_a, pos_b, w_b, L)
+            assert abs(got - circle_w1_atoms_loop(pos_a, w_a, pos_b, w_b, L)) <= 1e-15
 
 
 class TestContinuityCheck:

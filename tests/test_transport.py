@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from metriclab import (Coupling, DomainError, Measure, SpaceMismatchError, circle_net,
-                       interval_net, mix, point_mass, prob_net, pushforward,
-                       uniform_measure, validate_metric, wasserstein1,
-                       wasserstein1_dual, wasserstein_inf)
+from metriclab import (Coupling, DomainError, Measure, SpaceMismatchError, WaveProfile,
+                       bridge_metric, circle_net, circle_wave_metric, dq_upper,
+                       interval_net, invariant_simplex_hausdorff, mix, point_mass,
+                       prob_net, pushforward, rotation, simplex_net, uniform_measure,
+                       validate_metric, wasserstein1, wasserstein1_dual, wasserstein_inf,
+                       wave_metric_field)
 from metriclab.config import TOL
-from metriclab.transport import _SimplexStall, _transport_simplex, convex_grid
+from metriclab.transport import (_SimplexStall, _cycle_arcs, _transport_simplex, convex_grid,
+                                 w1_hausdorff, w1_table)
 
 from oracles import (transport_simplex_rebuild, w1_dual_lp, w1_exhaustive, w1_line,
                      winf_exhaustive, winf_hall)
@@ -235,6 +238,85 @@ class TestDual:
             assert f[0] == 0.0
             assert (np.abs(f[:, None] - f[None, :]) - X.dist).max() <= TOL.lipschitz_atol
         assert partial >= 100
+
+
+def simplex_table(A, B):
+    return np.array([[wasserstein1(mu, nu)[0] for nu in B] for mu in A])
+
+
+def mixed_measures(rng, X, count):
+    """Random measures on X, cycling through full supports, partial supports
+    and point masses."""
+    out = []
+    for k in range(count):
+        w = rng.uniform(0.01, 1.0, size=X.size)
+        if k % 3 == 1:
+            w[rng.uniform(size=X.size) < 0.5] = 0.0
+            if not w.any():
+                w[rng.integers(X.size)] = 1.0
+        elif k % 3 == 2:
+            w = np.zeros(X.size)
+            w[rng.integers(X.size)] = 1.0
+        out.append(Measure(X, w / w.sum()))
+    return out
+
+
+class TestW1Table:
+    def check_closed_form(self, rng, X):
+        assert _cycle_arcs(X.dist) is not None
+        A, B = mixed_measures(rng, X, 5), mixed_measures(rng, X, 4)
+        got = w1_table(A, B)
+        assert got.shape == (5, 4)
+        assert np.abs(got - simplex_table(A, B)).max() <= 1e-12
+
+    def test_circle_nets(self, rng):
+        for n in range(2, 41):
+            self.check_closed_form(rng, circle_net(n, float(rng.uniform(0.5, 10.0))))
+
+    def test_interval_nets_are_half_circles(self, rng):
+        for n in range(2, 25):
+            self.check_closed_form(rng, interval_net(n, float(rng.uniform(0.5, 10.0))))
+
+    def test_wave_circle_fibres_with_uneven_arcs(self, rng):
+        prof = WaveProfile.triangular_pluck(amplitude=0.4)
+        fld = circle_wave_metric(wave_metric_field(prof, [0.0, 0.7, 1.9], n_points=13))
+        for k in range(len(fld)):
+            X = fld.fibre_space(k)
+            assert np.ptp(_cycle_arcs(X.dist)) > 1e-3
+            self.check_closed_form(rng, X)
+
+    def test_identical_measures_give_exact_zero(self, rng):
+        X = circle_net(12, 5.0)
+        A = mixed_measures(rng, X, 6)
+        assert np.all(np.diag(w1_table(A, A)) == 0.0)
+        assert w1_hausdorff(A, A) == 0.0
+        h = rotation(X, 4)
+        assert invariant_simplex_hausdorff(h, h, 2) == 0.0
+
+    def test_non_cyclic_spaces_keep_the_simplex(self, rng):
+        planar = random_space(rng, 7)
+        discrete = validate_metric(1.0 - np.eye(4))
+        bridge = bridge_metric(interval_net(3, 1.0), interval_net(3, 1.2), (0, 1, 2), 0.2)
+        for X in (planar, discrete, bridge):
+            assert _cycle_arcs(X.dist) is None
+            A, B = mixed_measures(rng, X, 5), mixed_measures(rng, X, 4)
+            assert np.array_equal(w1_table(A, B), simplex_table(A, B))
+
+    def test_dq_upper_reads_the_simplex_table(self):
+        SX, SY = simplex_net(interval_net(3, 1.0), 2), simplex_net(interval_net(3, 1.2), 2)
+        f = (0, 1, 2)
+        bridge = bridge_metric(SX.boundary, SY.boundary, f, 0.2)
+        assert _cycle_arcs(bridge.dist) is None
+        lift = lambda mu, at: Measure(bridge, np.insert(np.zeros(3), at, mu.weights))
+        A = [lift(mu, 0) for mu in SX.measures]
+        B = [lift(nu, 3) for nu in SY.measures]
+        W = simplex_table(A, B)
+        assert dq_upper(SX, SY, f, 0.2) == max(W.min(axis=1).max(), W.min(axis=0).max())
+
+    def test_mismatched_spaces(self):
+        X, Y = circle_net(4, 1.0), circle_net(4, 1.0)
+        with pytest.raises(SpaceMismatchError):
+            w1_table([point_mass(X, 0)], [point_mass(Y, 1)])
 
 
 class TestWinf:
