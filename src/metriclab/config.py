@@ -22,6 +22,8 @@ class Tolerances:
     simplex_opt_tol: float = 1e-11   # reduced cost below which the network simplex is optimal
     quadrature_atol: float = 1e-10   # adaptive Simpson target
     atom_slack: float = 1e-15        # circle atoms this far past a breakpoint count as reached there
+    descent_step: float = 1e-15      # least drop in cost that moves a map-search descent
+    bridge_delta_floor: float = 1e-9  # least bridge scale in dq_upper (bridges need delta > 0)
 
 
 TOL = Tolerances()

@@ -103,6 +103,8 @@ class MapCost:
 
 # rows of maps, or pairs of rows, scored in one vectorised call
 _CHUNK = 1 << 14
+# the cheapest rows and columns by unary cost whose pairs give the first bound
+_PROBE = 8
 
 
 def _all_maps(n_from: int, n_to: int) -> np.ndarray:
@@ -115,10 +117,15 @@ def search_maps(blocks, cost: MapCost, budget: SearchBudget, seeds):
 
     While the number of map tuples fits `budget.max_map_pairs`, each block's
     maps are enumerated once and the first minimum in lexicographic order is
-    returned. Otherwise coordinate descent runs from each seed (one map per
-    block): a sweep moves every coordinate of every block, in order, to its
-    best value when that lowers the cost by more than 1e-15, and the descent
-    stops after a sweep without a move or after `budget.local_steps` sweeps.
+    returned. With two blocks the cross term is scored only on pairs whose
+    unary terms both stay within the least cost seen so far; every minimiser
+    is among them, so value and witness are those of scoring every pair.
+    This needs cross(F, G)[i, j] to depend on F[i] and G[j] alone.
+    Otherwise coordinate descent runs from each seed (one map per block): a
+    sweep moves every coordinate of every block, in order, to its best value
+    when that lowers the cost by more than `TOL.descent_step`, and the
+    descent stops after a sweep without a move or after `budget.local_steps`
+    sweeps.
     Returns (value, witness: one tuple per block, exhaustive).
     """
     if math.prod(n_to ** n_from for n_from, n_to in blocks) <= budget.max_map_pairs:
@@ -138,18 +145,35 @@ def _enumerate(blocks, cost: MapCost):
     if len(maps) == 1:
         k = int(np.argmin(unary[0]))
         return float(unary[0][k]), (tuple(maps[0][k].tolist()),)
-    F, G = maps
-    best, arg = math.inf, (0, 0)
-    rows = max(1, _CHUNK // len(G))
-    for s in range(0, len(F), rows):
-        vals = np.maximum(cost.cross(F[s:s + rows], G),
-                          np.maximum(unary[0][s:s + rows, None], unary[1][None, :]))
-        k = int(np.argmin(vals))
-        if vals.flat[k] < best:
-            best = float(vals.flat[k])
-            i, j = divmod(k, len(G))
-            arg = (s + i, j)
-    return best, (tuple(F[arg[0]].tolist()), tuple(G[arg[1]].tolist()))
+    (F, G), (u0, u1) = maps, unary
+
+    def score(r, c):
+        return np.maximum(cost.cross(F[r], G[c]), np.maximum(u0[r, None], u1[None, c]))
+
+    # A pair costs at least max(u0[i], u1[j]), so rows and columns whose unary
+    # term exceeds a cost already seen hold no minimiser. Rows go in order of
+    # increasing u0, in chunks that double up to _CHUNK pairs, and both sets
+    # shrink as the bound falls.
+    rows, cols = np.argsort(u0, kind="stable"), np.argsort(u1, kind="stable")
+    bound = float(score(rows[:_PROBE], cols[:_PROBE]).min())
+    best, arg = math.inf, None          # arg: flat index i * len(G) + j
+    done = 0
+    while True:
+        rows = rows[:np.searchsorted(u0[rows], bound, side="right")]
+        cols = cols[u1[cols] <= bound]
+        if done >= len(rows):
+            break
+        r = rows[done:done + max(1, min(_CHUNK // len(cols), _PROBE + done))]
+        done += len(r)
+        vals = score(r, cols)
+        low = float(vals.min())
+        ii, jj = np.nonzero(vals == low)
+        k = int((r[ii] * len(G) + cols[jj]).min())
+        if arg is None or (low, k) < (best, arg):
+            best, arg = low, k
+            bound = min(bound, best)
+    i, j = divmod(arg, len(G))
+    return best, (tuple(F[i].tolist()), tuple(G[j].tolist()))
 
 
 def _descend(blocks, cost: MapCost, seed, steps: int):
@@ -174,7 +198,7 @@ def _descend(blocks, cost: MapCost, seed, steps: int):
                 rows[:, x] = np.arange(n_to)
                 u, vals = score(k, rows)
                 y = int(np.argmin(vals))
-                if vals[y] < value - 1e-15:
+                if vals[y] < value - TOL.descent_step:
                     maps[k], unary[k], value = rows[y], float(u[y]), float(vals[y])
                     improved = True
         if not improved:
@@ -223,8 +247,10 @@ def gh_distance(X: FiniteMetricSpace, Y: FiniteMetricSpace,
 
 class _W1Table:
     """W1 between grid measures on one boundary, coded by their integer
-    weights at a fixed scale. Each entry is solved once, on first use, in the
-    orientation it is first asked for."""
+    weights at a fixed scale. Each entry is solved once, on first use, from
+    the measure of the lower code to the other, so that no entry depends on
+    the order in which entries are asked for (the simplex is not bitwise
+    symmetric in its arguments)."""
 
     def __init__(self, space: FiniteMetricSpace, scale: int):
         if (scale + 1) ** space.size > np.iinfo(np.int64).max:
@@ -233,6 +259,7 @@ class _W1Table:
         self._radix = (scale + 1) ** np.arange(space.size, dtype=np.int64)
         self._codes = np.empty(0, dtype=np.int64)   # known codes, ascending
         self._slots = np.empty(0, dtype=np.int64)   # table slot of each known code
+        self._slot_codes = np.empty(0, dtype=np.int64)  # code of each slot
         self._measures: list[Measure] = []          # measure of each slot
         self._table = np.zeros((0, 0))              # NaN until solved
 
@@ -249,6 +276,7 @@ class _W1Table:
             order = np.argsort(codes_all)
             self._codes = codes_all[order]
             self._slots = np.concatenate([self._slots, np.arange(K, K + new.size)])[order]
+            self._slot_codes = np.concatenate([self._slot_codes, new])
             table = np.full((K + new.size,) * 2, np.nan)
             table[:K, :K] = self._table
             np.fill_diagonal(table, 0.0)
@@ -262,9 +290,10 @@ class _W1Table:
         todo = np.isnan(vals)
         if todo.any():
             a, b = i[todo], j[todo]
+            swap = self._slot_codes[a] > self._slot_codes[b]
             K = len(self._table)
-            _, first = np.unique(np.minimum(a, b) * K + np.maximum(a, b), return_index=True)
-            for p, q in zip(a[first].tolist(), b[first].tolist()):
+            for pq in np.unique(np.where(swap, b, a) * K + np.where(swap, a, b)).tolist():
+                p, q = divmod(pq, K)
                 v, _ = wasserstein1(self._measures[p], self._measures[q])
                 self._table[p, q] = self._table[q, p] = v
             vals = self._table[i, j]
@@ -431,7 +460,7 @@ def dq_upper(SX: SimplexNet, SY: SimplexNet, f, delta: float | None = None) -> f
     fb = np.asarray(f, dtype=int)
     distortion = float(np.abs(SY.boundary.dist[np.ix_(fb, fb)] - SX.boundary.dist).max())
     if delta is None:
-        delta = max(distortion, 1e-9)
+        delta = max(distortion, TOL.bridge_delta_floor)
     bridge = bridge_metric(SX.boundary, SY.boundary, f, delta)
     nx = SX.boundary.size
     lifted_x = []

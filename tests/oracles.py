@@ -477,3 +477,31 @@ def stationary_measures_scc(P, atol=1e-12):
         w[idx] = pi
         out.append(w)
     return out
+
+
+def enumerate_maps_loop(blocks, cost, chunk=1 << 14):
+    """(value, witness) of `distances.search_maps` inside its budget, by
+    scoring every map, or every pair of maps, in lexicographic order.
+
+    The reference for the pruned `distances._enumerate`: each block's maps
+    are all tuples of range(n_to) in `itertools.product` order, and the
+    first pair reaching the least cost wins."""
+    maps = [np.asarray(list(itertools.product(range(n_to), repeat=n_from)), dtype=np.int64)
+            for n_from, n_to in blocks]
+    unary = [np.concatenate([u(M[s:s + chunk]) for s in range(0, len(M), chunk)])
+             for u, M in zip(cost.unary, maps)]
+    if len(maps) == 1:
+        k = int(np.argmin(unary[0]))
+        return float(unary[0][k]), (tuple(maps[0][k].tolist()),)
+    F, G = maps
+    best, arg = math.inf, (0, 0)
+    rows = max(1, chunk // len(G))
+    for s in range(0, len(F), rows):
+        vals = np.maximum(cost.cross(F[s:s + rows], G),
+                          np.maximum(unary[0][s:s + rows, None], unary[1][None, :]))
+        k = int(np.argmin(vals))
+        if vals.flat[k] < best:
+            best = float(vals.flat[k])
+            i, j = divmod(k, len(G))
+            arg = (s + i, j)
+    return best, (tuple(F[arg[0]].tolist()), tuple(G[arg[1]].tolist()))

@@ -8,9 +8,26 @@ from metriclab import (DomainError, Measure, SearchBudget, circle_net, dq_upper,
                        epsilon_isometry_check, fukaya_distance, gh_distance,
                        intertwining_gap, interval_net, point_mass, simplex_net,
                        validate_metric, wasserstein1)
-from metriclab.distances import MapCost, SimplexNet, search_maps
+from metriclab import distances
+from metriclab.distances import MapCost, SimplexNet, _W1Table, search_maps
 
-from oracles import gh_exhaustive
+from oracles import enumerate_maps_loop, gh_exhaustive
+
+
+def _planar(rng, n):
+    """n random points of the plane, every distance raised by 0.05."""
+    pts = rng.uniform(0.0, 4.0, size=(n, 2))
+    D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    return validate_metric(D + 0.05 * (1.0 - np.eye(n)))
+
+
+def _coded_cost(blocks, t0, t1, t01):
+    """MapCost read off tables indexed by each map's position in
+    lexicographic order."""
+    (n0, m0), (n1, m1) = blocks
+    c0, c1 = m0 ** np.arange(n0)[::-1], m1 ** np.arange(n1)[::-1]
+    return MapCost((lambda F: t0[F @ c0], lambda G: t1[G @ c1]),
+                   lambda F, G: t01[np.ix_(F @ c0, G @ c1)])
 
 
 class TestGH:
@@ -34,8 +51,7 @@ class TestGH:
             assert v == pytest.approx(abs(d1 - d2) / 2)
 
     def test_exhaustive_matches_oracle(self, rng):
-        for _ in range(4):
-            nx, ny = rng.integers(2, 4), rng.integers(2, 4)
+        for nx, ny in [rng.integers(2, 4, size=2) for _ in range(4)] + [(4, 4), (4, 4)]:
             ax = np.sort(rng.uniform(0, 3, size=nx))
             ay = np.sort(rng.uniform(0, 3, size=ny))
             X = validate_metric(np.abs(ax[:, None] - ax[None, :]) + 0.01 * (1 - np.eye(nx)))
@@ -87,6 +103,107 @@ class TestSearchMaps:
         f, g = min(pairs, key=lambda p: max(t_f[p[0]], t_g[p[1]], t_fg[p[0] + p[1]]))
         assert exhaustive
         assert witness == (f, g) and value == max(t_f[f], t_g[g], t_fg[f + g])
+
+
+class TestPrunedSearch:
+    """The two-block enumeration scores the cross term only where both unary
+    terms stay within the best cost seen; value and witness must be those of
+    scoring every pair."""
+
+    @staticmethod
+    def _check(blocks, cost):
+        value, witness, exhaustive = search_maps(blocks, cost, SearchBudget(), [])
+        assert exhaustive
+        assert (value, witness) == enumerate_maps_loop(blocks, cost)
+        return value, witness
+
+    def test_random_ties(self, rng):
+        for blocks in ([(3, 3), (3, 3)], [(4, 4), (4, 3)], [(2, 3), (3, 2)]):
+            n0, n1 = (m ** n for n, m in blocks)
+            for _ in range(20):
+                t0, t1 = rng.integers(0, 4, size=n0) / 1.0, rng.integers(0, 4, size=n1) / 1.0
+                t01 = rng.integers(0, 5, size=(n0, n1)) / 1.0
+                self._check(blocks, _coded_cost(blocks, t0, t1, t01))
+
+    def test_unary_argmins_off_the_optimum(self, rng):
+        # more cheapest rows and columns than the first bound's probe, all
+        # of them paired at a high cross cost
+        blocks = [(3, 3), (3, 3)]
+        for _ in range(20):
+            t0, t1 = rng.integers(1, 4, size=(2, 27)) / 1.0
+            low0, low1 = rng.permutation(27)[:10], rng.permutation(27)[:10]
+            t0[low0] = t1[low1] = 0.0
+            t01 = rng.integers(0, 4, size=(27, 27)) / 1.0
+            t01[low0, :] = t01[:, low1] = 9.0
+            cost = _coded_cost(blocks, t0, t1, t01)
+            value, (f, g) = self._check(blocks, cost)
+            F, G = np.asarray([f]), np.asarray([g])
+            assert cost.unary[0](F)[0] > 0.0 and cost.unary[1](G)[0] > 0.0 and value < 9.0
+
+    def test_zero_unary_prunes_nothing(self, rng):
+        blocks = [(4, 4), (4, 3)]
+        zero0, zero1 = np.zeros(256), np.zeros(81)
+        for _ in range(5):
+            t01 = rng.integers(0, 3, size=(256, 81)) / 1.0
+            self._check(blocks, _coded_cost(blocks, zero0, zero1, t01))
+
+    def test_scores_fewer_pairs(self, rng, monkeypatch):
+        enumerate_pruned = distances._enumerate
+        seen = []
+
+        def counting(blocks, cost):
+            scored = [0]
+
+            def cross(F, G):
+                scored[0] += len(F) * len(G)
+                return cost.cross(F, G)
+            found = enumerate_pruned(blocks, MapCost(cost.unary, cross))
+            seen.append((scored[0], found, enumerate_maps_loop(blocks, cost)))
+            return found
+
+        monkeypatch.setattr(distances, "_enumerate", counting)
+        for _ in range(3):
+            gh_distance(_planar(rng, 4), _planar(rng, 4))
+        for scored, found, full in seen:
+            assert scored < 256 * 256
+            assert found == full
+
+    def test_gh_matches_full_loop(self, rng, monkeypatch):
+        pairs = [(_planar(rng, 4), _planar(rng, 4)) for _ in range(12)]
+        pruned = [gh_distance(X, Y) for X, Y in pairs]
+        monkeypatch.setattr(distances, "_enumerate", enumerate_maps_loop)
+        assert pruned == [gh_distance(X, Y) for X, Y in pairs]
+
+    def test_gap_matches_full_loop(self, rng, monkeypatch):
+        nets = [(simplex_net(_planar(rng, n), m), simplex_net(_planar(rng, n), m))
+                for n in (3, 4) for m in (1, 2) for _ in range(2)]
+        pruned = [intertwining_gap(SX, SY) for SX, SY in nets]
+        monkeypatch.setattr(distances, "_enumerate", enumerate_maps_loop)
+        assert pruned == [intertwining_gap(SX, SY) for SX, SY in nets]
+
+
+class TestW1Table:
+    def test_entries_independent_of_request_order(self, rng):
+        # find two grid measures whose W1 differs in the last bit between
+        # the two orientations of the simplex
+        for _ in range(200):
+            X = _planar(rng, int(rng.integers(3, 6)))
+            S = simplex_net(X, int(rng.integers(1, 4)))
+            found = [(p, q) for p, q in itertools.combinations(range(len(S.measures)), 2)
+                     if wasserstein1(S.measures[p], S.measures[q])[0]
+                     != wasserstein1(S.measures[q], S.measures[p])[0]]
+            if found:
+                break
+        assert found, "no asymmetric pair found"
+        p, q = found[0]
+        lo, hi = sorted((p, q), key=lambda k: S.counts[k] @ (S.resolution + 1) ** np.arange(X.size))
+        expect = wasserstein1(S.measures[lo], S.measures[hi])[0]
+        for first in ((p, q), (q, p)):
+            table = _W1Table(X, S.resolution)
+            slots = table.index(S.counts)
+            table.dist(slots[first[0]], slots[first[1]])
+            assert table.dist(slots[p], slots[q]) == expect
+            assert table.dist(slots[q], slots[p]) == expect
 
 
 class TestSimplexNet:
