@@ -7,7 +7,6 @@ budget, otherwise a flagged upper bound from deterministic local search.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,41 +94,73 @@ class AlmostIsometryReport:
 class MapCost:
     """Cost of boundary maps given as rows of integer arrays, one array per
     block: the max of each block's unary term and, for two blocks, of a
-    cross term over every pair of rows."""
+    cross term over every pair of rows.
+
+    `partial`, optional and read by one-block searches, gives per block a
+    hook (P, k) -> (N,): P holds partial maps as rows whose columns are the
+    values of points 0..k, and the hook returns, per row, the max of the
+    cost terms that point k adds (-inf when it adds none). Each such term
+    must be one of the exact floats the unary term takes a max over once
+    the map is complete, so the running max over k never exceeds the unary
+    cost of any completion."""
 
     unary: tuple                      # per block: (N, n_from) -> (N,)
     cross: Callable | None = None     # (N1, n_from1), (N2, n_from2) -> (N1, N2)
+    partial: tuple | None = None      # per block: (N, k + 1), k -> (N,)
 
 
 # rows of maps, or pairs of rows, scored in one vectorised call
 _CHUNK = 1 << 14
-# the cheapest rows and columns by unary cost whose pairs give the first bound
+# the cheapest rows and columns by unary cost whose pairs give the first
+# bound; also the width of the one-block beam
 _PROBE = 8
 
 
+def _rows(fn, M: np.ndarray) -> np.ndarray:
+    """fn over the rows of M, _CHUNK rows per call."""
+    return np.concatenate([fn(M[s:s + _CHUNK]) for s in range(0, len(M), _CHUNK)])
+
+
+def _extend(P: np.ndarray, n_to: int) -> np.ndarray:
+    """Every row of P followed by each value of range(n_to); rows of P in
+    lexicographic order give rows in lexicographic order."""
+    return np.column_stack([np.repeat(P, n_to, axis=0),
+                            np.tile(np.arange(n_to, dtype=np.int64), len(P))])
+
+
 def _all_maps(n_from: int, n_to: int) -> np.ndarray:
-    return np.asarray(list(itertools.product(range(n_to), repeat=n_from)), dtype=np.int64)
+    """Every map of range(n_from) into range(n_to), in `itertools.product` order."""
+    M = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n_from):
+        M = _extend(M, n_to)
+    return M
 
 
 def search_maps(blocks, cost: MapCost, budget: SearchBudget, seeds):
     """Least cost over one or two boundary maps, block k mapping range(n_from)
     into range(n_to) for blocks[k] = (n_from, n_to).
 
-    While the number of map tuples fits `budget.max_map_pairs`, each block's
-    maps are enumerated once and the first minimum in lexicographic order is
-    returned. With two blocks the cross term is scored only on pairs whose
-    unary terms both stay within the least cost seen so far; every minimiser
-    is among them, so value and witness are those of scoring every pair.
-    This needs cross(F, G)[i, j] to depend on F[i] and G[j] alone.
-    Otherwise coordinate descent runs from each seed (one map per block): a
-    sweep moves every coordinate of every block, in order, to its best value
-    when that lowers the cost by more than `TOL.descent_step`, and the
-    descent stops after a sweep without a move or after `budget.local_steps`
-    sweeps.
+    While the number of map tuples fits `budget.max_map_pairs`, the first
+    minimum in lexicographic order is returned. One block with a `partial`
+    hook is grown point by point: a beam of the `_PROBE` partial maps of
+    least bound per point gives a first full cost, and only partial maps
+    whose running bound stays within it are grown further. Without a hook
+    every map is scored. With two blocks the cross term is scored only on
+    pairs whose unary terms both stay within the least cost seen so far.
+    Every minimiser survives either pruning, so value and witness are those
+    of scoring every map or pair. This needs the unary term of a row to
+    depend on that row alone, and cross(F, G)[i, j] on F[i] and G[j] alone.
+    Otherwise coordinate descent runs from each seed (one map per block),
+    and for one block with a hook also from the beam's map: a sweep moves
+    every coordinate of every block, in order, to its best value when that
+    lowers the cost by more than `TOL.descent_step`, and the descent stops
+    after a sweep without a move or after `budget.local_steps` sweeps.
     Returns (value, witness: one tuple per block, exhaustive).
     """
     if math.prod(n_to ** n_from for n_from, n_to in blocks) <= budget.max_map_pairs:
         return (*_enumerate(blocks, cost), True)
+    if cost.partial is not None and len(blocks) == 1:
+        seeds = [*seeds, (_beam(*blocks[0], cost)[1],)]
     best = (math.inf, None)
     for seed in seeds:
         found = _descend(blocks, cost, seed, budget.local_steps)
@@ -138,14 +169,43 @@ def search_maps(blocks, cost: MapCost, budget: SearchBudget, seeds):
     return (*best, False)
 
 
+def _grow(n_from: int, n_to: int, partial, select) -> np.ndarray:
+    """Full maps grown point by point from the empty map, keeping after each
+    point the partial maps `select(running bound)` picks."""
+    P, bound = np.zeros((1, 0), dtype=np.int64), np.full(1, -np.inf)
+    for k in range(n_from):
+        P = _extend(P, n_to)
+        bound = np.maximum(np.repeat(bound, n_to), _rows(lambda Q: partial(Q, k), P))
+        keep = select(bound)
+        P, bound = P[keep], bound[keep]
+    return P
+
+
+def _beam(n_from: int, n_to: int, cost: MapCost):
+    """(unary cost, map) of the first cheapest full map of a beam that keeps,
+    after each point, the `_PROBE` partial maps of least running bound (ties
+    to the earlier row)."""
+    P = _grow(n_from, n_to, cost.partial[0], lambda b: np.argsort(b, kind="stable")[:_PROBE])
+    u = cost.unary[0](P)
+    i = int(np.argmin(u))
+    return float(u[i]), P[i]
+
+
 def _enumerate(blocks, cost: MapCost):
+    if len(blocks) == 1:
+        if cost.partial is None:
+            M = _all_maps(*blocks[0])
+        else:
+            # a map costs at least its running bound, so every map of least
+            # cost stays within the beam's cost, and the mask keeps order
+            incumbent = _beam(*blocks[0], cost)[0]
+            M = _grow(*blocks[0], cost.partial[0], lambda b: b <= incumbent)
+        u = _rows(cost.unary[0], M)
+        k = int(np.argmin(u))
+        return float(u[k]), (tuple(M[k].tolist()),)
     maps = [_all_maps(*b) for b in blocks]
-    unary = [np.concatenate([u(M[s:s + _CHUNK]) for s in range(0, len(M), _CHUNK)])
-             for u, M in zip(cost.unary, maps)]
-    if len(maps) == 1:
-        k = int(np.argmin(unary[0]))
-        return float(unary[0][k]), (tuple(maps[0][k].tolist()),)
-    (F, G), (u0, u1) = maps, unary
+    u0, u1 = (_rows(u, M) for u, M in zip(cost.unary, maps))
+    F, G = maps
 
     def score(r, c):
         return np.maximum(cost.cross(F[r], G[c]), np.maximum(u0[r, None], u1[None, c]))

@@ -308,7 +308,15 @@ def _egh_one_side(maps1, maps2, X1: FiniteMetricSpace, X2: FiniteMetricSpace,
                   require_isometry: bool, max_maps: int):
     """min over f: X1 -> X2 of max(equivariance defect, density defect
     [, distortion]); exhaustive under the budget, else local search from a
-    distance-profile seed."""
+    distance-profile seed and from the search's beam.
+
+    The search grows f point by point and drops partial maps whose terms
+    already exceed a cost it has seen. Point k adds the equivariance terms
+    D2[a2(f x), f(a1 x)] + proj_pad of the window pairs with max(x, a1 x) = k
+    and, with `require_isometry`, the distortion terms
+    |D2[f k, f j] - D1[k, j]| for j < k, D1 and D2 the two metrics. The
+    density term needs all of f.
+    """
     D2 = X2.dist
     proj_pad = max(m.projection_error for m in maps1 + maps2)
 
@@ -323,7 +331,25 @@ def _egh_one_side(maps1, maps2, X1: FiniteMetricSpace, X2: FiniteMetricSpace,
             val = np.maximum(val, dis)
         return val
 
-    value, (f,), exhaustive = search_maps([(X1.size, X2.size)], MapCost((defect,)),
+    # window pair w and point x of each equivariance term, by the point k
+    # that completes it
+    A1 = np.asarray([a.idx for a in maps1])
+    A2 = np.asarray([a.idx for a in maps2])
+    w, x = np.indices(A1.shape).reshape(2, -1)
+    y = A1[w, x]
+    last = np.maximum(x, y)
+    terms = [(w[last == k], x[last == k], y[last == k]) for k in range(X1.size)]
+
+    def partial(P: np.ndarray, k: int) -> np.ndarray:
+        wk, xk, yk = terms[k]
+        val = D2[A2[wk, P[:, xk]], P[:, yk]].max(axis=1, initial=-np.inf) + proj_pad
+        if require_isometry:
+            dis = np.abs(D2[P[:, k, None], P[:, :k]] - X1.dist[k, :k])
+            val = np.maximum(val, dis.max(axis=1, initial=-np.inf))
+        return val
+
+    value, (f,), exhaustive = search_maps([(X1.size, X2.size)],
+                                          MapCost((defect,), partial=(partial,)),
                                           SearchBudget(max_map_pairs=max_maps),
                                           [(profile_seed(X1.dist, D2),)])
     return value, f, exhaustive

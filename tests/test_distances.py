@@ -104,6 +104,25 @@ class TestSearchMaps:
         assert exhaustive
         assert witness == (f, g) and value == max(t_f[f], t_g[g], t_fg[f + g])
 
+    def test_maps_come_in_product_order(self):
+        # without a partial hook every map is scored, in chunks, in
+        # itertools.product order; all-zero costs make the first map win
+        for blocks in ([(3, 4)], [(15, 2)], [(3, 2), (2, 3)]):
+            seen = [[] for _ in blocks]
+
+            def unary(k):
+                def u(F):
+                    seen[k].extend(map(tuple, F.tolist()))
+                    return np.zeros(len(F))
+                return u
+            cost = MapCost(tuple(unary(k) for k in range(len(blocks))),
+                           None if len(blocks) == 1 else lambda F, G: np.zeros((len(F), len(G))))
+            value, witness, exhaustive = search_maps(blocks, cost, SearchBudget(), [])
+            expect = [list(itertools.product(range(n_to), repeat=n_from))
+                      for n_from, n_to in blocks]
+            assert seen == expect
+            assert exhaustive and value == 0.0 and witness == tuple(e[0] for e in expect)
+
 
 class TestPrunedSearch:
     """The two-block enumeration scores the cross term only where both unary
@@ -180,6 +199,13 @@ class TestPrunedSearch:
         pruned = [intertwining_gap(SX, SY) for SX, SY in nets]
         monkeypatch.setattr(distances, "_enumerate", enumerate_maps_loop)
         assert pruned == [intertwining_gap(SX, SY) for SX, SY in nets]
+
+    def test_fukaya_matches_full_loop(self, rng, monkeypatch):
+        nets = [(simplex_net(_planar(rng, nx), m), simplex_net(_planar(rng, ny), m))
+                for nx, ny in ((3, 4), (4, 3), (4, 4)) for m in (1, 2)]
+        grown = [fukaya_distance(SX, SY) for SX, SY in nets]
+        monkeypatch.setattr(distances, "_enumerate", enumerate_maps_loop)
+        assert grown == [fukaya_distance(SX, SY) for SX, SY in nets]
 
 
 class TestW1Table:

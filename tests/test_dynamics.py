@@ -10,10 +10,12 @@ from metriclab import (DomainError, DynMap, Observable, birkhoff_rate, circle_ne
                        lipschitz_seminorm, measure_mixtures, mix, nucleus_net,
                        point_mass, rotation, sine_pluck_map, validate_metric,
                        wasserstein1)
-from metriclab.dynamics import invert_circle_map, sine_pluck
+from metriclab import distances, dynamics
+from metriclab.distances import MapCost
+from metriclab.dynamics import invert_circle_map, sine_pluck, z_action_window
 from metriclab.lipgeom import lipnorm_from_state_metric
 
-from oracles import birkhoff_curve_brute, permutation_invariant_measures
+from oracles import birkhoff_curve_brute, enumerate_maps_loop, permutation_invariant_measures
 
 
 class TestMaps:
@@ -189,6 +191,42 @@ class TestBirkhoff:
         assert rep.curve.max() <= 2 * nuc.r + 1e-9
 
 
+def _rotation_action(rng):
+    """A rotation of a 5-point circle of random circumference, acting through
+    its powers -1, 0 and 1."""
+    X = circle_net(5, float(rng.uniform(4.0, 8.0)))
+    return z_action_window(rotation(X, int(rng.integers(1, 5))), 1)
+
+
+def _pluck_action(rng):
+    """Forward powers of a projected sine pluck on a circle net of 3 to 6
+    points; the projection error is positive."""
+    X = circle_net(int(rng.integers(3, 7)), math.pi * float(rng.uniform(0.8, 1.2)))
+    h = sine_pluck_map(X, float(rng.uniform(-1.5, 1.5)))
+    return [h, h.compose(h)]
+
+
+def _egh_pairs(rng):
+    pairs = []
+    for _ in range(3):
+        A, B = _rotation_action(rng), _rotation_action(rng)
+        pairs += [(A, B), (B, A), (A, A)]
+    pairs += [(_pluck_action(rng), _pluck_action(rng)) for _ in range(6)]
+    return pairs
+
+
+def _record_costs(monkeypatch):
+    """Record the (blocks, cost) of every map search egh_distance asks for,
+    and answer each with its first seed, unsearched."""
+    costs = []
+
+    def record(blocks, cost, budget, seeds):
+        costs.append((tuple(blocks), cost))
+        return 0.0, (tuple(seeds[0][0].tolist()),), True
+    monkeypatch.setattr(dynamics, "search_maps", record)
+    return costs
+
+
 class TestEgh:
     def test_identical_actions(self):
         X = circle_net(4, 2.0)
@@ -245,16 +283,63 @@ class TestEgh:
         assert relaxed.value <= strict.value
 
     def test_budget_forced_descent_bounds_exhaustive(self):
-        from metriclab.dynamics import z_action_window
         a = z_action_window(rotation(circle_net(6, 2 * math.pi), 1), 1)
         b = z_action_window(rotation(circle_net(6, 2 * math.pi * 1.3), 2), 1)
         exact = egh_distance(a, b)
         res = egh_distance(a, b, max_maps=100)
         assert exact.exhaustive and not res.exhaustive
         assert res.value >= exact.value - 1e-12
+        # every point of a circle net has the same distance profile, so the
+        # profile seed is a constant map, whose density defect is the diameter
+        assert res.value < b[0].space.diameter
+
+    def test_matches_full_loop(self, rng, monkeypatch):
+        pairs = _egh_pairs(rng)
+        grown = [egh_distance(a, b, require_isometry=iso)
+                 for a, b in pairs for iso in (True, False)]
+        monkeypatch.setattr(distances, "_enumerate", enumerate_maps_loop)
+        assert grown == [egh_distance(a, b, require_isometry=iso)
+                         for a, b in pairs for iso in (True, False)]
+        assert all(res.exhaustive for res in grown)
+
+    def test_partial_terms_bound_the_cost(self, rng, monkeypatch):
+        costs = _record_costs(monkeypatch)
+        pairs = _egh_pairs(rng)
+        for a, b in pairs:
+            for iso in (True, False):
+                egh_distance(a, b, require_isometry=iso)
+        assert len(costs) == 4 * len(pairs)
+        for ((n_from, n_to),), cost in costs:
+            F = rng.integers(0, n_to, size=(300, n_from))
+            full = cost.unary[0](F)
+            running = np.full(len(F), -np.inf)
+            for k in range(n_from):
+                running = np.maximum(running, cost.partial[0](F[:, :k + 1], k))
+                assert (running <= full).all()
+            assert (running > -np.inf).all()
+
+    def test_scores_fewer_maps(self, monkeypatch):
+        rng = np.random.default_rng([3, 2])
+        a, b = _rotation_action(rng), _rotation_action(rng)
+        search = dynamics.search_maps
+        scored = []
+
+        def counting(blocks, cost, budget, seeds):
+            rows = [0]
+
+            def unary(F):
+                rows[0] += len(F)
+                return cost.unary[0](F)
+            found = search(blocks, MapCost((unary,), None, cost.partial), budget, seeds)
+            scored.append(rows[0])
+            assert found == search(blocks, cost, budget, seeds)
+            return found
+
+        monkeypatch.setattr(dynamics, "search_maps", counting)
+        assert egh_distance(a, b).exhaustive
+        assert len(scored) == 2 and max(scored) < 5 ** 5
 
     def test_z_action_window(self):
-        from metriclab.dynamics import z_action_window
         X = circle_net(4, 2.0)
         h = rotation(X, 1)
         window = z_action_window(h, N=2)
