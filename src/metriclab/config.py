@@ -16,12 +16,14 @@ class Tolerances:
     duality_gap: float = 1e-7        # mandatory primal/dual agreement
     lipschitz_atol: float = 1e-9     # 1-Lipschitz certificates
     hermitian_atol: float = 1e-12    # Hermitian symmetry of matrix fields
+    trace_imag_atol: float = 1e-11   # imaginary part of the normalised trace of a Hermitian field
     trace_null_atol: float = 1e-9    # tracially null certificates
     feasibility_atol: float = 1e-9   # mass a W-infinity threshold plan may move beyond t
     threshold_slack: float = 1e-12   # distance above a W-infinity threshold that still counts as equal
     simplex_opt_tol: float = 1e-11   # reduced cost below which the network simplex is optimal
     quadrature_atol: float = 1e-10   # adaptive Simpson target
     atom_slack: float = 1e-15        # circle atoms this far past a breakpoint count as reached there
+    mesh_snap: float = 1e-9          # fraction of a circle mesh within which an image snaps to a net point
     descent_step: float = 1e-15      # least drop in cost that moves a map-search descent
     bridge_delta_floor: float = 1e-9  # least bridge scale in dq_upper (bridges need delta > 0)
 

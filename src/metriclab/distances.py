@@ -458,8 +458,9 @@ def intertwining_gap(SX: SimplexNet, SY: SimplexNet,
 
     cost = MapCost((lambda F: _iso_defect(x, y, F), lambda G: _iso_defect(y, x, G)), inversion)
     if fixed_pair is None:
-        _, (f, g), exhaustive = search_maps([(nx, ny), (ny, nx)], cost, budget,
-                                            [(_coupling_seed(SX, SY), _coupling_seed(SY, SX))])
+        fwd, back = _coupling_seeds(SX, SY), _coupling_seeds(SY, SX)
+        seeds = list(dict.fromkeys([(fwd[0], back[0]), (fwd[-1], back[-1])]))
+        _, (f, g), exhaustive = search_maps([(nx, ny), (ny, nx)], cost, budget, seeds)
     else:
         f, g = (tuple(int(v) for v in m) for m in fixed_pair)
         exhaustive = False
@@ -476,20 +477,39 @@ def intertwining_gap(SX: SimplexNet, SY: SimplexNet,
     return GapResult(val, rep, exhaustive)
 
 
-def profile_seed(DA, DB) -> np.ndarray:
-    """Map from A to B sending each point to the first point of B whose sorted
-    distance profile (its k = min(|A|, |B|) smallest distances) is nearest in
-    the max norm."""
+def _profile_gaps(DA, DB) -> np.ndarray:
+    """Max-norm distance between the sorted distance profiles (the k =
+    min(|A|, |B|) smallest distances) of every point of A and every point of
+    B, as an (|A|, |B|) array."""
     k = min(DA.shape[1], DB.shape[1])
     prof_a, prof_b = np.sort(DA, axis=1)[:, :k], np.sort(DB, axis=1)[:, :k]
-    return np.abs(prof_b - prof_a[:, None, :]).max(axis=2).argmin(axis=1)
+    return np.abs(prof_b - prof_a[:, None, :]).max(axis=2)
 
 
-def _coupling_seed(SA: SimplexNet, SB: SimplexNet) -> tuple:
-    """Deterministic starting map: match points by sorted distance profiles."""
+def profile_seed(DA, DB) -> np.ndarray:
+    """Map from A to B sending each point to the first point of B whose sorted
+    distance profile is nearest in the max norm."""
+    return _profile_gaps(DA, DB).argmin(axis=1)
+
+
+def _coupling_seeds(SA: SimplexNet, SB: SimplexNet) -> list[tuple]:
+    """Deterministic starting maps matched by sorted distance profiles:
+    `profile_seed` and, when |A| <= |B|, the injective map that sends each
+    point in order to the nearest-profile point of B not yet taken (ties to
+    the lower index). On circle nets every point has the same profile, so
+    the first is constant and only the second spreads out."""
     if SA.boundary is SB.boundary:
-        return tuple(range(SA.boundary.size))
-    return tuple(profile_seed(SA.boundary.dist, SB.boundary.dist).tolist())
+        return [tuple(range(SA.boundary.size))]
+    gaps = _profile_gaps(SA.boundary.dist, SB.boundary.dist)
+    seeds = [tuple(gaps.argmin(axis=1).tolist())]
+    if gaps.shape[0] <= gaps.shape[1]:
+        free, spread = list(range(gaps.shape[1])), []
+        for row in gaps.tolist():
+            spread.append(min(free, key=row.__getitem__))
+            free.remove(spread[-1])
+        if tuple(spread) != seeds[0]:
+            seeds.append(tuple(spread))
+    return seeds
 
 
 def fukaya_distance(SX: SimplexNet, SY: SimplexNet,
@@ -499,7 +519,7 @@ def fukaya_distance(SX: SimplexNet, SY: SimplexNet,
     x, y = _sides(SX, SY)
     cost = MapCost((lambda F: np.maximum(_iso_defect(x, y, F), _surj_defect(x, y, F)),))
     val, (f,), exhaustive = search_maps([(SX.boundary.size, SY.boundary.size)], cost, budget,
-                                        [(_coupling_seed(SX, SY),)])
+                                        [(seed,) for seed in _coupling_seeds(SX, SY)])
     F = np.asarray([f], dtype=np.int64)
     rep = AlmostIsometryReport(f, None, distortion=float(_iso_defect(x, y, F)[0]),
                                inversion_defect=math.inf,

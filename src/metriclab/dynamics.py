@@ -384,6 +384,10 @@ def crossed_product_seminorm(a0: Observable, h: DynMap, mode: str = "general",
     net of the invariant simplex with the W1 metric. For uniquely ergodic
     dynamics this metric degenerates; the uniquely_ergodic mode applies the
     convention that the seminorm is the one of a0 itself.
+
+    The general value is the largest ratio over the 1/m mixture net alone,
+    so it is a lower value for the seminorm over the whole invariant simplex
+    and can rise with `resolution`; it carries no flag.
     """
     if a0.space is not h.space:
         raise DomainError("observable and dynamics live on different spaces")

@@ -371,9 +371,9 @@ def _barycentric_circle_kernel(X: FiniteMetricSpace, fn) -> np.ndarray:
         pos = y / mesh
         j = int(math.floor(pos))
         frac = pos - j
-        if frac < 1e-9:
+        if frac < TOL.mesh_snap:
             frac = 0.0
-        elif frac > 1.0 - 1e-9:
+        elif frac > 1.0 - TOL.mesh_snap:
             j += 1
             frac = 0.0
         K[i, j % n] += 1.0 - frac

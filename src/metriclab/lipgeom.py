@@ -291,7 +291,7 @@ def nucleus_to_csv(nuc: Nucleus) -> str:
 def matrix_trace_observable(F: MatrixObservable) -> Observable:
     """Pointwise normalised trace (identity matrix maps to the constant 1)."""
     tr = np.trace(F.values, axis1=1, axis2=2) / F.n
-    if np.abs(tr.imag).max() > TOL.hermitian_atol * 10:
+    if np.abs(tr.imag).max() > TOL.trace_imag_atol:
         raise DomainError("trace of a Hermitian field should be real")
     return Observable(F.space, tr.real)
 

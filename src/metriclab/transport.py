@@ -2,7 +2,10 @@
 
 Primal 1-Wasserstein distances come from a transportation network simplex
 written here (desk-scale exactness, deterministic pivoting); the same simplex
-decides the thresholds of the infinity-Wasserstein search. Its basis is a
+decides the thresholds of the infinity-Wasserstein search, each threshold
+starting from the previous one's optimal basis (a basis depends only on the
+marginals): the values are those of a search that starts every threshold
+afresh, in fewer pivots. Its basis is a
 spanning tree rooted at the first source point and updated in place: each
 pivot finds its cycle by climbing parent pointers to the lowest common
 ancestor of the entering arc's ends, and recomputes potentials only on the
@@ -136,12 +139,42 @@ class _SimplexStall(DomainError):
     pass
 
 
-def _transport_simplex(a, b, C, opt_tol=TOL.simplex_opt_tol, max_pivots=None):
+def _northwest_corner(a, b) -> dict[tuple[int, int], float]:
+    """The northwest-corner basis of (a, b): a staircase of n + m - 1 arcs
+    from (0, 0) to (n-1, m-1), as a flow dict keyed by (row, column)."""
+    n, m = len(a), len(b)
+    ra, rb = a.copy(), b.copy()
+    flow: dict[tuple[int, int], float] = {}
+    i = j = 0
+    while True:
+        q = min(ra[i], rb[j])
+        flow[(i, j)] = q
+        ra[i] -= q
+        rb[j] -= q
+        if i == n - 1 and j == m - 1:
+            return flow
+        if ra[i] <= 0 and i < n - 1:
+            i += 1
+        elif j < m - 1:
+            j += 1
+        else:
+            i += 1
+
+
+def _transport_simplex(a, b, C, opt_tol=TOL.simplex_opt_tol, max_pivots=None, basis=None):
     """min <C, P> s.t. P 1 = a, P^T 1 = b, P >= 0 with a, b > 0 summing alike.
 
-    Northwest-corner start, MODI pivoting (most-negative entering arc, first
-    index on ties) with a Bland's-rule fallback against degenerate cycling.
-    Returns (cost, P, u, v) with (u, v) the optimal node potentials.
+    Starts from `basis` when given, else from the northwest corner; MODI
+    pivoting (most-negative entering arc, first index on ties) with a
+    Bland's-rule fallback against degenerate cycling. Returns (cost, P, u, v)
+    with (u, v) the optimal node potentials.
+
+    `basis` is a flow dict {(row, column): flow} of n + m - 1 arcs, zero-flow
+    arcs included, that is feasible for (a, b) and forms a spanning tree (or
+    `_SimplexStall` is raised). A basis does not depend on C, so the optimal
+    basis of one cost matrix is a valid start for any other with the same
+    marginals. The solver pivots on the dict in place: on return it holds
+    the optimal basis.
 
     Rows are nodes 0..n-1 and columns nodes n..n+m-1. The basis is a spanning
     tree rooted at row 0 (u_0 = 0), kept as parent, depth and adjacency lists;
@@ -155,25 +188,25 @@ def _transport_simplex(a, b, C, opt_tol=TOL.simplex_opt_tol, max_pivots=None):
     every potential equals a from-scratch walk from the root.
     """
     n, m = len(a), len(b)
-    ra, rb = a.copy(), b.copy()
-    flow: dict[tuple[int, int], float] = {}
+    flow = _northwest_corner(a, b) if basis is None else basis
     adj: list[list[int]] = [[] for _ in range(n + m)]
-    i = j = 0
-    while True:
-        q = min(ra[i], rb[j])
-        flow[(i, j)] = q
+    for i, j in flow:
         adj[i].append(n + j)
         adj[n + j].append(i)
-        ra[i] -= q
-        rb[j] -= q
-        if i == n - 1 and j == m - 1:
-            break
-        if ra[i] <= 0 and i < n - 1:
-            i += 1
-        elif j < m - 1:
-            j += 1
-        else:
-            i += 1
+    if basis is not None:
+        # n + m - 1 arcs that reach every node from row 0 form a spanning
+        # tree (the northwest corner always does); on a cycle `hang` would
+        # never return
+        reached = [False] * (n + m)
+        reached[0] = True
+        stack = [0]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if not reached[nb]:
+                    reached[nb] = True
+                    stack.append(nb)
+        if len(flow) != n + m - 1 or not all(reached):
+            raise _SimplexStall("basis is not a spanning tree")
 
     if max_pivots is None:
         max_pivots = 200 + 60 * (n + m) ** 2
@@ -204,8 +237,6 @@ def _transport_simplex(a, b, C, opt_tol=TOL.simplex_opt_tol, max_pivots=None):
                     stack.append(nb)
 
     hang(0)
-    if -1 in parent[1:]:
-        raise _SimplexStall("basis tree is disconnected")
 
     pivots = 0
     while True:
@@ -389,7 +420,15 @@ def wasserstein_inf(mu: Measure, nu: Measure) -> float:
     supported on pairs with d <= t exists. Binary search over the sorted
     distance values; at each candidate the network simplex finds the least
     mass a coupling must move farther than t, and t is feasible when that
-    mass is at most TOL.feasibility_atol."""
+    mass is at most TOL.feasibility_atol.
+
+    Every threshold has the same marginals, so one basis is carried through
+    the search: each solve starts from the optimal basis of the one before
+    (the parametric reuse of Garfinkel & Rao, Naval Res. Logist. Q. 1971),
+    and only the first starts from the northwest corner. Each solve still
+    reaches an optimum, whose mass agrees with a fresh start's up to
+    rounding, so the decisions and the value are those of a search that
+    starts every threshold afresh."""
     X = _same_space(mu, nu)
     if np.array_equal(mu.weights, nu.weights):
         return 0.0
@@ -397,10 +436,11 @@ def wasserstein_inf(mu: Measure, nu: Measure) -> float:
     a, b = mu.weights[sa], nu.weights[sb]
     D = X.dist[np.ix_(sa, sb)]
     cands = np.unique(D)
+    basis = _northwest_corner(a, b)
 
     def feasible(t: float) -> bool:
         beyond = (D > t + TOL.threshold_slack).astype(float)
-        return _transport_simplex(a, b, beyond)[0] <= TOL.feasibility_atol
+        return _transport_simplex(a, b, beyond, basis=basis)[0] <= TOL.feasibility_atol
 
     lo, hi = 0, len(cands) - 1
     if not feasible(cands[hi]):

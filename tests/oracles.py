@@ -418,6 +418,35 @@ def transport_simplex_rebuild(a, b, C, opt_tol=1e-11, max_pivots=None):
     return cost, P, u.copy(), v.copy()
 
 
+def winf_cold_search(mu, nu) -> float:
+    """W-infinity by the threshold search of `transport.wasserstein_inf` with
+    a fresh northwest-corner start at every threshold: the reference for the
+    search that carries one basis from threshold to threshold."""
+    from metriclab.config import TOL
+    from metriclab.transport import _transport_simplex
+
+    if np.array_equal(mu.weights, nu.weights):
+        return 0.0
+    sa, sb = mu.support, nu.support
+    a, b = mu.weights[sa], nu.weights[sb]
+    D = mu.space.dist[np.ix_(sa, sb)]
+    cands = np.unique(D)
+
+    def feasible(t):
+        beyond = (D > t + TOL.threshold_slack).astype(float)
+        return _transport_simplex(a, b, beyond)[0] <= TOL.feasibility_atol
+
+    lo, hi = 0, len(cands) - 1
+    assert feasible(cands[hi])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(cands[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(cands[lo])
+
+
 def w1_dual_lp(D, wa, wb):
     """Kantorovich dual of W1 between weights wa and wb on the metric D, by
     an independent HiGHS LP over 1-Lipschitz potentials anchored at f_0 = 0,

@@ -351,6 +351,26 @@ class TestFukaya:
         assert 0.1 - slack <= res.value <= 0.2 + 1e-9
 
 
+    def test_circle_nets_beyond_budget_reach_the_exhaustive_value(self):
+        # every point of a circle net has the same distance profile, so the
+        # nearest-profile seed is constant; the injective seed spreads out
+        SX = simplex_net(circle_net(6, 2 * math.pi), 1)
+        SY = simplex_net(circle_net(6, 2.6 * math.pi), 1)
+        exact = fukaya_distance(SX, SY)
+        res = fukaya_distance(SX, SY, SearchBudget(max_map_pairs=100))
+        assert exact.exhaustive and not res.exhaustive
+        assert res.value == exact.value == pytest.approx(0.3 * math.pi)
+        assert res.report.forward == exact.report.forward == (0, 1, 2, 3, 4, 5)
+
+    def test_coupling_seeds(self):
+        SX = simplex_net(circle_net(4, 2.0), 1)
+        SY = simplex_net(circle_net(6, 3.0), 1)
+        assert distances._coupling_seeds(SX, SY) == [(0, 0, 0, 0), (0, 1, 2, 3)]
+        # no injective seed into a smaller space
+        assert distances._coupling_seeds(SY, SX) == [(0,) * 6]
+        assert distances._coupling_seeds(SX, SX) == [(0, 1, 2, 3)]
+
+
 class TestEpsilonIsometryCheck:
     def test_isometry(self):
         X = interval_net(3, 1.0)

@@ -12,11 +12,11 @@ from metriclab import (Coupling, DomainError, Measure, SpaceMismatchError, WaveP
                        validate_metric, wasserstein1, wasserstein1_dual, wasserstein_inf,
                        wave_metric_field)
 from metriclab.config import TOL
-from metriclab.transport import (_SimplexStall, _cycle_arcs, _transport_simplex, convex_grid,
-                                 w1_hausdorff, w1_table)
+from metriclab.transport import (_SimplexStall, _cycle_arcs, _northwest_corner,
+                                 _transport_simplex, convex_grid, w1_hausdorff, w1_table)
 
 from oracles import (transport_simplex_rebuild, w1_dual_lp, w1_exhaustive, w1_line,
-                     winf_exhaustive, winf_hall)
+                     winf_cold_search, winf_exhaustive, winf_hall)
 
 
 def random_space(rng, n):
@@ -31,8 +31,32 @@ def random_measure(rng, X):
     return Measure(X, w / w.sum())
 
 
+def threshold_inputs(count, seed=7):
+    """Seeded (a, b, D, t): a random planar space's distances between two
+    random supports, weights on them, and one of the distances as a
+    W-infinity threshold."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(2, 25))
+        X = random_space(rng, n)
+        sa = np.flatnonzero(rng.uniform(size=n) < 0.7)
+        sb = np.flatnonzero(rng.uniform(size=n) < 0.7)
+        if len(sa) == 0 or len(sb) == 0:
+            continue
+        D = X.dist[np.ix_(sa, sb)]
+        t = rng.choice(np.unique(D))
+        a, b = rng.uniform(0.01, 1.0, size=len(sa)), rng.uniform(0.01, 1.0, size=len(sb))
+        out.append((a / a.sum(), b / b.sum(), D, t))
+    return out
+
+
 def simplex_inputs(kind, count, seed=7):
     """Seeded (a, b, C) transport problems of one kind."""
+    if kind == "threshold":
+        # the 0/1 "farther than t" costs of wasserstein_inf
+        return [(a, b, (D > t + TOL.threshold_slack).astype(float))
+                for a, b, D, t in threshold_inputs(count, seed)]
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
@@ -51,18 +75,6 @@ def simplex_inputs(kind, count, seed=7):
             if len(out) % 2:
                 a, b = a / total, b / total
             out.append((a, b, rng.integers(0, 5, size=(n, m)).astype(float)))
-        elif kind == "threshold":
-            # the 0/1 "farther than t" costs of wasserstein_inf
-            n = int(rng.integers(2, 25))
-            X = random_space(rng, n)
-            sa = np.flatnonzero(rng.uniform(size=n) < 0.7)
-            sb = np.flatnonzero(rng.uniform(size=n) < 0.7)
-            if len(sa) == 0 or len(sb) == 0:
-                continue
-            D = X.dist[np.ix_(sa, sb)]
-            t = rng.choice(np.unique(D))
-            a, b = rng.uniform(0.01, 1.0, size=len(sa)), rng.uniform(0.01, 1.0, size=len(sb))
-            out.append((a / a.sum(), b / b.sum(), (D > t + TOL.threshold_slack).astype(float)))
         elif kind == "circle":
             # tied distances of a circle net, weights on a 1/4 grid
             k = int(rng.integers(3, 10))
@@ -114,6 +126,42 @@ class TestSimplex:
         with pytest.raises(_SimplexStall):
             _transport_simplex(a, b, C, max_pivots=0)
         assert _transport_simplex(a, b, C, max_pivots=1)[0] == 0.0
+
+    def test_warm_basis_certifies_optimality(self):
+        # every "threshold" input solved from the optimal basis of another
+        # threshold of the same (a, b), as wasserstein_inf does
+        for a, b, D, t in threshold_inputs(SIMPLEX_KINDS["threshold"]):
+            cands = np.unique(D)
+            others = cands[cands != t]
+            t_other = others[len(others) // 2] if len(others) else t
+            basis = _northwest_corner(a, b)
+            _transport_simplex(a, b, (D > t_other + TOL.threshold_slack).astype(float),
+                               basis=basis)
+            C = (D > t + TOL.threshold_slack).astype(float)
+            cost, P, u, v = _transport_simplex(a, b, C, basis=basis)
+            # the dict now holds the optimal basis and its flows
+            assert len(basis) == len(a) + len(b) - 1
+            assert all(P[i, j] == q for (i, j), q in basis.items())
+            assert np.count_nonzero(P) <= len(basis)
+            reduced = C - u[:, None] - v[None, :]
+            assert reduced.min() >= -TOL.simplex_opt_tol
+            assert np.abs(reduced[P > 0]).max(initial=0.0) <= 1e-12
+            assert abs(a @ u + b @ v - cost) <= 1e-12
+            assert np.abs(P.sum(axis=1) - a).max() <= 1e-12
+            assert np.abs(P.sum(axis=0) - b).max() <= 1e-12
+            assert abs(cost - _transport_simplex(a, b, C)[0]) <= 1e-12
+
+    def test_basis_must_be_a_spanning_tree(self):
+        a = b = np.full(3, 1 / 3)
+        C = np.ones((3, 3))
+        # n + m - 1 arcs, but a cycle on rows and columns 0, 1 leaves row 2
+        # and column 2 cut off
+        cycle = {(0, 0): 1 / 6, (0, 1): 1 / 6, (1, 0): 1 / 6, (1, 1): 1 / 6, (2, 2): 1 / 3}
+        # a forest: one arc short of a tree
+        forest = {(0, 0): 1 / 3, (1, 1): 1 / 3, (2, 2): 1 / 3, (0, 1): 0.0}
+        for basis in (cycle, forest):
+            with pytest.raises(_SimplexStall, match="spanning tree"):
+                _transport_simplex(a, b, C, basis=basis)
 
     def test_basic_arc_never_enters(self):
         # at costs near 1e7 the rounding error of the potentials exceeds
@@ -358,6 +406,34 @@ class TestWinf:
         for mu, nu in pairs:
             assert wasserstein_inf(mu, nu) == pytest.approx(
                 winf_hall(mu.weights.tolist(), nu.weights.tolist(), D), abs=1e-9)
+
+    def test_warm_start_matches_cold_search(self):
+        # one basis carried through the thresholds gives the value of a
+        # fresh start at every threshold, bit for bit
+        rng = np.random.default_rng(12)
+        pairs = []
+        for _ in range(600):
+            # planar spaces of 2-24 points, sparse supports
+            X = random_space(rng, int(rng.integers(2, 25)))
+            w = rng.uniform(0.01, 1.0, size=(2, X.size)) * (rng.uniform(size=(2, X.size)) < 0.5)
+            w[:, 0] += w.sum(axis=1) == 0
+            pairs.append((Measure(X, w[0] / w[0].sum()), Measure(X, w[1] / w[1].sum())))
+        # tie-heavy circle grids: every pair of the 6-point 1/2 grid, every
+        # 30th pair of the 8-point 1/3 grid
+        X = circle_net(6, 2 * math.pi)
+        pairs += itertools.combinations([Measure(X, w) for w in convex_grid(6, 2)], 2)
+        X = circle_net(8, 2 * math.pi)
+        pairs += list(itertools.combinations([Measure(X, w) for w in convex_grid(8, 3)], 2))[::30]
+        for _ in range(150):
+            # integer masses on interval nets
+            n = int(rng.integers(2, 13))
+            X = interval_net(n, float(rng.uniform(0.5, 3.0)))
+            total = int(rng.integers(2, 3 * n))
+            pairs.append(tuple(Measure(X, rng.multinomial(total, np.ones(n) / n) / total)
+                               for _ in range(2)))
+        assert len(pairs) >= 1000
+        for mu, nu in pairs:
+            assert wasserstein_inf(mu, nu) == winf_cold_search(mu, nu)
 
     def test_threshold_slack_counts_near_ties_as_equal(self):
         # d12 exceeds the candidate 1 by 5e-13, inside the 1e-12 threshold slack
