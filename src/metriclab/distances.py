@@ -494,21 +494,24 @@ def profile_seed(DA, DB) -> np.ndarray:
 
 def _coupling_seeds(SA: SimplexNet, SB: SimplexNet) -> list[tuple]:
     """Deterministic starting maps matched by sorted distance profiles:
-    `profile_seed` and, when |A| <= |B|, the injective map that sends each
-    point in order to the nearest-profile point of B not yet taken (ties to
-    the lower index). On circle nets every point has the same profile, so
-    the first is constant and only the second spreads out."""
+    `profile_seed` and the spread map that sends each point in order to the
+    nearest-profile point of B not yet taken (ties to the lower index),
+    taking B afresh once every point of it is taken. The spread map is
+    injective when |A| <= |B| and covers B otherwise. On circle nets every
+    point has the same profile, so the first is constant and only the second
+    spreads out."""
     if SA.boundary is SB.boundary:
         return [tuple(range(SA.boundary.size))]
     gaps = _profile_gaps(SA.boundary.dist, SB.boundary.dist)
     seeds = [tuple(gaps.argmin(axis=1).tolist())]
-    if gaps.shape[0] <= gaps.shape[1]:
-        free, spread = list(range(gaps.shape[1])), []
-        for row in gaps.tolist():
-            spread.append(min(free, key=row.__getitem__))
-            free.remove(spread[-1])
-        if tuple(spread) != seeds[0]:
-            seeds.append(tuple(spread))
+    free, spread = [], []
+    for row in gaps.tolist():
+        if not free:
+            free = list(range(gaps.shape[1]))
+        spread.append(min(free, key=row.__getitem__))
+        free.remove(spread[-1])
+    if tuple(spread) != seeds[0]:
+        seeds.append(tuple(spread))
     return seeds
 
 

@@ -1,16 +1,19 @@
 """Probability measures on finite metric spaces and exact optimal transport.
 
 Primal 1-Wasserstein distances come from a transportation network simplex
-written here (desk-scale exactness, deterministic pivoting); the same simplex
-decides the thresholds of the infinity-Wasserstein search, each threshold
-starting from the previous one's optimal basis (a basis depends only on the
-marginals): the values are those of a search that starts every threshold
-afresh, in fewer pivots. Its basis is a
-spanning tree rooted at the first source point and updated in place: each
-pivot finds its cycle by climbing parent pointers to the lowest common
-ancestor of the entering arc's ends, and recomputes potentials only on the
-subtree that the leaving arc cuts off. The Kantorovich dual is read off the
-same solve: the c-transform of the simplex's column potentials is
+written here (desk-scale exactness, deterministic pivoting). A solve starts
+from the least-cost ("matrix minimum") basis, which ships along the cheapest
+cells first, ties in row-major order, and leaves few pivots to make (Glover,
+Karney, Klingman & Napier, Management Sci. 1974). The same simplex decides
+the thresholds of the infinity-Wasserstein search: the first starts from the
+least-cost basis of the distances, each later one from the previous one's
+optimal basis (a basis depends only on the marginals), and the values are
+those of a search that starts every threshold afresh, in fewer pivots. Its
+basis is a spanning tree rooted at the first source point and updated in
+place: each pivot finds its cycle by climbing parent pointers to the lowest
+common ancestor of the entering arc's ends, and recomputes potentials only
+on the subtree that the leaving arc cuts off. The Kantorovich dual is read
+off the same solve: the c-transform of the simplex's column potentials is
 1-Lipschitz on the whole space, so its pairing with mu - nu lies between the
 simplex's dual objective and W1, and the mandatory duality-gap check
 certifies both the plan and the potential.
@@ -139,32 +142,48 @@ class _SimplexStall(DomainError):
     pass
 
 
-def _northwest_corner(a, b) -> dict[tuple[int, int], float]:
-    """The northwest-corner basis of (a, b): a staircase of n + m - 1 arcs
-    from (0, 0) to (n-1, m-1), as a flow dict keyed by (row, column)."""
+def _least_cost_basis(a, b, C) -> dict[tuple[int, int], float]:
+    """The least-cost ("matrix minimum") basis of (a, b) under C, as a flow
+    dict of n + m - 1 arcs keyed by (row, column).
+
+    Visits the cells in ascending cost, ties in row-major order, skipping any
+    whose row or column is crossed out. Each visited cell ships the least of
+    its row's and column's remainders (zero included) and crosses out one
+    line: the row when its remainder is spent and it is not the last live
+    row, or when one live column is left; otherwise the column. It stops when
+    the last row meets the last column. Every arc but the last crosses out a
+    line, so the arcs form a spanning tree. On a constant C this is the
+    northwest corner.
+    """
     n, m = len(a), len(b)
-    ra, rb = a.copy(), b.copy()
+    ra, rb = a.tolist(), b.tolist()
+    row_live, col_live = [True] * n, [True] * m
+    rows, cols = n, m
     flow: dict[tuple[int, int], float] = {}
-    i = j = 0
-    while True:
+    order = np.argsort(C, axis=None, kind="stable")
+    for i, j in zip((order // m).tolist(), (order % m).tolist()):
+        if not (row_live[i] and col_live[j]):
+            continue
         q = min(ra[i], rb[j])
         flow[(i, j)] = q
         ra[i] -= q
         rb[j] -= q
-        if i == n - 1 and j == m - 1:
+        if rows == 1 and cols == 1:
             return flow
-        if ra[i] <= 0 and i < n - 1:
-            i += 1
-        elif j < m - 1:
-            j += 1
+        if (ra[i] <= 0 and rows > 1) or cols == 1:
+            row_live[i] = False
+            rows -= 1
         else:
-            i += 1
+            col_live[j] = False
+            cols -= 1
+    raise AssertionError("unreachable: the last row and column always meet")
 
 
 def _transport_simplex(a, b, C, opt_tol=TOL.simplex_opt_tol, max_pivots=None, basis=None):
     """min <C, P> s.t. P 1 = a, P^T 1 = b, P >= 0 with a, b > 0 summing alike.
 
-    Starts from `basis` when given, else from the northwest corner; MODI
+    Starts from `basis` when given, else from the least-cost basis of
+    `_least_cost_basis` (cheapest cells first, ties in row-major order); MODI
     pivoting (most-negative entering arc, first index on ties) with a
     Bland's-rule fallback against degenerate cycling. Returns (cost, P, u, v)
     with (u, v) the optimal node potentials.
@@ -188,14 +207,14 @@ def _transport_simplex(a, b, C, opt_tol=TOL.simplex_opt_tol, max_pivots=None, ba
     every potential equals a from-scratch walk from the root.
     """
     n, m = len(a), len(b)
-    flow = _northwest_corner(a, b) if basis is None else basis
+    flow = _least_cost_basis(a, b, C) if basis is None else basis
     adj: list[list[int]] = [[] for _ in range(n + m)]
     for i, j in flow:
         adj[i].append(n + j)
         adj[n + j].append(i)
     if basis is not None:
         # n + m - 1 arcs that reach every node from row 0 form a spanning
-        # tree (the northwest corner always does); on a cycle `hang` would
+        # tree (the least-cost basis always does); on a cycle `hang` would
         # never return
         reached = [False] * (n + m)
         reached[0] = True
@@ -425,8 +444,9 @@ def wasserstein_inf(mu: Measure, nu: Measure) -> float:
     Every threshold has the same marginals, so one basis is carried through
     the search: each solve starts from the optimal basis of the one before
     (the parametric reuse of Garfinkel & Rao, Naval Res. Logist. Q. 1971),
-    and only the first starts from the northwest corner. Each solve still
-    reaches an optimum, whose mass agrees with a fresh start's up to
+    and only the first starts from the least-cost basis of the distances
+    themselves (cheapest pairs first, ties in row-major order). Each solve
+    still reaches an optimum, whose mass agrees with a fresh start's up to
     rounding, so the decisions and the value are those of a search that
     starts every threshold afresh."""
     X = _same_space(mu, nu)
@@ -436,7 +456,7 @@ def wasserstein_inf(mu: Measure, nu: Measure) -> float:
     a, b = mu.weights[sa], nu.weights[sb]
     D = X.dist[np.ix_(sa, sb)]
     cands = np.unique(D)
-    basis = _northwest_corner(a, b)
+    basis = _least_cost_basis(a, b, D)
 
     def feasible(t: float) -> bool:
         beyond = (D > t + TOL.threshold_slack).astype(float)

@@ -289,38 +289,47 @@ def ldp_probabilities_scalar(maps_table, probabilities, values, mean, starts,
     return tuple(float(hit[n].mean()) for n in sorted(n_values))
 
 
-def transport_simplex_rebuild(a, b, C, opt_tol=1e-11, max_pivots=None):
-    """min <C, P> s.t. P 1 = a, P^T 1 = b, P >= 0 with a, b > 0 summing alike,
-    by the network simplex that rebuilds its basis tree at every pivot.
-
-    The reference for `transport._transport_simplex`: the same start and
-    pivot rules, but the adjacency lists, all potentials (a walk from row 0)
-    and the entering arc's cycle (a path search) are found from scratch at
-    every pivot, from a plain list of basic arcs.
-
-    Northwest-corner start, MODI pivoting (most-negative entering arc, first
-    index on ties) with a Bland's-rule fallback against degenerate cycling.
-    Returns (cost, P, u, v) with (u, v) the optimal node potentials.
-    """
+def northwest_corner(a, b) -> dict[tuple[int, int], float]:
+    """The northwest-corner basis of (a, b): a staircase of n + m - 1 arcs
+    from (0, 0) to (n-1, m-1), as a flow dict keyed by (row, column). The
+    cost-blind start of `transport_simplex_rebuild`, and a basis to hand
+    `transport._transport_simplex` for the same pivots."""
     n, m = len(a), len(b)
     ra, rb = a.copy(), b.copy()
-    basis: list[tuple[int, int]] = []
     flow: dict[tuple[int, int], float] = {}
     i = j = 0
     while True:
         q = min(ra[i], rb[j])
-        basis.append((i, j))
         flow[(i, j)] = q
         ra[i] -= q
         rb[j] -= q
         if i == n - 1 and j == m - 1:
-            break
+            return flow
         if ra[i] <= 0 and i < n - 1:
             i += 1
         elif j < m - 1:
             j += 1
         else:
             i += 1
+
+
+def transport_simplex_rebuild(a, b, C, opt_tol=1e-11, max_pivots=None):
+    """min <C, P> s.t. P 1 = a, P^T 1 = b, P >= 0 with a, b > 0 summing alike,
+    by the network simplex that rebuilds its basis tree at every pivot.
+
+    The reference for `transport._transport_simplex` handed the basis
+    `northwest_corner(a, b)`: the same start and pivot rules, but the
+    adjacency lists, all potentials (a walk from row 0) and the entering
+    arc's cycle (a path search) are found from scratch at every pivot, from a
+    plain list of basic arcs.
+
+    Northwest-corner start, MODI pivoting (most-negative entering arc, first
+    index on ties) with a Bland's-rule fallback against degenerate cycling.
+    Returns (cost, P, u, v) with (u, v) the optimal node potentials.
+    """
+    n, m = len(a), len(b)
+    flow = northwest_corner(a, b)
+    basis = list(flow)
 
     if max_pivots is None:
         max_pivots = 200 + 60 * (n + m) ** 2
@@ -434,7 +443,8 @@ def winf_cold_search(mu, nu) -> float:
 
     def feasible(t):
         beyond = (D > t + TOL.threshold_slack).astype(float)
-        return _transport_simplex(a, b, beyond)[0] <= TOL.feasibility_atol
+        cost = _transport_simplex(a, b, beyond, basis=northwest_corner(a, b))[0]
+        return cost <= TOL.feasibility_atol
 
     lo, hi = 0, len(cands) - 1
     assert feasible(cands[hi])

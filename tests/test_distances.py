@@ -362,12 +362,23 @@ class TestFukaya:
         assert res.value == exact.value == pytest.approx(0.3 * math.pi)
         assert res.report.forward == exact.report.forward == (0, 1, 2, 3, 4, 5)
 
+    def test_circle_nets_into_a_smaller_space_beyond_budget(self):
+        # the constant profile seed stays at the diameter (pi); the spread
+        # seed, which covers the smaller net, lets the descent get close to
+        # the exhaustive value
+        SX = simplex_net(circle_net(6, 2 * math.pi), 1)
+        SY = simplex_net(circle_net(4, 2.6 * math.pi), 1)
+        exact = fukaya_distance(SX, SY)
+        res = fukaya_distance(SX, SY, SearchBudget(max_map_pairs=100))
+        assert exact.exhaustive and not res.exhaustive
+        assert exact.value - 1e-12 <= res.value <= 2 * math.pi / 3 + 1e-12
+
     def test_coupling_seeds(self):
         SX = simplex_net(circle_net(4, 2.0), 1)
         SY = simplex_net(circle_net(6, 3.0), 1)
         assert distances._coupling_seeds(SX, SY) == [(0, 0, 0, 0), (0, 1, 2, 3)]
-        # no injective seed into a smaller space
-        assert distances._coupling_seeds(SY, SX) == [(0,) * 6]
+        # into a smaller space the spread seed covers it, then goes round again
+        assert distances._coupling_seeds(SY, SX) == [(0,) * 6, (0, 1, 2, 3, 0, 1)]
         assert distances._coupling_seeds(SX, SX) == [(0, 1, 2, 3)]
 
 

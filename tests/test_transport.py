@@ -12,11 +12,11 @@ from metriclab import (Coupling, DomainError, Measure, SpaceMismatchError, WaveP
                        validate_metric, wasserstein1, wasserstein1_dual, wasserstein_inf,
                        wave_metric_field)
 from metriclab.config import TOL
-from metriclab.transport import (_SimplexStall, _cycle_arcs, _northwest_corner,
+from metriclab.transport import (_SimplexStall, _cycle_arcs, _least_cost_basis,
                                  _transport_simplex, convex_grid, w1_hausdorff, w1_table)
 
-from oracles import (transport_simplex_rebuild, w1_dual_lp, w1_exhaustive, w1_line,
-                     winf_cold_search, winf_exhaustive, winf_hall)
+from oracles import (northwest_corner, transport_simplex_rebuild, w1_dual_lp, w1_exhaustive,
+                     w1_line, winf_cold_search, winf_exhaustive, winf_hall)
 
 
 def random_space(rng, n):
@@ -101,14 +101,34 @@ SIMPLEX_KINDS = {"planar": 200, "integer": 150, "threshold": 100, "circle": 60, 
 class TestSimplex:
     @pytest.mark.parametrize("kind", SIMPLEX_KINDS)
     def test_matches_rebuild_oracle(self, kind):
-        # the rooted-tree solver makes the same pivots as the one that
-        # rebuilds its tree every pivot: (cost, P, u, v) agree bit for bit
+        # from the same northwest-corner start, the rooted-tree solver makes
+        # the same pivots as the one that rebuilds its tree every pivot:
+        # (cost, P, u, v) agree bit for bit; from its own least-cost start it
+        # reaches the same optimal cost up to rounding
         for a, b, C in simplex_inputs(kind, SIMPLEX_KINDS[kind]):
-            cost, P, u, v = _transport_simplex(a, b, C)
+            cost, P, u, v = _transport_simplex(a, b, C, basis=northwest_corner(a, b))
             want = transport_simplex_rebuild(a, b, C)
             assert cost == want[0]
             assert np.array_equal(P, want[1])
             assert np.array_equal(u, want[2]) and np.array_equal(v, want[3])
+            assert abs(_transport_simplex(a, b, C)[0] - want[0]) <= 1e-12
+
+    @pytest.mark.parametrize("kind", SIMPLEX_KINDS)
+    def test_least_cost_basis_is_a_feasible_tree(self, kind):
+        for a, b, C in simplex_inputs(kind, SIMPLEX_KINDS[kind]):
+            n, m = len(a), len(b)
+            basis = _least_cost_basis(a, b, C)
+            assert len(basis) == n + m - 1
+            P = np.zeros((n, m))
+            for (i, j), q in basis.items():
+                P[i, j] = q
+            assert P.min() >= 0
+            assert np.abs(P.sum(axis=1) - a).max() <= 1e-12
+            assert np.abs(P.sum(axis=0) - b).max() <= 1e-12
+            # a basis that is not a spanning tree raises _SimplexStall
+            _transport_simplex(a, b, C, basis=basis)
+            # with every cost tied, row-major order is the northwest staircase
+            assert _least_cost_basis(a, b, np.zeros((n, m))) == northwest_corner(a, b)
 
     @pytest.mark.parametrize("kind", SIMPLEX_KINDS)
     def test_potentials_certify_optimality(self, kind):
@@ -124,8 +144,26 @@ class TestSimplex:
         a = b = np.array([0.5, 0.5])
         C = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(_SimplexStall):
-            _transport_simplex(a, b, C, max_pivots=0)
-        assert _transport_simplex(a, b, C, max_pivots=1)[0] == 0.0
+            _transport_simplex(a, b, C, max_pivots=0, basis=northwest_corner(a, b))
+        assert _transport_simplex(a, b, C, max_pivots=1, basis=northwest_corner(a, b))[0] == 0.0
+
+    def test_least_cost_start_needs_no_pivot_when_optimal(self):
+        # the least-cost basis ships along the zero-cost antidiagonal
+        a = b = np.array([0.5, 0.5])
+        C = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert _transport_simplex(a, b, C, max_pivots=0)[0] == 0.0
+
+    def test_least_cost_start_saves_pivots(self):
+        # two measures on one 64-point planar space: the least-cost start
+        # finishes within 128 pivots (56), the northwest corner needs 256
+        rng = np.random.default_rng(1)
+        X = random_space(rng, 64)
+        C = X.dist
+        a, b = (w / w.sum() for w in rng.uniform(0.01, 1.0, size=(2, 64)))
+        cost = _transport_simplex(a, b, C, max_pivots=128)[0]
+        with pytest.raises(_SimplexStall, match="pivot budget"):
+            _transport_simplex(a, b, C, max_pivots=128, basis=northwest_corner(a, b))
+        assert abs(cost - transport_simplex_rebuild(a, b, C)[0]) <= 1e-12
 
     def test_warm_basis_certifies_optimality(self):
         # every "threshold" input solved from the optimal basis of another
@@ -134,7 +172,7 @@ class TestSimplex:
             cands = np.unique(D)
             others = cands[cands != t]
             t_other = others[len(others) // 2] if len(others) else t
-            basis = _northwest_corner(a, b)
+            basis = _least_cost_basis(a, b, D)
             _transport_simplex(a, b, (D > t_other + TOL.threshold_slack).astype(float),
                                basis=basis)
             C = (D > t + TOL.threshold_slack).astype(float)
