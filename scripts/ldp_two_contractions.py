@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Large-deviation decay for the two-contraction random system on [0, 1].
 
-Simulates the iterated function system {x/2, (x+1)/2} on a 16-point net,
+Simulates the iterated function system {x/2, (x+1)/2} on an n-point net,
 estimates deviation probabilities over a nucleus of observables, fits the
-exponential decay and writes CSV + SVG into --out.
+exponential decay and writes report.json, ldp.csv and ldp.svg into --out.
+At its defaults this is the `ldp` scenario of scripts/scenarios/ldp.json;
+--points changes the net, whose projected maps that file lists as tables.
 """
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from metriclab import (DynMap, RandomMapFamily, interval_net, ldp_experiment,
-                       nucleus_net)
-from metriclab.svg import emit_plot
+from metriclab import interval_net
+from metriclab.cli import Scenario, run
 
 
 def main():
@@ -24,28 +26,19 @@ def main():
     ap.add_argument("--out", default="out/ldp")
     args = ap.parse_args()
 
-    X = interval_net(args.points, 1.0)
-    coords = np.asarray(X.meta["coords"])
+    coords = np.asarray(interval_net(args.points, 1.0).meta["coords"])
     proj = lambda y: int(np.argmin(np.abs(coords - y)))
-    half = DynMap(X, np.array([proj(c / 2) for c in coords]), label="half")
-    shift = DynMap(X, np.array([proj(c / 2 + 0.5) for c in coords]), label="half+")
-    fam = RandomMapFamily((half, shift), np.array([0.5, 0.5]))
-    nuc = nucleus_net(X, X.radius, 0.25, sample_budget=64, seed=args.seed)
-
-    rep = ldp_experiment(fam, nuc, args.eps, [4, 8, 16, 32, 64],
-                         trials=args.trials, seed=args.seed)
+    maps = [{"kind": "table", "map": [proj(c / 2 + shift) for c in coords]}
+            for shift in (0.0, 0.5)]
+    params = {"space": {"generator": "interval", "params": {"n": args.points, "length": 1.0}},
+              "maps": maps, "eps": args.eps, "n_values": [4, 8, 16, 32, 64],
+              "trials": args.trials, "nucleus_eps": 0.25, "nucleus_samples": 64}
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = ["n,probability"] + [f"{n},{p:.12g}" for n, p in rep.curve_rows()]
-    (out / "ldp.csv").write_text("\n".join(rows) + "\n")
-    fitted = [(n, rep.c1 * np.exp(-rep.c2 * n * rep.eps ** 2)) for n, _ in rep.curve_rows()]
-    (out / "ldp.svg").write_text(emit_plot(
-        rep.curve_rows(), "semilog", "deviation probability vs horizon", "n", "p",
-        fitted=fitted, legend=f"c1={rep.c1:.3g} c2={rep.c2:.3g} R2={rep.fit_quality:.3f}"))
-    print(f"probabilities: {rep.probabilities}")
-    print(f"fit: c1={rep.c1:.4g} c2={rep.c2:.4g} quality={rep.fit_quality:.4f}")
-    print(f"wrote {out}/ldp.csv and {out}/ldp.svg")
+    rc = run(Scenario("ldp", params, seed=args.seed, out_dir=out,
+                      formats=("json", "csv", "svg")))
+    print(f"wrote {out}/report.json, {out}/ldp.csv and {out}/ldp.svg")
+    return rc
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -54,14 +54,11 @@ def _json_default(o):
 
 
 def _write_csv(path: Path, header, rows):
+    """rows may be numpy arrays: an np.float64 is a float and formats alike."""
     lines = [",".join(str(h) for h in header)]
     for row in rows:
-        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row]))
     path.write_text("\n".join(lines) + "\n")
-
-
-def _matrix_rows(M):
-    return [[float(v) for v in row] for row in np.asarray(M)]
 
 
 def _need(params: dict, *keys):
@@ -71,8 +68,8 @@ def _need(params: dict, *keys):
 
 
 # ---------------------------------------------------------------------------
-# scenario handlers: each returns (report dict, extras) where extras maps
-# filename -> (kind, payload) with kind in {csv, svg}
+# scenario handlers: each returns (report dict, extras) where extras maps a
+# filename to its payload: (header, rows) for a .csv name, the text of a .svg
 
 def _run_wasserstein(sc: Scenario):
     _need(sc.params, "space", "mu", "nu")
@@ -85,9 +82,9 @@ def _run_wasserstein(sc: Scenario):
     report = {"w1": value, "w1_dual": dual, "w_inf": winf,
               "duality_gap": abs(value - dual)}
     extras = {
-        "coupling.csv": ("csv", (list(X.labels), _matrix_rows(plan.matrix))),
-        "potential.csv": ("csv", (["point", "value"],
-                                  [[str(l), float(v)] for l, v in zip(X.labels, pot.values)])),
+        "coupling.csv": (X.labels, plan.matrix),
+        "potential.csv": (["point", "value"],
+                          [[str(l), v] for l, v in zip(X.labels, pot.values)]),
     }
     return report, extras
 
@@ -119,14 +116,14 @@ def _run_gap(sc: Scenario):
 
 
 def _run_nucleus(sc: Scenario):
-    from .lipgeom import nucleus_net, nucleus_to_csv
+    from .lipgeom import nucleus_net
     _need(sc.params, "space", "eps")
     X = space_from_json(sc.params["space"])
     r = float(sc.params.get("r", X.radius))
     nuc = nucleus_net(X, r, float(sc.params["eps"]), seed=sc.seed)
     report = {"members": len(nuc), "density": nuc.density, "complete": nuc.complete,
               "r": r, "eps": nuc.target_eps}
-    return report, {"nucleus.csv": ("raw", nucleus_to_csv(nuc))}
+    return report, {"nucleus.csv": (X.labels, nuc.values)}
 
 
 def _build_dynamics(X, doc):
@@ -162,9 +159,9 @@ def _run_birkhoff(sc: Scenario):
     report = {"rate": rep.rate, "resolved": rep.resolved, "eps": rep.epsilon,
               "n_max": rep.n_max, "nucleus_members": len(nuc)}
     curve = [(n + 1, float(d)) for n, d in enumerate(rep.curve)]
-    extras = {"deviation.csv": ("csv", (["n", "deviation"], curve)),
-              "deviation.svg": ("svg", emit_plot(curve, "line", "ergodic average deviation",
-                                                 "n", "sup deviation"))}
+    extras = {"deviation.csv": (["n", "deviation"], curve),
+              "deviation.svg": emit_plot(curve, "line", "ergodic average deviation",
+                                         "n", "sup deviation")}
     return report, extras
 
 
@@ -191,10 +188,9 @@ def _run_ldp(sc: Scenario):
     fitted = None
     if math.isfinite(rep.c2):
         fitted = [(n, rep.c1 * math.exp(-rep.c2 * n * rep.eps ** 2)) for n, _ in curve]
-    extras = {"ldp.csv": ("csv", (["n", "probability"], curve)),
-              "ldp.svg": ("svg", emit_plot(curve, "semilog", "deviation probability",
-                                           "n", "p", fitted=fitted,
-                                           legend=f"c1={rep.c1:.3g} c2={rep.c2:.3g}"))}
+    extras = {"ldp.csv": (["n", "probability"], curve),
+              "ldp.svg": emit_plot(curve, "semilog", "deviation probability", "n", "p",
+                                   fitted=fitted, legend=f"c1={rep.c1:.3g} c2={rep.c2:.3g}")}
     return report, extras
 
 
@@ -213,11 +209,8 @@ def _run_wave_field(sc: Scenario):
     report = {"thetas": list(fld.thetas), "points": len(fld.labels),
               "quadrature_error": fld.meta.get("quadrature_error"),
               "m": [float(v) for v in env.m], "M": [float(v) for v in env.M]}
-    extras = {}
-    for k, t in enumerate(fld.thetas):
-        extras[f"fibre_{k}.csv"] = ("csv", (list(fld.labels), _matrix_rows(fld.fibres[k])))
-    extras["envelope.csv"] = ("csv", (["theta", "m", "M"],
-                                      list(zip(fld.thetas, env.m, env.M))))
+    extras = {f"fibre_{k}.csv": (fld.labels, fld.fibres[k]) for k in range(len(fld.thetas))}
+    extras["envelope.csv"] = (["theta", "m", "M"], zip(fld.thetas, env.m, env.M))
     return report, extras
 
 
@@ -231,12 +224,9 @@ def _run_rotation_field(sc: Scenario):
     report = {"theta": [pnum, qnum], "t_grid": list(rep.t_grid),
               "net_size": rep.net_size,
               "extremes_per_fibre": list(rep.extremes_per_fibre)}
-    extras = {"dhat.csv": ("csv", (["t\\s"] + [f"{t:g}" for t in rep.t_grid],
-                                   [[f"{rep.t_grid[i]:g}"] + [float(v) for v in row]
-                                    for i, row in enumerate(rep.dhat)])),
-              "gamma.csv": ("csv", (["t\\s"] + [f"{t:g}" for t in rep.t_grid],
-                                    [[f"{rep.t_grid[i]:g}"] + [float(v) for v in row]
-                                     for i, row in enumerate(rep.gamma)]))}
+    header = ["t\\s"] + [f"{t:g}" for t in rep.t_grid]
+    extras = {f"{name}.csv": (header, [[f"{t:g}", *row] for t, row in zip(rep.t_grid, table)])
+              for name, table in (("dhat", rep.dhat), ("gamma", rep.gamma))}
     return report, extras
 
 
@@ -283,13 +273,13 @@ def run(scenario: Scenario) -> int:
     if "json" in scenario.formats:
         (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n")
     for name, payload in extras.items():
-        if payload[0] == "csv" and "csv" in scenario.formats:
-            header, rows = payload[1]
-            _write_csv(out / name, header, rows)
-        elif payload[0] == "svg" and "svg" in scenario.formats:
-            (out / name).write_text(payload[1])
-        elif payload[0] == "raw" and "csv" in scenario.formats:
-            (out / name).write_text(payload[1])
+        fmt = Path(name).suffix[1:]
+        if fmt not in scenario.formats:
+            continue
+        if fmt == "csv":
+            _write_csv(out / name, *payload)
+        else:
+            (out / name).write_text(payload)
     return 0
 
 

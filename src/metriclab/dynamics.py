@@ -314,39 +314,45 @@ def _egh_one_side(maps1, maps2, X1: FiniteMetricSpace, X2: FiniteMetricSpace,
     already exceed a cost it has seen. Point k adds the equivariance terms
     D2[a2(f x), f(a1 x)] + proj_pad of the window pairs with max(x, a1 x) = k
     and, with `require_isometry`, the distortion terms
-    |D2[f k, f j] - D1[k, j]| for j < k, D1 and D2 the two metrics. The
-    density term needs all of f.
+    |D2[f k, f j] - D1[k, j]| and |D2[f j, f k] - D1[j, k]| for j <= k, D1
+    and D2 the two metrics. The cost is the max of these terms over every k,
+    of the density term, which needs all of f, and of proj_pad: an
+    equivariance term is never below proj_pad, even where D2 has a diagonal
+    entry a little below 0.
     """
     D2 = X2.dist
     proj_pad = max(m.projection_error for m in maps1 + maps2)
 
-    def defect(F: np.ndarray) -> np.ndarray:
-        dens = D2[F].min(axis=1).max(axis=1)
-        eq = np.zeros(len(F))
-        for a1, a2 in zip(maps1, maps2):
-            eq = np.maximum(eq, D2[a2.idx[F], F[:, a1.idx]].max(axis=1))
-        val = np.maximum(dens, eq + proj_pad)
-        if require_isometry:
-            dis = np.abs(D2[F[:, :, None], F[:, None, :]] - X1.dist).max(axis=(1, 2))
-            val = np.maximum(val, dis)
-        return val
-
-    # window pair w and point x of each equivariance term, by the point k
-    # that completes it
+    # each cost term by the point k that completes it: equivariance terms by
+    # window pair w and point x (y = a1 x), distortion terms by pair (i, j).
+    # A group of terms reads the columns x, y, i, j of a map in one gather.
     A1 = np.asarray([a.idx for a in maps1])
     A2 = np.asarray([a.idx for a in maps2])
     w, x = np.indices(A1.shape).reshape(2, -1)
     y = A1[w, x]
-    last = np.maximum(x, y)
-    terms = [(w[last == k], x[last == k], y[last == k]) for k in range(X1.size)]
+    i, j = np.indices(X1.dist.shape).reshape(2, -1)
+
+    def group(eq, dis):
+        return w[eq], np.concatenate([x[eq], y[eq], i[dis], j[dis]]), X1.dist.ravel()[dis]
+
+    every = group(slice(None), slice(None))
+    eq_last, dis_last = np.maximum(x, y), np.maximum(i, j)
+    by_point = [group(eq_last == k, dis_last == k) for k in range(X1.size)]
+
+    def terms(P, w, cols, d1):
+        ne, nd = len(w), len(d1)
+        f = P[:, cols]
+        val = D2[A2[w, f[:, :ne]], f[:, ne:2 * ne]].max(axis=1, initial=-np.inf) + proj_pad
+        if require_isometry:
+            g = f[:, 2 * ne:]
+            val = np.maximum(val, np.abs(D2[g[:, :nd], g[:, nd:]] - d1).max(axis=1))
+        return val
 
     def partial(P: np.ndarray, k: int) -> np.ndarray:
-        wk, xk, yk = terms[k]
-        val = D2[A2[wk, P[:, xk]], P[:, yk]].max(axis=1, initial=-np.inf) + proj_pad
-        if require_isometry:
-            dis = np.abs(D2[P[:, k, None], P[:, :k]] - X1.dist[k, :k])
-            val = np.maximum(val, dis.max(axis=1, initial=-np.inf))
-        return val
+        return terms(P, *by_point[k])
+
+    def defect(F: np.ndarray) -> np.ndarray:
+        return np.maximum(np.maximum(D2[F].min(axis=1).max(axis=1), proj_pad), terms(F, *every))
 
     value, (f,), exhaustive = search_maps([(X1.size, X2.size)],
                                           MapCost((defect,), partial=(partial,)),

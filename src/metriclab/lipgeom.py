@@ -277,14 +277,6 @@ def _uniform_rows(rng: SplitMix64, count: int, n: int, r: float) -> np.ndarray:
     return rng.uniforms(count * n).reshape(count, n) * 2.0 * r - r
 
 
-def nucleus_to_csv(nuc: Nucleus) -> str:
-    header = ",".join(str(l) for l in nuc.space.labels)
-    lines = [header]
-    for row in nuc.values:
-        lines.append(",".join(f"{v:.12g}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # matrix-observable model
 

@@ -179,7 +179,7 @@ def _least_cost_basis(a, b, C) -> dict[tuple[int, int], float]:
     raise AssertionError("unreachable: the last row and column always meet")
 
 
-def _transport_simplex(a, b, C, opt_tol=TOL.simplex_opt_tol, max_pivots=None, basis=None):
+def _transport_simplex(a, b, C, max_pivots=None, basis=None):
     """min <C, P> s.t. P 1 = a, P^T 1 = b, P >= 0 with a, b > 0 summing alike.
 
     Starts from `basis` when given, else from the least-cost basis of
@@ -264,11 +264,11 @@ def _transport_simplex(a, b, C, opt_tol=TOL.simplex_opt_tol, max_pivots=None, ba
         R = C - u[:, None] - v[None, :]
         if pivots < bland_after:
             k = int(np.argmin(R))
-            if R.flat[k] >= -opt_tol:
+            if R.flat[k] >= -TOL.simplex_opt_tol:
                 break
             ei, ej = divmod(k, m)
         else:
-            cand = np.argwhere(R < -opt_tol)
+            cand = np.argwhere(R < -TOL.simplex_opt_tol)
             if len(cand) == 0:
                 break
             ei, ej = (int(cand[0][0]), int(cand[0][1]))
@@ -277,7 +277,7 @@ def _transport_simplex(a, b, C, opt_tol=TOL.simplex_opt_tol, max_pivots=None, ba
             raise _SimplexStall("network simplex exceeded its pivot budget")
         if (ei, ej) in flow:
             # a basic arc's reduced cost is rounding error, larger than
-            # opt_tol at large costs; pivoting on it changes nothing
+            # TOL.simplex_opt_tol at large costs; pivoting on it changes nothing
             raise _SimplexStall("rounding error in the potentials exceeds the optimality tolerance")
 
         # the entering arc takes +theta; around the cycle the arcs alternate

@@ -544,3 +544,21 @@ def enumerate_maps_loop(blocks, cost, chunk=1 << 14):
             i, j = divmod(k, len(G))
             arg = (s + i, j)
     return best, (tuple(F[arg[0]].tolist()), tuple(G[arg[1]].tolist()))
+
+
+def egh_cost_direct(maps1, maps2, require_isometry, F):
+    """egh cost of each map (row of F) from maps1's space to maps2's, as one
+    formula: max of the density term, the equivariance term (a max started
+    from 0) plus the projection pad and, with require_isometry, the
+    distortion over every ordered pair of points."""
+    D1, D2 = maps1[0].space.dist, maps2[0].space.dist
+    proj_pad = max(m.projection_error for m in list(maps1) + list(maps2))
+    dens = D2[F].min(axis=1).max(axis=1)
+    eq = np.zeros(len(F))
+    for a1, a2 in zip(maps1, maps2):
+        eq = np.maximum(eq, D2[a2.idx[F], F[:, a1.idx]].max(axis=1))
+    val = np.maximum(dens, eq + proj_pad)
+    if require_isometry:
+        dis = np.abs(D2[F[:, :, None], F[:, None, :]] - D1).max(axis=(1, 2))
+        val = np.maximum(val, dis)
+    return val

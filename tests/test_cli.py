@@ -77,6 +77,32 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert "error" in report
 
+    def test_deformed_rotation(self, tmp_path):
+        doc = {"kind": "birkhoff",
+               "params": {"space": {"generator": "circle",
+                                    "params": {"n": 8, "circumference": math.pi}},
+                          "dynamics": {"kind": "rotation", "steps": 3,
+                                       "deform": {"kind": "sine_pluck", "t": 0.3}},
+                          "eps": 0.2, "n_max": 32, "nucleus_eps": 0.2}}
+        p = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["--config", str(p), "--out", str(out), "--seed", "5"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["rate"] == 4
+        assert report["seed"] == 5
+
+    def test_analytic_map_not_uniquely_ergodic(self, tmp_path):
+        doc = {"kind": "birkhoff",
+               "params": {"space": {"generator": "circle",
+                                    "params": {"n": 8, "circumference": math.pi}},
+                          "dynamics": {"kind": "analytic", "family": "sine_pluck", "t": 0.3},
+                          "eps": 0.2, "n_max": 32, "nucleus_eps": 0.2}}
+        p = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["--config", str(p), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert "not uniquely ergodic" in report["error"]
+
     def test_csv_reruns_byte_identical(self, tmp_path):
         doc = {"kind": "birkhoff", "seed": 9,
                "params": {"space": {"generator": "circle",
@@ -147,7 +173,9 @@ class TestRun:
         assert main(["--config", str(p), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["members"] > 0
-        assert (out / "nucleus.csv").exists()
+        lines = (out / "nucleus.csv").read_text().strip().split("\n")
+        assert lines[0] == "0,1,2"
+        assert len(lines) == report["members"] + 1
 
     def test_wave_field_scenario(self, tmp_path):
         doc = {"kind": "wave-field",

@@ -329,6 +329,16 @@ class TestIntertwiningGap:
         best = intertwining_gap(SX, SY)
         assert res.value >= best.value - 1e-12
 
+    def test_sixteen_point_boundaries(self):
+        # base-16 codes of 16-point self-maps overflow int64, so the
+        # inversion term pushes every composed map without deduplication
+        SX = simplex_net(circle_net(16, 6.0), 1)
+        SY = simplex_net(circle_net(16, 7.0), 1)
+        res = intertwining_gap(SX, SY, SearchBudget(max_map_pairs=1000, local_steps=2))
+        assert not res.exhaustive
+        pinned = intertwining_gap(SX, SY, fixed_pair=(res.report.forward, res.report.backward))
+        assert pinned.value == res.value
+
 
 class TestFukaya:
     def test_identical_zero(self):

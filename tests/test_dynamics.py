@@ -15,7 +15,8 @@ from metriclab.distances import MapCost
 from metriclab.dynamics import invert_circle_map, sine_pluck, z_action_window
 from metriclab.lipgeom import lipnorm_from_state_metric
 
-from oracles import birkhoff_curve_brute, enumerate_maps_loop, permutation_invariant_measures
+from oracles import (birkhoff_curve_brute, egh_cost_direct, enumerate_maps_loop,
+                     permutation_invariant_measures)
 
 
 class TestMaps:
@@ -206,13 +207,22 @@ def _pluck_action(rng):
     return [h, h.compose(h)]
 
 
+def _skewed_action():
+    """A 4-cycle on a metric with every diagonal entry -5e-10 and one
+    asymmetric pair, both within the tolerance `validate_metric` allows."""
+    D = circle_net(4, 3.0).dist - 5e-10 * np.eye(4)
+    D[0, 1] += 5e-10
+    Z = validate_metric(D)
+    return [identity_map(Z), DynMap(Z, [1, 2, 3, 0])]
+
+
 def _egh_pairs(rng):
     pairs = []
     for _ in range(3):
         A, B = _rotation_action(rng), _rotation_action(rng)
         pairs += [(A, B), (B, A), (A, A)]
     pairs += [(_pluck_action(rng), _pluck_action(rng)) for _ in range(6)]
-    return pairs
+    return pairs + [(_skewed_action(), _skewed_action())]
 
 
 def _record_costs(monkeypatch):
@@ -317,6 +327,20 @@ class TestEgh:
                 running = np.maximum(running, cost.partial[0](F[:, :k + 1], k))
                 assert (running <= full).all()
             assert (running > -np.inf).all()
+
+    def test_cost_matches_direct_formula(self, rng, monkeypatch):
+        costs = _record_costs(monkeypatch)
+        pairs = _egh_pairs(rng)
+        sides = []
+        for a, b in pairs:
+            for iso in (True, False):
+                egh_distance(a, b, require_isometry=iso)
+                sides += [(a, b, iso), (b, a, iso)]
+        for (m1, m2, iso), (((n_from, n_to),), cost) in zip(sides, costs, strict=True):
+            F = rng.integers(0, n_to, size=(300, n_from))
+            if n_from == n_to:
+                F = np.vstack([F, np.arange(n_from)])
+            assert (cost.unary[0](F) == egh_cost_direct(m1, m2, iso, F)).all()
 
     def test_scores_fewer_maps(self, monkeypatch):
         rng = np.random.default_rng([3, 2])

@@ -12,7 +12,7 @@ from metriclab import (DomainError, MatrixObservable, Measure, Nucleus, Observab
                        prob_net, state_metric, validate_metric, wasserstein1,
                        wasserstein1_dual)
 from metriclab.lipgeom import (_enumerate_grid_members, matrix_observable_from_json,
-                               nucleus_to_csv, operator_norm)
+                               operator_norm)
 from metriclab.rng import SplitMix64
 from metriclab.spaces import check_metric
 
@@ -316,14 +316,6 @@ class TestSerialization:
         assert F.values[0, 1, 0] == pytest.approx(-1.0j)
         with pytest.raises(DomainError):
             matrix_observable_from_json(X, [[[[1.0]]]])
-
-    def test_nucleus_csv(self):
-        X = interval_net(3, 1.0)
-        nuc = nucleus_net(X, X.radius, 0.4)
-        text = nucleus_to_csv(nuc)
-        lines = text.strip().split("\n")
-        assert lines[0] == "0,1,2"
-        assert len(lines) == len(nuc) + 1
 
     def test_measure_json_round_trip(self):
         from metriclab.transport import measure_from_json, measure_to_json

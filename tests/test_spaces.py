@@ -152,6 +152,16 @@ class TestCovering:
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         assert counts[-1] == 1
 
+    def test_exact_below_greedy(self):
+        # greedy first takes the ball at 7, covering 4 and 7..10, and then
+        # needs two more for 2, 3 and 11; balls at 3 and 9 cover everything
+        pts = np.array([2, 3, 4, 7, 8, 9, 10, 11], dtype=float)
+        X = validate_metric(np.abs(pts[:, None] - pts[None, :]))
+        greedy = covering_number(X, 3.5, exact_cap=len(pts) - 1)
+        exact = covering_number(X, 3.5)
+        assert (greedy.count, greedy.exact) == (3, False)
+        assert (exact.count, exact.exact) == (2, True)
+
     def test_greedy_flag_beyond_cap(self):
         X = circle_net(25, 10.0)
         res = covering_number(X, 1.3)
