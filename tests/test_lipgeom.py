@@ -317,6 +317,18 @@ class TestSerialization:
         with pytest.raises(DomainError):
             matrix_observable_from_json(X, [[[[1.0]]]])
 
+    def test_nucleus_csv(self, tmp_path):
+        from metriclab.cli import _write_csv
+        X = interval_net(3, 1.0)
+        nuc = nucleus_net(X, X.radius, 0.4)
+        path = tmp_path / "nucleus.csv"
+        _write_csv(path, X.labels, nuc.values)
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == "0,1,2"
+        assert len(lines) == len(nuc) + 1
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.allclose(rows, nuc.values, rtol=1e-11, atol=0.0)
+
     def test_measure_json_round_trip(self):
         from metriclab.transport import measure_from_json, measure_to_json
         X = interval_net(3, 1.0)
