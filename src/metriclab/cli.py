@@ -1,11 +1,14 @@
 """Command-line driver: scenario configs in, JSON/CSV/SVG reports out.
 
 Exit codes: 0 success, 1 domain error (a module-level failure), 2
-configuration error (bad flags, schema, missing files).
+configuration error (bad flags, schema, missing files, a document that is
+not a JSON object, a seed that is not an integer, params that are not an
+object).
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -16,9 +19,16 @@ import numpy as np
 
 from . import __version__
 from .config import DomainError
+from .distances import dq_upper, fukaya_distance, gh_distance, intertwining_gap, simplex_net
+from .dynamics import DynMap, birkhoff_rate, rotation, sine_pluck_map
+from .fields import (WaveProfile, circle_wave_metric, lipschitz_envelope, rotation_field,
+                     wave_metric_field)
+from .lipgeom import nucleus_net
+from .markov import RandomMapFamily, ldp_experiment
+from .selfcheck import run_checks
 from .spaces import space_from_json
-from .transport import measure_from_json, wasserstein1, wasserstein1_dual, wasserstein_inf
 from .svg import emit_plot
+from .transport import measure_from_json, wasserstein1, wasserstein1_dual, wasserstein_inf
 
 class ConfigError(Exception):
     pass
@@ -41,10 +51,19 @@ def load_scenario(path: str | Path) -> Scenario:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"unknown scenario kind {kind!r}; expected one of {KINDS}")
-    return Scenario(kind=kind, params=doc.get("params", {}), seed=int(doc.get("seed", 0)))
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be a JSON object, not {type(params).__name__}")
+    try:
+        seed = int(doc.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed must be an integer, not {doc['seed']!r}") from exc
+    return Scenario(kind=kind, params=params, seed=seed)
 
 
 def _json_default(o):
@@ -54,11 +73,12 @@ def _json_default(o):
 
 
 def _write_csv(path: Path, header, rows):
-    """rows may be numpy arrays: an np.float64 is a float and formats alike."""
-    lines = [",".join(str(h) for h in header)]
-    for row in rows:
-        lines.append(",".join([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row]))
-    path.write_text("\n".join(lines) + "\n")
+    """The header is quoted as CSV (a product space's labels are tuples);
+    rows may be numpy arrays: an np.float64 is a float and formats alike."""
+    with path.open("w") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.write("".join([",".join([f"{v:.12g}" if isinstance(v, float) else str(v)
+                                    for v in row]) + "\n" for row in rows]))
 
 
 def _need(params: dict, *keys):
@@ -90,7 +110,6 @@ def _run_wasserstein(sc: Scenario):
 
 
 def _run_gh(sc: Scenario):
-    from .distances import gh_distance
     _need(sc.params, "space_x", "space_y")
     X = space_from_json(sc.params["space_x"])
     Y = space_from_json(sc.params["space_y"])
@@ -99,7 +118,6 @@ def _run_gh(sc: Scenario):
 
 
 def _run_gap(sc: Scenario):
-    from .distances import dq_upper, fukaya_distance, intertwining_gap, simplex_net
     _need(sc.params, "space_x", "space_y")
     X = space_from_json(sc.params["space_x"])
     Y = space_from_json(sc.params["space_y"])
@@ -116,7 +134,6 @@ def _run_gap(sc: Scenario):
 
 
 def _run_nucleus(sc: Scenario):
-    from .lipgeom import nucleus_net
     _need(sc.params, "space", "eps")
     X = space_from_json(sc.params["space"])
     r = float(sc.params.get("r", X.radius))
@@ -127,29 +144,23 @@ def _run_nucleus(sc: Scenario):
 
 
 def _build_dynamics(X, doc):
-    from .dynamics import DynMap, deform, rotation, sine_pluck_map
+    if "deform" in doc:
+        raise ConfigError("dynamics take no 'deform' clause: a deformation whose slope "
+                          "is not 1 has no bijective model on a net; the rotation-field "
+                          "scenario deforms rotations through their invariant measures")
     kind = doc.get("kind", "table")
     if kind == "rotation":
-        base = rotation(X, int(doc["steps"]))
-    elif kind == "table":
-        base = DynMap(X, np.asarray(doc["map"], dtype=int))
-    elif kind == "analytic":
+        return rotation(X, int(doc["steps"]))
+    if kind == "table":
+        return DynMap(X, np.asarray(doc["map"], dtype=int))
+    if kind == "analytic":
         if doc.get("family") != "sine_pluck":
             raise ConfigError("only the sine_pluck analytic family is available")
-        base = sine_pluck_map(X, float(doc["t"]))
-    else:
-        raise ConfigError(f"unknown dynamics kind {kind!r}")
-    if "deform" in doc:
-        d = doc["deform"]
-        if d.get("kind") != "sine_pluck":
-            raise ConfigError("only sine_pluck deformations are available")
-        base = deform(sine_pluck_map(X, float(d["t"])), base)
-    return base
+        return sine_pluck_map(X, float(doc["t"]))
+    raise ConfigError(f"unknown dynamics kind {kind!r}")
 
 
 def _run_birkhoff(sc: Scenario):
-    from .dynamics import birkhoff_rate
-    from .lipgeom import nucleus_net
     _need(sc.params, "space", "dynamics", "eps", "n_max")
     X = space_from_json(sc.params["space"])
     h = _build_dynamics(X, sc.params["dynamics"])
@@ -166,9 +177,6 @@ def _run_birkhoff(sc: Scenario):
 
 
 def _run_ldp(sc: Scenario):
-    from .dynamics import DynMap
-    from .lipgeom import nucleus_net
-    from .markov import RandomMapFamily, ldp_experiment
     _need(sc.params, "space", "maps", "eps", "n_values")
     X = space_from_json(sc.params["space"])
     maps = tuple(_build_dynamics(X, doc) for doc in sc.params["maps"])
@@ -195,7 +203,6 @@ def _run_ldp(sc: Scenario):
 
 
 def _run_wave_field(sc: Scenario):
-    from .fields import WaveProfile, circle_wave_metric, lipschitz_envelope, wave_metric_field
     p = sc.params
     profile = (WaveProfile(tuple(p["modes"]), float(p.get("speed", 1.0)),
                            float(p.get("length", math.pi)))
@@ -215,7 +222,6 @@ def _run_wave_field(sc: Scenario):
 
 
 def _run_rotation_field(sc: Scenario):
-    from .fields import rotation_field
     p = sc.params
     _need(p, "theta", "t_grid", "net_size")
     pnum, qnum = int(p["theta"][0]), int(p["theta"][1])
@@ -231,7 +237,6 @@ def _run_rotation_field(sc: Scenario):
 
 
 def _run_check(sc: Scenario):
-    from .selfcheck import run_checks
     results = run_checks(sc.seed)
     ok = all(r.ok for r in results)
     report = {"passed": ok,
@@ -262,8 +267,6 @@ def run(scenario: Scenario) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         report, extras = _HANDLERS[scenario.kind](scenario)
-    except ConfigError:
-        raise
     except DomainError as exc:
         report = {"error": str(exc), "kind": scenario.kind, "version": __version__}
         (out / "report.json").write_text(json.dumps(report, indent=2, default=_json_default) + "\n")
@@ -303,9 +306,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

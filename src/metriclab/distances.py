@@ -316,32 +316,27 @@ class _W1Table:
         if (scale + 1) ** space.size > np.iinfo(np.int64).max:
             raise DomainError("net grid is too fine to index on this boundary")
         self.space, self.scale = space, scale
-        self._radix = (scale + 1) ** np.arange(space.size, dtype=np.int64)
-        self._codes = np.empty(0, dtype=np.int64)   # known codes, ascending
-        self._slots = np.empty(0, dtype=np.int64)   # table slot of each known code
-        self._slot_codes = np.empty(0, dtype=np.int64)  # code of each slot
+        self.radix = (scale + 1) ** np.arange(space.size, dtype=np.int64)
+        self._codes = np.empty(0, dtype=np.int64)   # code of each slot
+        self._order = np.empty(0, dtype=np.int64)   # slots in ascending code order
         self._measures: list[Measure] = []          # measure of each slot
         self._table = np.zeros((0, 0))              # NaN until solved
 
-    def index(self, counts: np.ndarray) -> np.ndarray:
-        """Table slot of each count vector along the last axis."""
-        codes = counts @ self._radix
+    def index(self, codes: np.ndarray) -> np.ndarray:
+        """Table slot of each code, a count vector's dot product with radix."""
         new = np.setdiff1d(codes, self._codes)
         if new.size:
             K = len(self._measures)
             for code in new.tolist():
-                counts_new = code // self._radix % (self.scale + 1)
-                self._measures.append(Measure(self.space, counts_new / self.scale))
-            codes_all = np.concatenate([self._codes, new])
-            order = np.argsort(codes_all)
-            self._codes = codes_all[order]
-            self._slots = np.concatenate([self._slots, np.arange(K, K + new.size)])[order]
-            self._slot_codes = np.concatenate([self._slot_codes, new])
+                counts = code // self.radix % (self.scale + 1)
+                self._measures.append(Measure(self.space, counts / self.scale))
+            self._codes = np.concatenate([self._codes, new])
+            self._order = np.argsort(self._codes)
             table = np.full((K + new.size,) * 2, np.nan)
             table[:K, :K] = self._table
             np.fill_diagonal(table, 0.0)
             self._table = table
-        return self._slots[np.searchsorted(self._codes, codes)]
+        return self._order[np.searchsorted(self._codes, codes, sorter=self._order)]
 
     def dist(self, i, j) -> np.ndarray:
         """W1 between the measures in slots i and j, broadcast together."""
@@ -350,7 +345,7 @@ class _W1Table:
         todo = np.isnan(vals)
         if todo.any():
             a, b = i[todo], j[todo]
-            swap = self._slot_codes[a] > self._slot_codes[b]
+            swap = self._codes[a] > self._codes[b]
             K = len(self._table)
             for pq in np.unique(np.where(swap, b, a) * K + np.where(swap, a, b)).tolist():
                 p, q = divmod(pq, K)
@@ -379,15 +374,15 @@ def _sides(SX: SimplexNet, SY: SimplexNet) -> tuple[_Side, _Side]:
     sides = []
     for S, table in ((SX, tx), (SY, ty)):
         counts = S.counts * (scale // S.resolution)
-        sides.append(_Side(counts, table.index(counts), table))
+        sides.append(_Side(counts, table.index(counts @ table.radix), table))
     return sides[0], sides[1]
 
 
 def _push(a: _Side, maps: np.ndarray, table: _W1Table) -> np.ndarray:
     """Slots in `table` of the pushforwards of a's net measures under every
-    map (rows of maps): shape (maps, measures)."""
-    onehot = (maps[:, :, None] == np.arange(table.space.size)).astype(np.int64)
-    return table.index(a.counts @ onehot)
+    map (rows of maps): shape (maps, measures). Point x's count lands on
+    f(x), so a pushforward's code is the counts against radix[f]."""
+    return table.index(table.radix[maps] @ a.counts.T)
 
 
 def _iso_defect(a: _Side, b: _Side, maps: np.ndarray) -> np.ndarray:

@@ -140,10 +140,10 @@ def sine_pluck_map(X: FiniteMetricSpace, t: float) -> DynMap:
     return project_circle_map(X, sine_pluck(t), label=f"pluck{t:g}")
 
 
-def deform(g, h: DynMap) -> DynMap:
-    """Conjugated dynamics g o h o g^-1 for an invertible point map g."""
-    if callable(g) and not isinstance(g, DynMap):
-        g = project_circle_map(h.space, g, label="deform")
+def deform(g: DynMap, h: DynMap) -> DynMap:
+    """Conjugated dynamics g o h o g^-1 for a net bijection g. A homeomorphism
+    whose slope is not 1 projects to no bijection of a net; deformed rotations
+    live in `fields.rotation_field`, which moves their invariant measures."""
     if g.space is not h.space:
         raise DomainError("deformation and dynamics live on different spaces")
     if not g.is_bijective:

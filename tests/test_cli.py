@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -35,6 +36,34 @@ class TestScenarioLoading:
     def test_missing_param_is_config_error(self, tmp_path):
         p = write_scenario(tmp_path, {"kind": "wasserstein", "params": {}})
         assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
+
+    def test_top_level_list_is_config_error(self, tmp_path):
+        p = tmp_path / "list.json"
+        p.write_text("[]")
+        assert main(["--config", str(p)]) == 2
+
+    def test_non_integer_seed_is_config_error(self, tmp_path):
+        p = write_scenario(tmp_path, {"kind": "check", "seed": "abc"})
+        assert main(["--config", str(p)]) == 2
+        p = write_scenario(tmp_path, {"kind": "check", "seed": "3"})
+        assert load_scenario(p).seed == 3
+
+    def test_params_not_object_is_config_error(self, tmp_path):
+        p = write_scenario(tmp_path, {"kind": "nucleus", "params": ["space", "eps"]})
+        assert main(["--config", str(p)]) == 2
+
+    def test_deform_clause_rejected(self, tmp_path, capsys):
+        doc = {"kind": "birkhoff",
+               "params": {"space": {"generator": "circle",
+                                    "params": {"n": 8, "circumference": math.pi}},
+                          "dynamics": {"kind": "rotation", "steps": 3,
+                                       "deform": {"kind": "sine_pluck", "t": 0.3}},
+                          "eps": 0.2, "n_max": 32, "nucleus_eps": 0.2}}
+        p = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["--config", str(p), "--out", str(out)]) == 2
+        assert "rotation-field" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_threads_flag_is_unknown(self, tmp_path):
         p = write_scenario(tmp_path, {"kind": "wasserstein", "params": {}})
@@ -77,12 +106,11 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert "error" in report
 
-    def test_deformed_rotation(self, tmp_path):
-        doc = {"kind": "birkhoff",
+    def test_seed_flag_overrides_scenario_seed(self, tmp_path):
+        doc = {"kind": "birkhoff", "seed": 2,
                "params": {"space": {"generator": "circle",
                                     "params": {"n": 8, "circumference": math.pi}},
-                          "dynamics": {"kind": "rotation", "steps": 3,
-                                       "deform": {"kind": "sine_pluck", "t": 0.3}},
+                          "dynamics": {"kind": "rotation", "steps": 3},
                           "eps": 0.2, "n_max": 32, "nucleus_eps": 0.2}}
         p = write_scenario(tmp_path, doc)
         out = tmp_path / "out"
@@ -176,6 +204,20 @@ class TestRun:
         lines = (out / "nucleus.csv").read_text().strip().split("\n")
         assert lines[0] == "0,1,2"
         assert len(lines) == report["members"] + 1
+
+    def test_product_space_nucleus_csv(self, tmp_path):
+        interval = {"generator": "interval", "params": {"n": 2, "length": 1.0}}
+        doc = {"kind": "nucleus",
+               "params": {"space": {"generator": "product",
+                                    "params": {"left": interval, "right": interval}},
+                          "eps": 0.4}}
+        p = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["--config", str(p), "--out", str(out)]) == 0
+        with (out / "nucleus.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["('0', '0')", "('0', '1')", "('1', '0')", "('1', '1')"]
+        assert rows and all(len(row) == 4 for row in rows)
 
     def test_wave_field_scenario(self, tmp_path):
         doc = {"kind": "wave-field",

@@ -226,7 +226,7 @@ class TestW1Table:
         expect = wasserstein1(S.measures[lo], S.measures[hi])[0]
         for first in ((p, q), (q, p)):
             table = _W1Table(X, S.resolution)
-            slots = table.index(S.counts)
+            slots = table.index(S.counts @ table.radix)
             table.dist(slots[first[0]], slots[first[1]])
             assert table.dist(slots[p], slots[q]) == expect
             assert table.dist(slots[q], slots[p]) == expect
