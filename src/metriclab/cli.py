@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 domain error (a module-level failure), 2
 configuration error (bad flags, schema, missing files, a document that is
 not a JSON object, a seed that is not an integer, params that are not an
-object).
+object, a missing param or one its conversion rejects).
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -72,19 +73,54 @@ def _json_default(o):
     raise TypeError(f"not serializable: {type(o)}")
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path: Path, header, rows):
-    """The header is quoted as CSV (a product space's labels are tuples);
-    rows may be numpy arrays: an np.float64 is a float and formats alike."""
+    """Write a quoted CSV header (a product space's labels are tuples) and
+    the rows, every float as "%.12g", which equals format(v, ".12g").
+
+    A 2-D float64 array is written in blocks of _CSV_BLOCK_ROWS rows, each
+    block one %-format of a whole-block template; any other rows (lists,
+    tuples, zips, mixed str/int/float cells) go cell by cell, a float as
+    .12g and anything else through str.
+    """
     with path.open("w") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.write("".join([",".join([f"{v:.12g}" if isinstance(v, float) else str(v)
-                                    for v in row]) + "\n" for row in rows]))
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+            line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+            for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+                part = rows[start:start + _CSV_BLOCK_ROWS]
+                fh.write((line * len(part)) % tuple(part.ravel().tolist()))
+        else:
+            fh.write("".join([",".join([f"{v:.12g}" if isinstance(v, float) else str(v)
+                                        for v in row]) + "\n" for row in rows]))
 
 
-def _need(params: dict, *keys):
-    for k in keys:
-        if k not in params:
-            raise ConfigError(f"scenario is missing required key {k!r}")
+_REQUIRED = object()
+
+
+def _param(params: dict, key: str, type_=None, default=_REQUIRED):
+    """params[key], or default when the key is absent, passed through type_
+    unless it is None. A missing required key, or a value that type_
+    rejects, is a ConfigError that names the key."""
+    if key in params:
+        value = params[key]
+    elif default is _REQUIRED:
+        raise ConfigError(f"scenario is missing required key {key!r}")
+    else:
+        value = default
+    if type_ is None:
+        return value
+    try:
+        return type_(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"scenario key {key!r} has an invalid value {value!r}: {exc}") from exc
+
+
+def _int_pair(v):
+    a, b = v
+    return int(a), int(b)
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +128,11 @@ def _need(params: dict, *keys):
 # filename to its payload: (header, rows) for a .csv name, the text of a .svg
 
 def _run_wasserstein(sc: Scenario):
-    _need(sc.params, "space", "mu", "nu")
-    X = space_from_json(sc.params["space"])
-    mu = measure_from_json(X, sc.params["mu"])
-    nu = measure_from_json(X, sc.params["nu"])
+    p = sc.params
+    space, mu_doc, nu_doc = _param(p, "space"), _param(p, "mu"), _param(p, "nu")
+    X = space_from_json(space)
+    mu = measure_from_json(X, mu_doc)
+    nu = measure_from_json(X, nu_doc)
     value, plan = wasserstein1(mu, nu)
     dual, pot = wasserstein1_dual(mu, nu)
     winf = wasserstein_inf(mu, nu)
@@ -110,18 +147,18 @@ def _run_wasserstein(sc: Scenario):
 
 
 def _run_gh(sc: Scenario):
-    _need(sc.params, "space_x", "space_y")
-    X = space_from_json(sc.params["space_x"])
-    Y = space_from_json(sc.params["space_y"])
+    X = space_from_json(_param(sc.params, "space_x"))
+    Y = space_from_json(_param(sc.params, "space_y"))
     value, kind = gh_distance(X, Y)
     return {"gh": value, "bound": kind}, {}
 
 
 def _run_gap(sc: Scenario):
-    _need(sc.params, "space_x", "space_y")
-    X = space_from_json(sc.params["space_x"])
-    Y = space_from_json(sc.params["space_y"])
-    m = int(sc.params.get("resolution", 2))
+    p = sc.params
+    space_x, space_y = _param(p, "space_x"), _param(p, "space_y")
+    m = _param(p, "resolution", int, 2)
+    X = space_from_json(space_x)
+    Y = space_from_json(space_y)
     SX, SY = simplex_net(X, m), simplex_net(Y, m)
     gap = intertwining_gap(SX, SY)
     fuk = fukaya_distance(SX, SY)
@@ -134,10 +171,11 @@ def _run_gap(sc: Scenario):
 
 
 def _run_nucleus(sc: Scenario):
-    _need(sc.params, "space", "eps")
-    X = space_from_json(sc.params["space"])
-    r = float(sc.params.get("r", X.radius))
-    nuc = nucleus_net(X, r, float(sc.params["eps"]), seed=sc.seed)
+    p = sc.params
+    space, eps = _param(p, "space"), _param(p, "eps", float)
+    X = space_from_json(space)
+    r = _param(p, "r", float, X.radius)
+    nuc = nucleus_net(X, r, eps, seed=sc.seed)
     report = {"members": len(nuc), "density": nuc.density, "complete": nuc.complete,
               "r": r, "eps": nuc.target_eps}
     return report, {"nucleus.csv": (X.labels, nuc.values)}
@@ -150,23 +188,25 @@ def _build_dynamics(X, doc):
                           "scenario deforms rotations through their invariant measures")
     kind = doc.get("kind", "table")
     if kind == "rotation":
-        return rotation(X, int(doc["steps"]))
+        return rotation(X, _param(doc, "steps", int))
     if kind == "table":
-        return DynMap(X, np.asarray(doc["map"], dtype=int))
+        return DynMap(X, _param(doc, "map", partial(np.asarray, dtype=int)))
     if kind == "analytic":
         if doc.get("family") != "sine_pluck":
             raise ConfigError("only the sine_pluck analytic family is available")
-        return sine_pluck_map(X, float(doc["t"]))
+        return sine_pluck_map(X, _param(doc, "t", float))
     raise ConfigError(f"unknown dynamics kind {kind!r}")
 
 
 def _run_birkhoff(sc: Scenario):
-    _need(sc.params, "space", "dynamics", "eps", "n_max")
-    X = space_from_json(sc.params["space"])
-    h = _build_dynamics(X, sc.params["dynamics"])
-    r = float(sc.params.get("r", X.radius))
-    nuc = nucleus_net(X, r, float(sc.params.get("nucleus_eps", 0.1)), seed=sc.seed)
-    rep = birkhoff_rate(h, nuc, float(sc.params["eps"]), int(sc.params["n_max"]))
+    p = sc.params
+    space, dynamics = _param(p, "space"), _param(p, "dynamics")
+    eps, n_max = _param(p, "eps", float), _param(p, "n_max", int)
+    nucleus_eps = _param(p, "nucleus_eps", float, 0.1)
+    X = space_from_json(space)
+    h = _build_dynamics(X, dynamics)
+    nuc = nucleus_net(X, _param(p, "r", float, X.radius), nucleus_eps, seed=sc.seed)
+    rep = birkhoff_rate(h, nuc, eps, n_max)
     report = {"rate": rep.rate, "resolved": rep.resolved, "eps": rep.epsilon,
               "n_max": rep.n_max, "nucleus_members": len(nuc)}
     curve = [(n + 1, float(d)) for n, d in enumerate(rep.curve)]
@@ -177,17 +217,20 @@ def _run_birkhoff(sc: Scenario):
 
 
 def _run_ldp(sc: Scenario):
-    _need(sc.params, "space", "maps", "eps", "n_values")
-    X = space_from_json(sc.params["space"])
-    maps = tuple(_build_dynamics(X, doc) for doc in sc.params["maps"])
-    probs = sc.params.get("probabilities", [1.0 / len(maps)] * len(maps))
-    fam = RandomMapFamily(maps, np.asarray(probs, dtype=float))
-    nuc = nucleus_net(X, float(sc.params.get("r", X.radius)),
-                      float(sc.params.get("nucleus_eps", 0.2)), seed=sc.seed,
-                      sample_budget=int(sc.params.get("nucleus_samples", 256)))
-    rep = ldp_experiment(fam, nuc, float(sc.params["eps"]),
-                         sc.params["n_values"], int(sc.params.get("trials", 10_000)),
-                         seed=sc.seed)
+    p = sc.params
+    space, map_docs = _param(p, "space"), _param(p, "maps")
+    eps, n_values = _param(p, "eps", float), _param(p, "n_values")
+    nucleus_eps = _param(p, "nucleus_eps", float, 0.2)
+    samples = _param(p, "nucleus_samples", int, 256)
+    trials = _param(p, "trials", int, 10_000)
+    X = space_from_json(space)
+    maps = tuple(_build_dynamics(X, doc) for doc in map_docs)
+    probs = _param(p, "probabilities", partial(np.asarray, dtype=float),
+                   [1.0 / len(maps)] * len(maps))
+    fam = RandomMapFamily(maps, probs)
+    nuc = nucleus_net(X, _param(p, "r", float, X.radius), nucleus_eps, seed=sc.seed,
+                      sample_budget=samples)
+    rep = ldp_experiment(fam, nuc, eps, n_values, trials, seed=sc.seed)
     report = {"eps": rep.eps, "n_values": list(rep.n_values),
               "probabilities": list(rep.probabilities), "c1": rep.c1, "c2": rep.c2,
               "fit_quality": rep.fit_quality, "trials": rep.trials,
@@ -204,12 +247,13 @@ def _run_ldp(sc: Scenario):
 
 def _run_wave_field(sc: Scenario):
     p = sc.params
-    profile = (WaveProfile(tuple(p["modes"]), float(p.get("speed", 1.0)),
-                           float(p.get("length", math.pi)))
+    n_points = _param(p, "n_points", int, 17)
+    profile = (WaveProfile(_param(p, "modes", tuple), _param(p, "speed", float, 1.0),
+                           _param(p, "length", float, math.pi))
                if "modes" in p else
-               WaveProfile.triangular_pluck(float(p.get("amplitude", 0.3))))
+               WaveProfile.triangular_pluck(_param(p, "amplitude", float, 0.3)))
     ts = p.get("t_grid", [i * profile.period / 8.0 for i in range(9)])
-    fld = wave_metric_field(profile, ts, int(p.get("n_points", 17)))
+    fld = wave_metric_field(profile, ts, n_points)
     if p.get("circle"):
         fld = circle_wave_metric(fld)
     env = lipschitz_envelope(fld)
@@ -223,10 +267,10 @@ def _run_wave_field(sc: Scenario):
 
 def _run_rotation_field(sc: Scenario):
     p = sc.params
-    _need(p, "theta", "t_grid", "net_size")
-    pnum, qnum = int(p["theta"][0]), int(p["theta"][1])
-    rep = rotation_field(pnum, qnum, p["t_grid"], int(p["net_size"]),
-                         resolution=int(p.get("resolution", 1)))
+    pnum, qnum = _param(p, "theta", _int_pair)
+    t_grid, net_size = _param(p, "t_grid"), _param(p, "net_size", int)
+    rep = rotation_field(pnum, qnum, t_grid, net_size,
+                         resolution=_param(p, "resolution", int, 1))
     report = {"theta": [pnum, qnum], "t_grid": list(rep.t_grid),
               "net_size": rep.net_size,
               "extremes_per_fibre": list(rep.extremes_per_fibre)}
@@ -264,13 +308,14 @@ KINDS = tuple(_HANDLERS)
 def run(scenario: Scenario) -> int:
     """Execute one scenario and write its artifacts. Returns the exit code."""
     out = Path(scenario.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         report, extras = _HANDLERS[scenario.kind](scenario)
     except DomainError as exc:
         report = {"error": str(exc), "kind": scenario.kind, "version": __version__}
+        out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(json.dumps(report, indent=2, default=_json_default) + "\n")
         return 1
+    out.mkdir(parents=True, exist_ok=True)
     report = {"kind": scenario.kind, "seed": scenario.seed,
               "version": __version__, **report}
     if "json" in scenario.formats:

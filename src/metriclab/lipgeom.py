@@ -220,6 +220,21 @@ def _enumerate_grid_members(D, grid, slack, cap):
     return rows
 
 
+def _unique_rows(x: np.ndarray) -> np.ndarray:
+    """The rows of x rounded to 12 decimals, each once, in lexicographic order.
+
+    One stable lexsort on the rounded columns, then a row is kept when it
+    differs from the one before; this is np.unique(np.round(x, 12), axis=0)
+    without its structured-dtype sort. Rows that differ only in the sign of
+    a zero compare equal, and the first of them in x is kept.
+    """
+    x = np.round(x, 12)
+    x = x[np.lexsort(x.T[::-1])]
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = (x[1:] != x[:-1]).any(axis=1)
+    return x[keep]
+
+
 def nucleus_net(X: FiniteMetricSpace, r: float, eps: float,
                 size_cap: int = 200_000, sample_budget: int = 1024,
                 probe_count: int = 128, seed: int = 0) -> Nucleus:
@@ -248,7 +263,7 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float,
     members = _enumerate_grid_members(X.dist, grid, slack=h, cap=size_cap)
     if members is not None:
         proj = np.clip(mcshane_project(X, members), -r, r)
-        proj = np.unique(np.round(proj, 12), axis=0)
+        proj = _unique_rows(proj)
         # rounding a member to the grid moves it h/2; projection cannot widen that
         return Nucleus(X, r, proj, density=h / 2.0, complete=True, target_eps=eps)
 
@@ -263,7 +278,7 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float,
     g = _uniform_rows(SplitMix64(seed), sample_budget, n, r)
     g = grid[np.clip(np.round((g + r) / h).astype(int), 0, len(grid) - 1)]
     rows.extend(np.clip(mcshane_project(X, g), -r, r))
-    vals = np.unique(np.round(np.asarray(rows), 12), axis=0)
+    vals = _unique_rows(np.asarray(rows))
 
     probes = _uniform_rows(SplitMix64(seed ^ 0x5EED), probe_count, n, r)
     worst = 0.0

@@ -200,6 +200,12 @@ def permutation_invariant_measures(idx):
     return out
 
 
+def unique_rows_np(x):
+    """nucleus_net's earlier dedupe: numpy's unique rows (a structured-dtype
+    sort) of x rounded to 12 decimals."""
+    return np.unique(np.round(x, 12), axis=0)
+
+
 def _grid_extensions(D, grid, slack, tol, vals, pos):
     """Grid values g with |g - vals[j]| <= D[pos][j] + slack (up to tol) for
     every j < pos."""

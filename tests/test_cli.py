@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -6,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import metriclab
-from metriclab.cli import Scenario, load_scenario, main, run
+from metriclab.cli import Scenario, _write_csv, load_scenario, main, run
 from metriclab.selfcheck import run_checks
 from metriclab.svg import emit_plot
 
@@ -63,7 +65,22 @@ class TestScenarioLoading:
         out = tmp_path / "out"
         assert main(["--config", str(p), "--out", str(out)]) == 2
         assert "rotation-field" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        assert not out.exists()
+
+    def test_wrongly_typed_param_is_config_error(self, tmp_path, capsys):
+        doc = {"kind": "birkhoff",
+               "params": {"space": {"generator": "circle",
+                                    "params": {"n": 8, "circumference": math.pi}},
+                          "dynamics": {"kind": "rotation", "steps": 3},
+                          "eps": 0.2, "n_max": "many"}}
+        out = tmp_path / "out"
+        assert main(["--config", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
+        assert "'n_max'" in capsys.readouterr().err
+        del doc["params"]["eps"]
+        doc["params"]["n_max"] = 32
+        assert main(["--config", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
+        assert "missing required key 'eps'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threads_flag_is_unknown(self, tmp_path):
         p = write_scenario(tmp_path, {"kind": "wasserstein", "params": {}})
@@ -219,6 +236,19 @@ class TestRun:
         assert header == ["('0', '0')", "('0', '1')", "('1', '0')", "('1', '1')"]
         assert rows and all(len(row) == 4 for row in rows)
 
+    def test_complete_nucleus_bytes(self, tmp_path):
+        # the recipe of perfbench/scenarios/nucleus.json: a complete 34 790-member nucleus
+        doc = {"kind": "nucleus", "seed": 0,
+               "params": {"space": {"generator": "circle",
+                                    "params": {"n": 6, "circumference": 2.0}},
+                          "eps": 0.3}}
+        out = tmp_path / "out"
+        assert main(["--config", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 0
+        data = (out / "nucleus.csv").read_bytes()
+        assert data.count(b"\n") == 34_791
+        assert hashlib.sha256(data).hexdigest() == (
+            "468af5caddc920774041e53b914aebf8ab43b6f52b85af96749db212f863ec6f")
+
     def test_wave_field_scenario(self, tmp_path):
         doc = {"kind": "wave-field",
                "params": {"modes": [0.3], "t_grid": [0.0, 0.5, 1.0],
@@ -261,6 +291,25 @@ class TestSvg:
     def test_empty_rejected(self):
         with pytest.raises(Exception):
             emit_plot([], "line")
+
+
+CSV_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 0.1 + 0.2,
+              123456789012.5, -1e-14, 1 / 3, 2.0 ** 60, 1e-300, -7.25e22]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+def test_float_array_csv_matches_cell_writer(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    cols = 5
+    x = rng.standard_normal(rows * cols) * 10.0 ** rng.integers(-20, 20, rows * cols)
+    x[:len(CSV_FLOATS)] = CSV_FLOATS[:len(x)]
+    x = x.reshape(rows, cols)
+    header = [f"p{k}" for k in range(cols)]
+    _write_csv(tmp_path / "block.csv", header, x)
+    _write_csv(tmp_path / "cell.csv", header, x.tolist())
+    block = (tmp_path / "block.csv").read_bytes()
+    assert block == (tmp_path / "cell.csv").read_bytes()
+    assert block.count(b"\n") == rows + 1
 
 
 class TestSelfCheck:

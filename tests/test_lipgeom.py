@@ -11,12 +11,12 @@ from metriclab import (DomainError, MatrixObservable, Measure, Nucleus, Observab
                        mcshane_project, nucleus_decompose, nucleus_net, point_mass,
                        prob_net, state_metric, validate_metric, wasserstein1,
                        wasserstein1_dual)
-from metriclab.lipgeom import (_enumerate_grid_members, matrix_observable_from_json,
-                               operator_norm)
+from metriclab.lipgeom import (_enumerate_grid_members, _unique_rows,
+                               matrix_observable_from_json, operator_norm)
 from metriclab.rng import SplitMix64
 from metriclab.spaces import check_metric
 
-from oracles import grid_dead_prefixes, grid_members_dfs
+from oracles import grid_dead_prefixes, grid_members_dfs, unique_rows_np
 
 
 def random_hermitian_field(rng, X, n):
@@ -125,6 +125,30 @@ class TestNucleus:
             g = np.array([gen.uniform() * 2 * r - r for _ in range(3)])
             member = np.clip(mcshane_project(X, g), -r, r)
             assert np.abs(nuc.values - member).max(axis=1).min() <= eps + 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unique_rows_match_numpy_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        # few distinct values, so rows repeat and ties run deep into the columns
+        x = rng.choice([-1.0, -0.5, 0.25, 0.5, 1.0], size=(int(rng.integers(50, 400)), n))
+        x = np.vstack([x, x[rng.integers(0, len(x), 40)] + 1e-14])   # planted near-duplicates
+        x = x[rng.permutation(len(x))]
+        x[:, 0] = 0.0
+        x[:, 1] = -0.0
+        if n > 2:
+            x[:, 2] = -1e-14 * rng.random(len(x))    # rounds to -0.0
+        got, want = _unique_rows(x), unique_rows_np(x)
+        assert got.shape == want.shape and len(got) < len(x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_unique_rows_keep_the_first_signed_zero(self):
+        x = np.array([[1.0, 0.0], [0.5, 2.0], [1.0, -0.0], [0.5, 2.0]])
+        assert _unique_rows(x).tolist() == [[0.5, 2.0], [1.0, 0.0]]
+        assert not np.signbit(_unique_rows(x)[1, 1])
+        assert np.signbit(_unique_rows(x[::-1])[1, 1])
+        assert _unique_rows(np.empty((0, 3))).shape == (0, 3)
 
     def test_mcshane_rows_match_single_projections(self):
         X = circle_net(5, 4.0)
