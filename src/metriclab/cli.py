@@ -123,6 +123,21 @@ def _int_pair(v):
     return int(a), int(b)
 
 
+def _object(v):
+    if not isinstance(v, dict):
+        raise TypeError(f"expected a JSON object, not {type(v).__name__}")
+    return v
+
+
+def _list_of(item):
+    """Conversion of a JSON list, item by item; a string or an object is not one."""
+    def convert(v):
+        if isinstance(v, (str, dict)):
+            raise TypeError(f"expected a JSON list, not {type(v).__name__}")
+        return [item(x) for x in v]
+    return convert
+
+
 # ---------------------------------------------------------------------------
 # scenario handlers: each returns (report dict, extras) where extras maps a
 # filename to its payload: (header, rows) for a .csv name, the text of a .svg
@@ -200,7 +215,7 @@ def _build_dynamics(X, doc):
 
 def _run_birkhoff(sc: Scenario):
     p = sc.params
-    space, dynamics = _param(p, "space"), _param(p, "dynamics")
+    space, dynamics = _param(p, "space"), _param(p, "dynamics", _object)
     eps, n_max = _param(p, "eps", float), _param(p, "n_max", int)
     nucleus_eps = _param(p, "nucleus_eps", float, 0.1)
     X = space_from_json(space)
@@ -218,13 +233,15 @@ def _run_birkhoff(sc: Scenario):
 
 def _run_ldp(sc: Scenario):
     p = sc.params
-    space, map_docs = _param(p, "space"), _param(p, "maps")
-    eps, n_values = _param(p, "eps", float), _param(p, "n_values")
+    space, map_docs = _param(p, "space"), _param(p, "maps", _list_of(_object))
+    eps, n_values = _param(p, "eps", float), _param(p, "n_values", _list_of(float))
     nucleus_eps = _param(p, "nucleus_eps", float, 0.2)
     samples = _param(p, "nucleus_samples", int, 256)
     trials = _param(p, "trials", int, 10_000)
     X = space_from_json(space)
     maps = tuple(_build_dynamics(X, doc) for doc in map_docs)
+    if not maps:
+        raise ConfigError("scenario key 'maps' lists no map")
     probs = _param(p, "probabilities", partial(np.asarray, dtype=float),
                    [1.0 / len(maps)] * len(maps))
     fam = RandomMapFamily(maps, probs)
@@ -252,7 +269,7 @@ def _run_wave_field(sc: Scenario):
                            _param(p, "length", float, math.pi))
                if "modes" in p else
                WaveProfile.triangular_pluck(_param(p, "amplitude", float, 0.3)))
-    ts = p.get("t_grid", [i * profile.period / 8.0 for i in range(9)])
+    ts = _param(p, "t_grid", _list_of(float), [i * profile.period / 8.0 for i in range(9)])
     fld = wave_metric_field(profile, ts, n_points)
     if p.get("circle"):
         fld = circle_wave_metric(fld)
@@ -268,7 +285,7 @@ def _run_wave_field(sc: Scenario):
 def _run_rotation_field(sc: Scenario):
     p = sc.params
     pnum, qnum = _param(p, "theta", _int_pair)
-    t_grid, net_size = _param(p, "t_grid"), _param(p, "net_size", int)
+    t_grid, net_size = _param(p, "t_grid", _list_of(float)), _param(p, "net_size", int)
     rep = rotation_field(pnum, qnum, t_grid, net_size,
                          resolution=_param(p, "resolution", int, 1))
     report = {"theta": [pnum, qnum], "t_grid": list(rep.t_grid),

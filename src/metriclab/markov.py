@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -146,10 +147,54 @@ class LdpReport:
         return list(zip(self.n_values, self.probabilities))
 
 
-# trials per block of ldp_experiment: the block's visit counts and member
-# sums take about this many floats (1 MB), so each step and each horizon works
-# in cache instead of streaming whole-experiment arrays through main memory
+# trials per block of ldp_experiment, and prefixes per chunk of its prefix
+# table: a block's visit counts, member sums and held visits take about this
+# many numbers (1 MB), so each step and each horizon works in cache instead
+# of streaming whole-experiment arrays through main memory
 _LDP_BLOCK_CELLS = 1 << 17
+
+
+def _exceed_flags(flat_maps, size, starts, values, mean, eps, horizons, choices):
+    """(len(horizons), trials) flags: does trial t deviate by more than eps
+    at horizon n? Trial t applies map choices[k, t] at step k, from every
+    start at once; rows are start-major, (start, trial). choices needs
+    horizons[-1] - 1 steps, the last that a horizon depends on."""
+    S, B = len(starts), choices.shape[1]
+    cells = np.arange(S * B).reshape(S, B) * size        # each row's first count
+    offsets = choices * size                             # map choice -> flat_maps
+    counts = np.zeros(S * B * size)
+    counts[(cells + starts[:, None]).ravel()] = 1.0
+    # positions walked but not yet counted: counted at each horizon, or
+    # earlier when the buffer is full
+    held = np.empty((max(1, min(horizons[-1] - 1, _LDP_BLOCK_CELLS // (S * B))), S, B),
+                    dtype=np.intp)
+    pos, h, walked = starts[:, None], 0, 1
+    out = np.empty((len(horizons), B), dtype=bool)
+    for i, n in enumerate(horizons):
+        while walked < n:
+            pos = flat_maps.take(offsets[walked - 1] + pos, out=held[h])
+            h += 1
+            walked += 1
+            if h == len(held) or walked == n:
+                counts += np.bincount((held[:h] + cells).ravel(), minlength=counts.size)
+                h = 0
+        seg = (counts.reshape(S * B, size) @ values.T).reshape(S, B, -1)
+        # rounded seg / n - mean is nondecreasing in seg, and |x| > eps is
+        # x > eps or x < -eps, so the largest and the smallest seg over starts
+        # decide whether the sup of |seg / n - mean| exceeds eps, exactly
+        out[i] = (((seg.max(axis=0) / n - mean) > eps).any(axis=1)
+                  | ((seg.min(axis=0) / n - mean) < -eps).any(axis=1))
+    return out
+
+
+def _positive_int(v, what: str) -> int:
+    try:
+        ok = int(v) == v and v >= 1
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(f"{what} must be a positive integer, not {v!r}")
+    return int(v)
 
 
 def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
@@ -161,12 +206,25 @@ def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
     the space of |time average - stationary mean|. Reported probabilities
     are the fraction of trials whose deviation exceeds eps, and (c1, c2)
     come from a least-squares fit of log p against n (diagnostic only).
+
+    Trials run in blocks through one walk kernel. Its rows are start-major,
+    (start, trial), so the max and the min over starts reduce contiguous
+    slabs; it holds the positions of each step and adds them to the visit
+    counts with one bincount per horizon. A horizon n depends only on a
+    trial's first n - 1 map choices, so where maps ** (n - 1) <= trials the
+    kernel walks every such choice prefix once and each trial reads its
+    flag from that table by its prefix code. The bits are those of
+    evaluating every trial: each (trial, start) count row goes through the
+    same product with the nucleus values whatever block or table it sits
+    in, and |seg / n - mean| > eps is decided at the largest and the
+    smallest seg over starts because rounding is monotone.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
-    n_values = sorted(int(n) for n in n_values)
-    if not n_values or n_values[0] < 1:
-        raise DomainError("n_values must be positive")
+    trials = _positive_int(trials, "trials")
+    n_values = sorted(_positive_int(n, "a horizon") for n in n_values)
+    if not n_values:
+        raise DomainError("n_values must not be empty")
     X = F.space
     if nucleus.space is not X:
         raise DomainError("nucleus lives on a different space")
@@ -183,41 +241,42 @@ def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
 
     starts = np.asarray(epsilon_net(X, eps / 4.0).indices, dtype=int)
     mean = nucleus.values @ nu.weights                    # (F,)
-    maps_table = np.stack([m.idx for m in F.maps])        # (maps, points)
+    flat_maps = np.concatenate([m.idx for m in F.maps])   # [c * size + x]: map c of x
     cum_p = np.cumsum(F.probabilities)
-    n_max = n_values[-1]
+    maps = len(F.maps)
+    walk = partial(_exceed_flags, flat_maps, X.size, starts, nucleus.values, mean, eps)
+    block = max(1, _LDP_BLOCK_CELLS // (len(starts) * max(X.size, len(nucleus))))
+
+    horizons = sorted(set(n_values))
+    short = [n for n in horizons if maps ** (n - 1) <= trials]
+    long = horizons[len(short):]
+    # the prefix code of a trial reads its first `width` choices, the first
+    # the most significant digit; table[:, code] holds its short-horizon flags
+    width = short[-1] - 1 if short else 0
+    table = np.empty((len(short), maps ** width), dtype=bool)
+    if short:
+        digit = maps ** np.arange(width - 1, -1, -1, dtype=np.intp)[:, None]
+        for lo in range(0, table.shape[1], block):
+            codes = np.arange(lo, min(table.shape[1], lo + block))
+            table[:, codes] = walk(short, codes // digit % maps)
 
     seeds = derive_seeds(seed, trials)
-    S = len(starts)
-    exceed = np.zeros((trials, len(n_values)), dtype=bool)
-    block = max(1, _LDP_BLOCK_CELLS // (S * max(X.size, len(nucleus))))
+    steps = long[-1] - 1 if long else width
+    exceed = np.empty((len(horizons), trials), dtype=bool)
     for lo in range(0, trials, block):
         hi = min(trials, lo + block)
         # trial t draws its map choices from SplitMix64(derive_seed(seed, t));
         # the counter-based block gives the same bits as drawing trial by trial
-        choices = np.searchsorted(cum_p, uniform_block(seeds[lo:hi], n_max), side="right")
-        choices = np.minimum(choices, len(F.maps) - 1)
-        pos = np.tile(starts[None, :], (hi - lo, 1))       # (block, starts)
-        counts = np.zeros((hi - lo) * S * X.size)
-        base = np.arange((hi - lo) * S).reshape(hi - lo, S) * X.size
-        mark = 0
-        for k in range(n_max):
-            counts[base + pos] += 1.0
-            pos = maps_table[choices[:, k][:, None], pos]
-            n = k + 1
-            if n != n_values[mark]:
-                continue
-            seg = (counts.reshape(-1, X.size) @ nucleus.values.T).reshape(hi - lo, S, -1)
-            # rounded seg / n - mean is nondecreasing in seg, so its largest
-            # |.| over starts is at the largest or the smallest seg: exact
-            top = np.abs(seg.max(axis=1) / n - mean)
-            bot = np.abs(seg.min(axis=1) / n - mean)
-            hit = np.maximum(top, bot).max(axis=1) > eps
-            while mark < len(n_values) and n_values[mark] == n:
-                exceed[lo:hi, mark] = hit
-                mark += 1
+        u = uniform_block(seeds[lo:hi], steps).T
+        choices = np.minimum(np.searchsorted(cum_p, u, side="right"), maps - 1)
+        code = np.zeros(hi - lo, dtype=np.intp)
+        for row in choices[:width]:
+            code = code * maps + row
+        exceed[:len(short), lo:hi] = table[:, code]
+        if long:
+            exceed[len(short):, lo:hi] = walk(long, choices)
 
-    probs = exceed.mean(axis=0)
+    probs = exceed.mean(axis=1)[[horizons.index(n) for n in n_values]]
     ns = np.asarray(n_values, dtype=float)
     mask = probs > 0
     if mask.sum() >= 2:

@@ -16,6 +16,9 @@ from metriclab.selfcheck import run_checks
 from metriclab.svg import emit_plot
 
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
+
+
 def write_scenario(tmp_path, doc, name="scenario.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -80,6 +83,18 @@ class TestScenarioLoading:
         doc["params"]["n_max"] = 32
         assert main(["--config", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
         assert "missing required key 'eps'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, key, value", [
+        ("ldp", "n_values", ["x"]), ("ldp", "n_values", "48"), ("ldp", "maps", [5]),
+        ("ldp", "maps", []),
+        ("birkhoff", "dynamics", 5), ("rotation_field", "t_grid", "ab")])
+    def test_wrongly_shaped_param_is_config_error(self, tmp_path, capsys, scenario, key, value):
+        doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+        doc["params"][key] = value
+        out = tmp_path / "out"
+        assert main(["--config", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_threads_flag_is_unknown(self, tmp_path):
@@ -249,6 +264,17 @@ class TestRun:
         assert hashlib.sha256(data).hexdigest() == (
             "468af5caddc920774041e53b914aebf8ab43b6f52b85af96749db212f863ec6f")
 
+    def test_shipped_ldp_bytes(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--config", str(SCENARIOS / "ldp.json"), "--out", str(out), "--format",
+                     "json", "--format", "csv", "--format", "svg"]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("ldp.csv", "ldp.svg", "report.json")}
+        assert digests == {
+            "ldp.csv": "a5dcd1ed365695045612593092ef2361352a3e90674e6ff2e526b2a4d0d9cfea",
+            "ldp.svg": "3a55215f275e3e708df925e731089b9583783fd965c3a0752a9b1971615a7887",
+            "report.json": "f8e38e9777c83e2120ad778e4d1ba7e5f05e85da594025402f3c18a9de9b1b22"}
+
     def test_wave_field_scenario(self, tmp_path):
         doc = {"kind": "wave-field",
                "params": {"modes": [0.3], "t_grid": [0.0, 0.5, 1.0],
@@ -337,7 +363,7 @@ def test_runtime_loads_no_scipy(tmp_path):
     src = str(Path(metriclab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    scenario = Path(__file__).resolve().parents[1] / "scripts" / "scenarios" / "wasserstein.json"
+    scenario = SCENARIOS / "wasserstein.json"
     res = subprocess.run([sys.executable, "-c", NO_SCIPY_PROGRAM, str(scenario), str(tmp_path)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr

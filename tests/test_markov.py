@@ -266,6 +266,86 @@ class TestLdp:
         assert report["fit_quality"] == 0.9976909476440213
         assert report["rng"] == "splitmix64-v1"
 
+    @pytest.mark.parametrize("cells", [1, 1 << 30])
+    def test_prefix_table_boundary(self, cells, monkeypatch):
+        # 2 maps and 8 trials: n = 4 has 2 ** 3 = 8 choice prefixes, as many
+        # as trials, so it is read from the prefix table; n = 5 has 16 and is walked
+        X, fam = two_contraction_family(16)
+        nuc = nucleus_net(X, X.radius, 0.25, sample_budget=64, probe_count=16)
+        monkeypatch.setattr(markov, "_LDP_BLOCK_CELLS", cells)
+        walks = []
+        kernel = markov._exceed_flags
+
+        def record(*args):
+            walks.append((tuple(args[6]), args[7].shape))
+            return kernel(*args)
+
+        monkeypatch.setattr(markov, "_exceed_flags", record)
+        n_values = [1, 2, 3, 4, 5, 9]
+        rep = ldp_experiment(fam, nuc, 0.1, n_values, trials=8, seed=2)
+        assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, 0.1, n_values, 8, 2)
+        table = [w for w in walks if w[0] == (1, 2, 3, 4)]
+        assert sum(shape[1] for _, shape in table) == 8
+        assert all(shape[0] == 3 for _, shape in table)
+        assert sum(shape[1] for h, shape in walks if h == (5, 9)) == 8
+        assert len(table) + sum(h == (5, 9) for h, _ in walks) == len(walks)
+
+    @pytest.mark.parametrize("cells", [1, 1 << 30])
+    def test_never_drawn_map_matches_scalar_oracle(self, cells, monkeypatch):
+        # the middle map has probability 0, so the table holds prefixes no
+        # trial draws; 3 ** 4 = 81 <= 200 < 3 ** 5 splits the horizons
+        X, fam = three_map_family(16)
+        fam = RandomMapFamily(fam.maps, np.array([0.4, 0.0, 0.6]))
+        nuc = nucleus_net(X, X.radius, 0.25, sample_budget=64, probe_count=16)
+        monkeypatch.setattr(markov, "_LDP_BLOCK_CELLS", cells)
+        n_values = [1, 2, 5, 6, 12]
+        rep = ldp_experiment(fam, nuc, 0.1, n_values, trials=200, seed=4)
+        assert any(0.0 < p < 1.0 for p in rep.probabilities)
+        assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, 0.1, n_values,
+                                                             200, 4)
+
+    @pytest.mark.parametrize("cells", [1, 1 << 30])
+    def test_one_map_family_is_one_table_walk(self, cells, monkeypatch):
+        X, fam = two_contraction_family(16)
+        fam = RandomMapFamily(fam.maps[:1], np.array([1.0]))
+        nuc = nucleus_net(X, X.radius, 0.25, sample_budget=64, probe_count=16)
+        monkeypatch.setattr(markov, "_LDP_BLOCK_CELLS", cells)
+        walks = []
+        kernel = markov._exceed_flags
+
+        def record(*args):
+            walks.append(args[7].shape)
+            return kernel(*args)
+
+        monkeypatch.setattr(markov, "_exceed_flags", record)
+        n_values = [1, 2, 3, 7, 20]
+        rep = ldp_experiment(fam, nuc, 0.3, n_values, trials=30, seed=1)
+        assert walks == [(19, 1)]
+        assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, 0.3, n_values, 30, 1)
+        assert {0.0, 1.0} == set(rep.probabilities)
+
+    @pytest.mark.parametrize("trials", [0, -3, 2.5, "ten"])
+    def test_trials_must_be_a_positive_integer(self, trials):
+        X, fam = two_contraction_family(8)
+        nuc = nucleus_net(X, X.radius, 0.3, sample_budget=16)
+        with pytest.raises(DomainError, match="trials"):
+            ldp_experiment(fam, nuc, 0.2, [2, 4], trials=trials, seed=0)
+
+    @pytest.mark.parametrize("n_values", [[2.7, 4], [0, 4], ["4"], [math.inf], [math.nan], []])
+    def test_horizons_must_be_positive_integers(self, n_values):
+        X, fam = two_contraction_family(8)
+        nuc = nucleus_net(X, X.radius, 0.3, sample_budget=16)
+        with pytest.raises(DomainError):
+            ldp_experiment(fam, nuc, 0.2, n_values, trials=10, seed=0)
+
+    def test_integral_float_horizons_are_integers(self):
+        X, fam = two_contraction_family(8)
+        nuc = nucleus_net(X, X.radius, 0.3, sample_budget=16)
+        a = ldp_experiment(fam, nuc, 0.2, [4.0, 2.0], trials=40, seed=3)
+        b = ldp_experiment(fam, nuc, 0.2, [2, 4], trials=40, seed=3)
+        assert a.n_values == b.n_values == (2, 4)
+        assert a.probabilities == b.probabilities
+
     def test_requires_unique_stationary(self):
         X = circle_net(4, 2.0)
         h = rotation(X, 2)
