@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .config import TOL, DomainError, SpaceMismatchError, Tolerances
 from .spaces import (FiniteMetricSpace, SubsetRef, MetricValidationError,
                      bridge_metric, circle_net, covering_number, epsilon_net,
-                     hausdorff_distance, interval_net, product_space, radius,
+                     hausdorff_distance, interval_net, product_space,
                      space_from_json, space_to_json, validate_metric)
 from .transport import (Coupling, Measure, Potential, ProbNet, mix, point_mass,
                         prob_net, pushforward, uniform_measure, wasserstein1,
@@ -21,9 +21,8 @@ from .distances import (AlmostIsometryReport, GapResult, SearchBudget, SimplexNe
 from .dynamics import (BirkhoffReport, DynMap, InvariantSimplex, birkhoff_rate,
                        crossed_product_seminorm, crossed_product_seminorm_dominated,
                        deform, egh_distance, identity_map, invariant_measures,
-                       invariant_simplex_hausdorff, invert_circle_map,
-                       measure_mixtures, project_circle_map, rotation, sine_pluck,
-                       sine_pluck_map)
+                       invariant_simplex_hausdorff, measure_mixtures,
+                       project_circle_map, rotation, sine_pluck, sine_pluck_map)
 from .markov import (LdpReport, MarkovKernel, RandomMapFamily, kernel_from_maps,
                      ldp_experiment, simulate, stationary_measures)
 from .fields import (ContinuityReport, EnvelopeReport, MetricField, WaveProfile,

@@ -77,24 +77,26 @@ _CSV_BLOCK_ROWS = 4096
 
 
 def _write_csv(path: Path, header, rows):
-    """Write a quoted CSV header (a product space's labels are tuples) and
-    the rows, every float as "%.12g", which equals format(v, ".12g").
+    """Write a CSV header and rows, every float as "%.12g", which equals
+    format(v, ".12g"). Header and cells are quoted where CSV needs it, so a
+    product space's tuple label is one field.
 
     A 2-D float64 array is written in blocks of _CSV_BLOCK_ROWS rows, each
     block one %-format of a whole-block template; any other rows (lists,
-    tuples, zips, mixed str/int/float cells) go cell by cell, a float as
-    .12g and anything else through str.
+    tuples, zips, mixed str/int/float cells) go through csv.writer, a float
+    pre-formatted as .12g.
     """
     with path.open("w") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
             line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
             for start in range(0, len(rows), _CSV_BLOCK_ROWS):
                 part = rows[start:start + _CSV_BLOCK_ROWS]
                 fh.write((line * len(part)) % tuple(part.ravel().tolist()))
         else:
-            fh.write("".join([",".join([f"{v:.12g}" if isinstance(v, float) else str(v)
-                                        for v in row]) + "\n" for row in rows]))
+            writer.writerows([[f"{v:.12g}" if isinstance(v, float) else v for v in row]
+                              for row in rows])
 
 
 _REQUIRED = object()
@@ -114,13 +116,27 @@ def _param(params: dict, key: str, type_=None, default=_REQUIRED):
         return value
     try:
         return type_(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"scenario key {key!r} has an invalid value {value!r}: {exc}") from exc
+
+
+def _integer(v):
+    """v as an int when it is integral: 4 and 4.0 pass; 4.5, "4" and true do not."""
+    if isinstance(v, bool) or int(v) != v:
+        raise ValueError("expected an integer")
+    return int(v)
+
+
+def _boolean(v):
+    """v when it is JSON true or false."""
+    if not isinstance(v, bool):
+        raise TypeError(f"expected true or false, not {type(v).__name__}")
+    return v
 
 
 def _int_pair(v):
     a, b = v
-    return int(a), int(b)
+    return _integer(a), _integer(b)
 
 
 def _object(v):
@@ -171,7 +187,7 @@ def _run_gh(sc: Scenario):
 def _run_gap(sc: Scenario):
     p = sc.params
     space_x, space_y = _param(p, "space_x"), _param(p, "space_y")
-    m = _param(p, "resolution", int, 2)
+    m = _param(p, "resolution", _integer, 2)
     X = space_from_json(space_x)
     Y = space_from_json(space_y)
     SX, SY = simplex_net(X, m), simplex_net(Y, m)
@@ -203,9 +219,9 @@ def _build_dynamics(X, doc):
                           "scenario deforms rotations through their invariant measures")
     kind = doc.get("kind", "table")
     if kind == "rotation":
-        return rotation(X, _param(doc, "steps", int))
+        return rotation(X, _param(doc, "steps", _integer))
     if kind == "table":
-        return DynMap(X, _param(doc, "map", partial(np.asarray, dtype=int)))
+        return DynMap(X, _param(doc, "map", _list_of(_integer)))
     if kind == "analytic":
         if doc.get("family") != "sine_pluck":
             raise ConfigError("only the sine_pluck analytic family is available")
@@ -216,7 +232,7 @@ def _build_dynamics(X, doc):
 def _run_birkhoff(sc: Scenario):
     p = sc.params
     space, dynamics = _param(p, "space"), _param(p, "dynamics", _object)
-    eps, n_max = _param(p, "eps", float), _param(p, "n_max", int)
+    eps, n_max = _param(p, "eps", float), _param(p, "n_max", _integer)
     nucleus_eps = _param(p, "nucleus_eps", float, 0.1)
     X = space_from_json(space)
     h = _build_dynamics(X, dynamics)
@@ -234,10 +250,10 @@ def _run_birkhoff(sc: Scenario):
 def _run_ldp(sc: Scenario):
     p = sc.params
     space, map_docs = _param(p, "space"), _param(p, "maps", _list_of(_object))
-    eps, n_values = _param(p, "eps", float), _param(p, "n_values", _list_of(float))
+    eps, n_values = _param(p, "eps", float), _param(p, "n_values", _list_of(_integer))
     nucleus_eps = _param(p, "nucleus_eps", float, 0.2)
-    samples = _param(p, "nucleus_samples", int, 256)
-    trials = _param(p, "trials", int, 10_000)
+    samples = _param(p, "nucleus_samples", _integer, 256)
+    trials = _param(p, "trials", _integer, 10_000)
     X = space_from_json(space)
     maps = tuple(_build_dynamics(X, doc) for doc in map_docs)
     if not maps:
@@ -264,14 +280,14 @@ def _run_ldp(sc: Scenario):
 
 def _run_wave_field(sc: Scenario):
     p = sc.params
-    n_points = _param(p, "n_points", int, 17)
+    n_points = _param(p, "n_points", _integer, 17)
     profile = (WaveProfile(_param(p, "modes", tuple), _param(p, "speed", float, 1.0),
                            _param(p, "length", float, math.pi))
                if "modes" in p else
                WaveProfile.triangular_pluck(_param(p, "amplitude", float, 0.3)))
     ts = _param(p, "t_grid", _list_of(float), [i * profile.period / 8.0 for i in range(9)])
     fld = wave_metric_field(profile, ts, n_points)
-    if p.get("circle"):
+    if _param(p, "circle", _boolean, False):
         fld = circle_wave_metric(fld)
     env = lipschitz_envelope(fld)
     report = {"thetas": list(fld.thetas), "points": len(fld.labels),
@@ -285,9 +301,9 @@ def _run_wave_field(sc: Scenario):
 def _run_rotation_field(sc: Scenario):
     p = sc.params
     pnum, qnum = _param(p, "theta", _int_pair)
-    t_grid, net_size = _param(p, "t_grid", _list_of(float)), _param(p, "net_size", int)
+    t_grid, net_size = _param(p, "t_grid", _list_of(float)), _param(p, "net_size", _integer)
     rep = rotation_field(pnum, qnum, t_grid, net_size,
-                         resolution=_param(p, "resolution", int, 1))
+                         resolution=_param(p, "resolution", _integer, 1))
     report = {"theta": [pnum, qnum], "t_grid": list(rep.t_grid),
               "net_size": rep.net_size,
               "extremes_per_fibre": list(rep.extremes_per_fibre)}

@@ -15,15 +15,18 @@ from typing import Callable
 import numpy as np
 
 from .config import TOL, DomainError
-from .spaces import FiniteMetricSpace, bridge_metric
+from .spaces import FiniteMetricSpace, _map_distortion, bridge_metric
 from .transport import Measure, ProbNet, prob_net, w1_hausdorff, wasserstein1
 
 
 @dataclass(frozen=True)
 class SearchBudget:
     max_map_pairs: int = 300_000
-    restarts: int = 3
     local_steps: int = 200
+
+
+# anchor points of X and of Y whose distance profiles seed the GH descent
+_GH_ANCHORS = 3
 
 
 # finest 1/m grid a SimplexNet may lie on
@@ -83,7 +86,7 @@ class AlmostIsometryReport:
     distortion: float
     inversion_defect: float
     density_defect: float
-    boundary_distortion: float = 0.0
+    boundary_distortion: float
     exhaustive: bool = True
 
 
@@ -291,7 +294,7 @@ def gh_distance(X: FiniteMetricSpace, Y: FiniteMetricSpace,
 
     seeds = [(np.argmin(np.abs(DX[:, :, None] - DY[None, s % ny, :]).min(axis=1), axis=1),
               np.argmin(np.abs(DY[:, :, None] - DX[None, s % nx, :]).min(axis=1), axis=1))
-             for s in range(budget.restarts)]
+             for s in range(_GH_ANCHORS)]
     cost = MapCost((distortion(DX, DY), distortion(DY, DX)), cross)
     best, _, exhaustive = search_maps([(nx, ny), (ny, nx)], cost, budget, seeds)
     value = 0.5 * best
@@ -414,18 +417,22 @@ def _inv_defect(a: _Side, comps: np.ndarray) -> np.ndarray:
     return worst[back].reshape(comps.shape[:-1])
 
 
-def epsilon_isometry_check(f, SX: SimplexNet, SY: SimplexNet) -> AlmostIsometryReport:
-    """Exact distortion of a boundary map on boundary pairs and on the nets."""
-    f = tuple(int(v) for v in f)
+def _one_map_report(f: tuple, x: _Side, y: _Side,
+                    exhaustive: bool = True) -> AlmostIsometryReport:
+    """Report of one boundary map f from x's boundary to y's, extended to the
+    nets by pushforward."""
     F = np.asarray([f], dtype=np.int64)
-    DX, DY = SX.boundary.dist, SY.boundary.dist
-    boundary_dis = float(np.abs(DY[np.ix_(f, f)] - DX).max())
-    x, y = _sides(SX, SY)
-    return AlmostIsometryReport(forward=f, backward=None,
-                                distortion=float(_iso_defect(x, y, F)[0]),
+    return AlmostIsometryReport(f, None, distortion=float(_iso_defect(x, y, F)[0]),
                                 inversion_defect=math.inf,
                                 density_defect=float(_surj_defect(x, y, F)[0]),
-                                boundary_distortion=boundary_dis)
+                                boundary_distortion=_map_distortion(
+                                    f, x.table.space, y.table.space),
+                                exhaustive=exhaustive)
+
+
+def epsilon_isometry_check(f, SX: SimplexNet, SY: SimplexNet) -> AlmostIsometryReport:
+    """Exact distortion of a boundary map on boundary pairs and on the nets."""
+    return _one_map_report(tuple(int(v) for v in f), *_sides(SX, SY))
 
 
 @dataclass(frozen=True)
@@ -463,9 +470,11 @@ def intertwining_gap(SX: SimplexNet, SY: SimplexNet,
     a, b = float(cost.unary[0](F)[0]), float(cost.unary[1](G)[0])
     inv = float(inversion(F, G)[0, 0])
     val = max(a, b, inv)
+    bd = max(_map_distortion(f, SX.boundary, SY.boundary),
+             _map_distortion(g, SY.boundary, SX.boundary))
     rep = AlmostIsometryReport(f, g, distortion=max(a, b), inversion_defect=inv,
                                density_defect=float(_surj_defect(x, y, F)[0]),
-                               exhaustive=exhaustive)
+                               boundary_distortion=bd, exhaustive=exhaustive)
     diameter = max(SX.boundary.diameter, SY.boundary.diameter)
     if exhaustive and val > 2.0 * diameter + TOL.metric_atol:
         raise DomainError("gap search exceeded the trivial 2*diameter bound")
@@ -518,12 +527,7 @@ def fukaya_distance(SX: SimplexNet, SY: SimplexNet,
     cost = MapCost((lambda F: np.maximum(_iso_defect(x, y, F), _surj_defect(x, y, F)),))
     val, (f,), exhaustive = search_maps([(SX.boundary.size, SY.boundary.size)], cost, budget,
                                         [(seed,) for seed in _coupling_seeds(SX, SY)])
-    F = np.asarray([f], dtype=np.int64)
-    rep = AlmostIsometryReport(f, None, distortion=float(_iso_defect(x, y, F)[0]),
-                               inversion_defect=math.inf,
-                               density_defect=float(_surj_defect(x, y, F)[0]),
-                               exhaustive=exhaustive)
-    return GapResult(float(val), rep, exhaustive)
+    return GapResult(float(val), _one_map_report(f, x, y, exhaustive), exhaustive)
 
 
 def dq_upper(SX: SimplexNet, SY: SimplexNet, f, delta: float | None = None) -> float:
@@ -535,10 +539,8 @@ def dq_upper(SX: SimplexNet, SY: SimplexNet, f, delta: float | None = None) -> f
     f on the boundary (the scale at which the bridge construction is valid).
     """
     f = tuple(int(v) for v in f)
-    fb = np.asarray(f, dtype=int)
-    distortion = float(np.abs(SY.boundary.dist[np.ix_(fb, fb)] - SX.boundary.dist).max())
     if delta is None:
-        delta = max(distortion, TOL.bridge_delta_floor)
+        delta = max(_map_distortion(f, SX.boundary, SY.boundary), TOL.bridge_delta_floor)
     bridge = bridge_metric(SX.boundary, SY.boundary, f, delta)
     nx = SX.boundary.size
     lifted_x = []

@@ -115,21 +115,6 @@ def sine_pluck(t: float):
     return lambda x: x + 0.5 * t * math.sin(x) ** 2
 
 
-def invert_circle_map(fn, L: float, y: float, tol: float = 1e-13) -> float:
-    """Invert an orientation-preserving circle map with fn(0) = 0 by bisection."""
-    y = y % L
-    lo, hi = 0.0, L
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
-
-
 def sine_pluck_map(X: FiniteMetricSpace, t: float) -> DynMap:
     """Nearest-point net projection of the sine deformation.
 
@@ -382,28 +367,23 @@ def egh_distance(action1, action2, max_maps: int = 70_000,
 # ---------------------------------------------------------------------------
 # crossed-product seminorms on the invariant simplex
 
-def crossed_product_seminorm(a0: Observable, h: DynMap, mode: str = "general",
-                             resolution: int = 4) -> float:
+def crossed_product_seminorm(a0: Observable, h: DynMap, resolution: int = 4) -> float:
     """Seminorm of a crossed-product element with scalar part a0.
 
-    general: Lipschitz seminorm of mu -> integral of a0 over a 1/m-mixture
-    net of the invariant simplex with the W1 metric. For uniquely ergodic
-    dynamics this metric degenerates; the uniquely_ergodic mode applies the
-    convention that the seminorm is the one of a0 itself.
+    For uniquely ergodic dynamics the invariant simplex is a point and the
+    W1 metric on it degenerates; the convention is then the seminorm of a0
+    itself. Otherwise the value is the Lipschitz seminorm of mu -> integral
+    of a0 over a 1/m-mixture net of the invariant simplex with the W1 metric.
 
-    The general value is the largest ratio over the 1/m mixture net alone,
-    so it is a lower value for the seminorm over the whole invariant simplex
-    and can rise with `resolution`; it carries no flag.
+    That value is the largest ratio over the 1/m mixture net alone, so it is
+    a lower value for the seminorm over the whole invariant simplex and can
+    rise with `resolution`; it carries no flag.
     """
     if a0.space is not h.space:
         raise DomainError("observable and dynamics live on different spaces")
-    if mode == "uniquely_ergodic":
-        return lipschitz_seminorm(a0)
-    if mode != "general":
-        raise DomainError(f"unknown mode {mode!r}")
     simplex = invariant_measures(h)
     if simplex.uniquely_ergodic:
-        raise DomainError("invariant simplex is a single point; use mode='uniquely_ergodic'")
+        return lipschitz_seminorm(a0)
     net = measure_mixtures(simplex.extremes, resolution)
     vals = np.asarray([mu.integrate(a0.values) for mu in net])
     best = 0.0
@@ -411,17 +391,15 @@ def crossed_product_seminorm(a0: Observable, h: DynMap, mode: str = "general",
         d = wasserstein1(net[i], net[j])[0]
         if d > TOL.metric_atol:
             best = max(best, abs(vals[i] - vals[j]) / d)
-    if best == 0.0 and len(net) < 2:
-        raise DomainError("degenerate mixture net")
     return float(best)
 
 
 def crossed_product_seminorm_dominated(a0: Observable, h: DynMap,
                                        resolution: int = 4) -> tuple[float, float]:
-    """(restricted seminorm over the invariant simplex, full seminorm of a0);
-    asserts the restriction never exceeds the full value."""
-    general = crossed_product_seminorm(a0, h, "general", resolution)
+    """(seminorm over the invariant simplex, full seminorm of a0); asserts
+    the first never exceeds the second."""
+    restricted = crossed_product_seminorm(a0, h, resolution)
     full = lipschitz_seminorm(a0)
-    if general > full + 1e-7:
-        raise DomainError(f"restricted seminorm {general!r} exceeds the full one {full!r}")
-    return general, full
+    if restricted > full + 1e-7:
+        raise DomainError(f"restricted seminorm {restricted!r} exceeds the full one {full!r}")
+    return restricted, full

@@ -24,8 +24,11 @@ from .transport import Measure, _circle_w1, convex_grid, w1_hausdorff
 # ---------------------------------------------------------------------------
 # quadrature
 
-def adaptive_simpson(fn, a: float, b: float, atol: float = TOL.quadrature_atol,
-                     max_depth: int = 40) -> tuple[float, float]:
+_SIMPSON_MAX_DEPTH = 40   # deepest bisection of adaptive_simpson
+
+
+def adaptive_simpson(fn, a: float, b: float,
+                     atol: float = TOL.quadrature_atol) -> tuple[float, float]:
     """Adaptive Simpson integral of a smooth function; returns (value, error bound)."""
 
     def simpson(x0, x2, f0, f1, f2):
@@ -48,7 +51,7 @@ def adaptive_simpson(fn, a: float, b: float, atol: float = TOL.quadrature_atol,
         return 0.0, 0.0
     f0, f1, f2 = fn(a), fn(0.5 * (a + b)), fn(b)
     whole = simpson(a, b, f0, f1, f2)
-    return rec(a, b, f0, f1, f2, whole, atol, max_depth)
+    return rec(a, b, f0, f1, f2, whole, atol, _SIMPSON_MAX_DEPTH)
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +194,19 @@ def circle_wave_metric(fld: MetricField) -> MetricField:
 @dataclass(frozen=True)
 class EnvelopeReport:
     thetas: tuple
-    m: np.ndarray            # inf ratio against the reference fibre
-    M: np.ndarray            # sup ratio against the reference fibre
+    m: np.ndarray            # inf ratio against fibre 0
+    M: np.ndarray            # sup ratio against fibre 0
     k: np.ndarray            # tight pairwise lower constants, k[s, t] rho_s <= rho_t
     K: np.ndarray            # tight pairwise upper constants, rho_t <= K[s, t] rho_s
-    reference: int = 0
 
 
-def lipschitz_envelope(fld: MetricField, reference: int = 0) -> EnvelopeReport:
+def lipschitz_envelope(fld: MetricField) -> EnvelopeReport:
     """Exact inf/sup pairwise-ratio constants for every fibre pair.
 
     k[s, t] = min over point pairs of rho_t / rho_s (and K the max), so the
     sandwich k[s,t] rho_s <= rho_t <= K[s,t] rho_s holds with equality
     somewhere, and both constants are exactly 1 on the diagonal. The m/M
-    curves are the constants against the reference fibre.
+    curves are the constants against fibre 0, the first parameter.
     """
     T = len(fld)
     if T < 2:
@@ -226,8 +228,7 @@ def lipschitz_envelope(fld: MetricField, reference: int = 0) -> EnvelopeReport:
             rhs = K[s, t] * flat[s]
             if (lhs - flat[t]).max() > TOL.metric_atol or (flat[t] - rhs).max() > TOL.metric_atol:
                 raise DomainError(f"envelope sandwich failed at fibre pair ({s},{t})")
-    return EnvelopeReport(fld.thetas, k[reference].copy(), K[reference].copy(), k, K,
-                          reference)
+    return EnvelopeReport(fld.thetas, k[0].copy(), K[0].copy(), k, K)
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +303,14 @@ class BirkhoffFieldReport:
     usc_flags: tuple             # sampled parameters where the rate dips below both neighbours
 
 
-def birkhoff_field(fld: MetricField, h, eps: float, r: float, n_max: int,
+def birkhoff_field(fld: MetricField, h: DynMap, eps: float, r: float, n_max: int,
                    **nucleus_kwargs) -> BirkhoffFieldReport:
-    """Per-fibre Birkhoff rates with that fibre's nucleus, plus an upper
-    semicontinuity diagnostic at the grid resolution."""
-    idx = getattr(h, "idx", h)
+    """Per-fibre Birkhoff rates of h's point map with that fibre's nucleus,
+    plus an upper semicontinuity diagnostic at the grid resolution."""
     rates = []
     for k in range(len(fld)):
         sp = fld.fibre_space(k)
-        hk = DynMap(sp, idx, projection_error=getattr(h, "projection_error", 0.0))
+        hk = DynMap(sp, h.idx, projection_error=h.projection_error)
         nuc = nucleus_net(sp, r, eps, **nucleus_kwargs)
         rep = birkhoff_rate(hk, nuc, eps, n_max)
         rates.append(rep.rate)
@@ -395,8 +395,10 @@ class RotationFieldReport:
 
 
 def rotation_field(p: int, q: int, t_grid, net_size: int,
-                   resolution: int = 1, circumference: float = math.pi) -> RotationFieldReport:
-    """Deformed rotation family g_t o h o g_t^{-1} with g_t(x) = x + (t/2) sin^2 x.
+                   resolution: int = 1) -> RotationFieldReport:
+    """Deformed rotation family g_t o h o g_t^{-1} with g_t(x) = x + (t/2) sin^2 x
+    on the circle of circumference pi, where g_t is a homeomorphism since
+    sin^2 has period pi.
 
     The base rotation turns by the fraction p/q of the full circle; the net
     size must be a multiple of q so the rotation is exact on the net. Each
@@ -416,7 +418,7 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
         raise DomainError("theta must be given as a reduced fraction p/q")
     if net_size % q != 0:
         raise DomainError(f"net size must be a multiple of q={q}")
-    X = circle_net(net_size, circumference)
+    X = circle_net(net_size, math.pi)
     h0 = rotation(X, net_size * p // q)
     base = invariant_measures(h0)
     t_grid = tuple(float(t) for t in t_grid)
@@ -435,7 +437,7 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
     iu = np.triu_indices(len(lam_grid), k=1)
     atom_tables = []
     for g in analytic:
-        arcs, F = _circle_cdfs([g(x) for pos in base_pos for x in pos], weights, circumference)
+        arcs, F = _circle_cdfs([g(x) for pos in base_pos for x in pos], weights, math.pi)
         tab = np.zeros((len(lam_grid), len(lam_grid)))
         tab[iu] = tab[iu[::-1]] = _circle_w1(F[iu[0]] - F[iu[1]], arcs)
         atom_tables.append(tab)

@@ -3,9 +3,9 @@
 A nucleus at level r is a finite family inside the polytope of r-bounded
 1-Lipschitz functions. Small spaces get a complete quantize-and-project
 enumeration, built point by point over the admissible grid prefixes; as soon
-as a point's prefix count exceeds the size cap, the net falls back to metric
-cones, constants and random projected samples, with the achieved sup-norm
-density measured by probing instead of assumed.
+as a point's prefix count exceeds `_NUCLEUS_SIZE_CAP`, the net falls back to
+metric cones, constants and random projected samples, with the achieved
+sup-norm density measured by probing instead of assumed.
 """
 from __future__ import annotations
 
@@ -79,13 +79,14 @@ def lipschitz_seminorm(f: Observable) -> float:
     return float((np.abs(v[:, None] - v[None, :])[off] / D[off]).max())
 
 
-def state_metric(states, generators, validate: bool = True) -> np.ndarray:
+def state_metric(states, generators) -> np.ndarray:
     """Metric on a list of measures induced by a family of seminormed observables.
 
     generators: iterable of (Observable, seminorm_value); each is rescaled to
     seminorm 1, and the distance is the max integral difference over the
     rescaled family. This is a lower approximant of the dual state metric
-    that grows with the generator family.
+    that grows with the generator family. The pseudometric triangle
+    inequality is checked on the result.
     """
     gens = list(generators)
     if not gens:
@@ -103,10 +104,9 @@ def state_metric(states, generators, validate: bool = True) -> np.ndarray:
     E = W @ G.T                                      # (S, F) integrals
     M = np.abs(E[:, None, :] - E[None, :, :]).max(axis=2)
     np.fill_diagonal(M, 0.0)
-    if validate:
-        bad = M[:, None, :] - (M[:, :, None] + M[None, :, :])
-        if bad.max() > TOL.metric_atol:
-            raise DomainError("state metric failed the pseudometric triangle check")
+    bad = M[:, None, :] - (M[:, :, None] + M[None, :, :])
+    if bad.max() > TOL.metric_atol:
+        raise DomainError("state metric failed the pseudometric triangle check")
     return M
 
 
@@ -235,22 +235,26 @@ def _unique_rows(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-def nucleus_net(X: FiniteMetricSpace, r: float, eps: float,
-                size_cap: int = 200_000, sample_budget: int = 1024,
+# most admissible grid prefixes at any point before nucleus_net falls back
+_NUCLEUS_SIZE_CAP = 200_000
+
+
+def nucleus_net(X: FiniteMetricSpace, r: float, eps: float, sample_budget: int = 1024,
                 probe_count: int = 128, seed: int = 0) -> Nucleus:
     """eps-net (sup norm) of the polytope of r-bounded 1-Lipschitz functions.
 
     Construction: quantize values to an eps/2 grid, then project with the
-    McShane regularisation and clip to [-r, r]. When the full quantized
-    enumeration fits under size_cap the net is complete (density <= eps by
-    construction). Otherwise the net holds the metric cone functions, a
-    constants grid and projected random samples, and the reported density
-    is measured by random-member probing.
+    McShane regularisation and clip to [-r, r]. When no point of the
+    quantized enumeration has more than `_NUCLEUS_SIZE_CAP` admissible
+    prefixes, the enumeration runs in full and the net is complete (density
+    <= eps by construction). Otherwise the net holds the metric cone
+    functions, a constants grid and projected random samples, and the
+    reported density is measured by random-member probing.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
     if r < X.radius - TOL.metric_atol:
-        raise DomainError(f"need r >= radius(X) = {X.radius!r}")
+        raise DomainError(f"need r >= X.radius = {X.radius!r}")
     n = X.size
     steps = max(1, math.ceil(4.0 * r / eps))
     grid = np.linspace(-r, r, steps + 1)
@@ -260,7 +264,7 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float,
         vals = grid[:, None]
         return Nucleus(X, r, vals, density=h / 2.0, complete=True, target_eps=eps)
 
-    members = _enumerate_grid_members(X.dist, grid, slack=h, cap=size_cap)
+    members = _enumerate_grid_members(X.dist, grid, slack=h, cap=_NUCLEUS_SIZE_CAP)
     if members is not None:
         proj = np.clip(mcshane_project(X, members), -r, r)
         proj = _unique_rows(proj)

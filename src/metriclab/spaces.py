@@ -202,11 +202,6 @@ def product_space(T: FiniteMetricSpace, X: FiniteMetricSpace,
 # ---------------------------------------------------------------------------
 # basic geometry
 
-def radius(X: FiniteMetricSpace) -> float:
-    """Half the maximum pairwise distance."""
-    return X.radius
-
-
 def hausdorff_distance(X: FiniteMetricSpace, A, B) -> float:
     """Hausdorff distance between two nonempty subsets of one space."""
     ia, ib = _as_indices(X, A), _as_indices(X, B)
@@ -264,15 +259,15 @@ def covering_number(X: FiniteMetricSpace, eps: float,
     return CoveringResult(best, True)
 
 
-def epsilon_net(X: FiniteMetricSpace, eps: float, start: int = 0) -> SubsetRef:
-    """Greedy farthest-point eps-net; deterministic given the start index.
+def epsilon_net(X: FiniteMetricSpace, eps: float) -> SubsetRef:
+    """Greedy farthest-point eps-net seeded at index 0.
 
     Every point of X ends up within eps (closed) of the returned subset.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
-    chosen = [start]
-    mind = X.dist[start].copy()
+    chosen = [0]
+    mind = X.dist[0].copy()
     while True:
         far = int(np.argmax(mind))      # argmax takes the lowest index on ties
         if mind[far] <= eps:
@@ -289,14 +284,9 @@ class BridgeConstructionError(DomainError):
     pass
 
 
-def _as_point_map(f, nx: int, Y: FiniteMetricSpace) -> np.ndarray:
-    if callable(f):
-        out = np.array([int(f(i)) for i in range(nx)], dtype=int)
-    else:
-        out = np.asarray(list(f), dtype=int)
-    if out.shape != (nx,) or out.min() < 0 or out.max() >= Y.size:
-        raise DomainError("map must assign a Y index to every point of X")
-    return out
+def _map_distortion(f, X: FiniteMetricSpace, Y: FiniteMetricSpace) -> float:
+    """max over point pairs (i, j) of X of |D_Y[f i, f j] - D_X[i, j]|."""
+    return float(np.abs(Y.dist[np.ix_(f, f)] - X.dist).max())
 
 
 def bridge_metric(X: FiniteMetricSpace, Y: FiniteMetricSpace, f, delta: float) -> FiniteMetricSpace:
@@ -309,8 +299,10 @@ def bridge_metric(X: FiniteMetricSpace, Y: FiniteMetricSpace, f, delta: float) -
     """
     if delta <= 0:
         raise DomainError("delta must be positive")
-    fm = _as_point_map(f, X.size, Y)
-    distortion = float(np.abs(Y.dist[np.ix_(fm, fm)] - X.dist).max())
+    fm = np.asarray(list(f), dtype=int)
+    if fm.shape != (X.size,) or fm.min() < 0 or fm.max() >= Y.size:
+        raise DomainError("map must assign a Y index to every point of X")
+    distortion = _map_distortion(fm, X, Y)
     cross = (X.dist[:, :, None] + Y.dist[fm][None, :, :]).min(axis=1) + delta / 2.0
     n, m = X.size, Y.size
     D = np.zeros((n + m, n + m))

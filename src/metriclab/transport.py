@@ -478,11 +478,9 @@ def wasserstein_inf(mu: Measure, nu: Measure) -> float:
 # pushforward, nets, mixtures
 
 def pushforward(mu: Measure, h) -> Measure:
-    """Weights summed over preimages of a total point map."""
-    idx = getattr(h, "idx", h)
-    if callable(idx):
-        idx = [int(idx(i)) for i in range(mu.space.size)]
-    idx = np.asarray(idx, dtype=int)
+    """Weights summed over preimages of a total point map: a DynMap or an
+    index array."""
+    idx = np.asarray(getattr(h, "idx", h), dtype=int)
     if idx.shape != (mu.space.size,):
         raise DomainError("map must be total on the space")
     w = np.zeros(mu.space.size)

@@ -25,6 +25,14 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     return p
 
 
+def scenario_doc(name):
+    """A shipped scenario by file name, or a small wave-field scenario for "wave_field"."""
+    if name == "wave_field":
+        return {"kind": "wave-field", "params": {"modes": [0.3], "t_grid": [0.0, 0.5],
+                                                 "n_points": 5, "circle": True}}
+    return json.loads((SCENARIOS / f"{name}.json").read_text())
+
+
 class TestScenarioLoading:
     def test_missing_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json")]) == 2
@@ -88,14 +96,27 @@ class TestScenarioLoading:
     @pytest.mark.parametrize("scenario, key, value", [
         ("ldp", "n_values", ["x"]), ("ldp", "n_values", "48"), ("ldp", "maps", [5]),
         ("ldp", "maps", []),
-        ("birkhoff", "dynamics", 5), ("rotation_field", "t_grid", "ab")])
+        ("birkhoff", "dynamics", 5), ("rotation_field", "t_grid", "ab"),
+        ("birkhoff", "n_max", 32.9), ("birkhoff", "n_max", True), ("birkhoff", "n_max", "32"),
+        ("rotation_field", "net_size", 32.5), ("rotation_field", "theta", [1.5, 4]),
+        ("ldp", "trials", 2.5), ("ldp", "n_values", [2.7, 4]),
+        ("wave_field", "circle", "false"), ("wave_field", "circle", 1),
+        ("wave_field", "n_points", 5.5)])
     def test_wrongly_shaped_param_is_config_error(self, tmp_path, capsys, scenario, key, value):
-        doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+        doc = scenario_doc(scenario)
         doc["params"][key] = value
         out = tmp_path / "out"
         assert main(["--config", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        doc = scenario_doc("birkhoff")
+        doc["params"]["n_max"] = 32.0
+        out = tmp_path / "out"
+        assert main(["--config", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 0
+        n_max = json.loads((out / "report.json").read_text())["n_max"]
+        assert n_max == 32 and isinstance(n_max, int)
 
     def test_threads_flag_is_unknown(self, tmp_path):
         p = write_scenario(tmp_path, {"kind": "wasserstein", "params": {}})
@@ -251,6 +272,21 @@ class TestRun:
         assert header == ["('0', '0')", "('0', '1')", "('1', '0')", "('1', '1')"]
         assert rows and all(len(row) == 4 for row in rows)
 
+    def test_product_space_potential_rows_read_as_two_fields(self, tmp_path):
+        interval = {"generator": "interval", "params": {"n": 2, "length": 1.0}}
+        doc = {"kind": "wasserstein",
+               "params": {"space": {"generator": "product",
+                                    "params": {"left": interval, "right": interval}},
+                          "mu": [1, 0, 0, 0], "nu": [0, 0, 0, 1]}}
+        out = tmp_path / "out"
+        assert main(["--config", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 0
+        with (out / "potential.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["point", "value"]
+        labels = [(a, b) for a in ("0", "1") for b in ("0", "1")]
+        assert [row[0] for row in rows] == [str(label) for label in labels]
+        assert all(len(row) == 2 and math.isfinite(float(row[1])) for row in rows)
+
     def test_complete_nucleus_bytes(self, tmp_path):
         # the recipe of perfbench/scenarios/nucleus.json: a complete 34 790-member nucleus
         doc = {"kind": "nucleus", "seed": 0,
@@ -284,6 +320,7 @@ class TestRun:
         assert main(["--config", str(p), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert len(report["m"]) == 3
+        assert report["points"] == 6      # the glued ends are one point
         assert (out / "fibre_0.csv").exists()
         assert (out / "envelope.csv").exists()
 

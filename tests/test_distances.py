@@ -426,6 +426,38 @@ class TestEpsilonIsometryCheck:
         assert rep.distortion == pytest.approx(worst, abs=1e-9)
 
 
+def _brute_boundary_distortion(f, X, Y):
+    return max(abs(Y.dist[f[i], f[j]] - X.dist[i, j])
+               for i in range(X.size) for j in range(X.size))
+
+
+class TestSearchReportBoundaryDistortion:
+    @pytest.mark.parametrize("spaces", [
+        (interval_net(3, 1.0), interval_net(3, 1.4)),
+        (circle_net(4, 2.0), interval_net(3, 1.0)),
+        (interval_net(2, 0.7), circle_net(3, 3.0))])
+    def test_matches_brute_force(self, spaces):
+        X, Y = spaces
+        SX, SY = simplex_net(X, 2), simplex_net(Y, 2)
+        fuk = fukaya_distance(SX, SY)
+        f = fuk.report.forward
+        assert fuk.report.boundary_distortion == _brute_boundary_distortion(f, X, Y)
+        # the Fukaya report is the report of its witness
+        check = epsilon_isometry_check(f, SX, SY)
+        for field in ("distortion", "density_defect", "boundary_distortion"):
+            assert getattr(fuk.report, field) == getattr(check, field)
+        gap = intertwining_gap(SX, SY)
+        f, g = gap.report.forward, gap.report.backward
+        assert gap.report.boundary_distortion == max(_brute_boundary_distortion(f, X, Y),
+                                                     _brute_boundary_distortion(g, Y, X))
+
+    def test_three_to_wider_three(self):
+        SX, SY = simplex_net(interval_net(3, 1.0), 2), simplex_net(interval_net(3, 1.4), 2)
+        fuk = fukaya_distance(SX, SY)
+        assert fuk.report.forward == (0, 1, 2)
+        assert fuk.report.boundary_distortion == pytest.approx(0.4)
+
+
 class TestQuasimetricSandwich:
     def test_sampled_triples(self, rng):
         # small version of the acceptance run: exhaustive searches only

@@ -12,7 +12,7 @@ from metriclab import (DomainError, DynMap, Observable, birkhoff_rate, circle_ne
                        wasserstein1)
 from metriclab import distances, dynamics
 from metriclab.distances import MapCost
-from metriclab.dynamics import invert_circle_map, sine_pluck, z_action_window
+from metriclab.dynamics import z_action_window
 from metriclab.lipgeom import lipnorm_from_state_metric
 
 from oracles import (birkhoff_curve_brute, egh_cost_direct, enumerate_maps_loop,
@@ -38,12 +38,6 @@ class TestMaps:
         assert g0.projection_error == 0.0
         g = sine_pluck_map(X, 0.4)
         assert g.projection_error <= 0.5 * X.meta["mesh"] + 1e-12
-
-    def test_invert_circle_map(self):
-        g = sine_pluck(0.8)
-        for y in (0.3, 1.0, 2.5):
-            x = invert_circle_map(g, math.pi, y)
-            assert g(x) == pytest.approx(y, abs=1e-9)
 
 
 class TestDeform:
@@ -378,7 +372,7 @@ class TestCrossedProduct:
     def test_identity_matches_full_seminorm(self):
         X = interval_net(3, 2.0)
         a0 = Observable(X, [0.1, 0.8, 0.3])
-        v = crossed_product_seminorm(a0, identity_map(X), "general", resolution=6)
+        v = crossed_product_seminorm(a0, identity_map(X), resolution=6)
         # invariant simplex of the identity is all of Prob(X)
         assert v == pytest.approx(lipschitz_seminorm(a0), rel=0.2)
         assert v <= lipschitz_seminorm(a0) + 1e-9
@@ -386,7 +380,7 @@ class TestCrossedProduct:
     def test_constant_zero(self):
         X = circle_net(4, 2.0)
         a0 = Observable(X, np.ones(4))
-        assert crossed_product_seminorm(a0, rotation(X, 2), "general") == 0.0
+        assert crossed_product_seminorm(a0, rotation(X, 2)) == 0.0
 
     def test_two_cycle_closed_form(self):
         X = circle_net(4, 2 * math.pi)
@@ -395,16 +389,14 @@ class TestCrossedProduct:
         sim = invariant_measures(h)
         w = wasserstein1(sim.extremes[0], sim.extremes[1])[0]
         closed = abs(1.0 - 0.0) / w
-        assert crossed_product_seminorm(a0, h, "general", resolution=4) == pytest.approx(closed)
+        assert crossed_product_seminorm(a0, h, resolution=4) == pytest.approx(closed)
 
     def test_uniquely_ergodic_mode(self):
+        # a one-point invariant simplex takes the convention: a0's own seminorm
         X = circle_net(4, 2.0)
         h = rotation(X, 1)
         a0 = Observable(X, [0.0, 1.0, 0.0, 1.0])
-        assert crossed_product_seminorm(a0, h, "uniquely_ergodic") == pytest.approx(
-            lipschitz_seminorm(a0))
-        with pytest.raises(DomainError):
-            crossed_product_seminorm(a0, h, "general")
+        assert crossed_product_seminorm(a0, h) == lipschitz_seminorm(a0)
 
     def test_dominated(self):
         X = circle_net(4, 2 * math.pi)
@@ -434,8 +426,8 @@ class TestCrossedProduct:
         # seminorm map is upper semicontinuous at the ergodic parameter
         X = circle_net(4, 2 * math.pi)
         a0 = Observable(X, [0.4, 0.0, 1.0, 0.2])
-        ergodic_value = crossed_product_seminorm(a0, rotation(X, 1), "uniquely_ergodic")
-        nearby = crossed_product_seminorm(a0, rotation(X, 2), "general", resolution=4)
+        ergodic_value = crossed_product_seminorm(a0, rotation(X, 1))
+        nearby = crossed_product_seminorm(a0, rotation(X, 2), resolution=4)
         assert ergodic_value >= nearby - 1e-9
 
     def test_monotone_under_subsimplex(self):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from metriclab import (DomainError, MetricValidationError, SubsetRef, bridge_metric,
                        circle_net, covering_number, epsilon_net, hausdorff_distance,
-                       interval_net, product_space, radius, space_from_json,
+                       interval_net, product_space, space_from_json,
                        space_to_json, validate_metric)
 from metriclab.spaces import BridgeConstructionError, check_metric
 
@@ -77,9 +77,9 @@ class TestConstructors:
             interval_net(1, 1.0)
 
     def test_radius(self):
-        assert radius(validate_metric([[0, 2], [2, 0]])) == pytest.approx(1.0)
-        assert radius(circle_net(12, 2 * math.pi)) == pytest.approx(math.pi / 2)
-        assert radius(interval_net(5, math.pi)) == pytest.approx(math.pi / 2)
+        assert validate_metric([[0, 2], [2, 0]]).radius == pytest.approx(1.0)
+        assert circle_net(12, 2 * math.pi).radius == pytest.approx(math.pi / 2)
+        assert interval_net(5, math.pi).radius == pytest.approx(math.pi / 2)
 
     def test_product(self):
         T = validate_metric([[0.0]])
