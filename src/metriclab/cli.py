@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (a module-level failure), 2
 configuration error (bad flags, schema, missing files, a document that is
-not a JSON object, a seed that is not an integer, params that are not an
-object, a missing param or one its conversion rejects).
+not a JSON object, a seed that is neither an integral number nor a string
+of one, params that are not an object, a missing param or one its
+conversion rejects, a space document with a missing or malformed key).
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import DomainError
+from .config import DomainError, as_integer
 from .distances import dq_upper, fukaya_distance, gh_distance, intertwining_gap, simplex_net
 from .dynamics import DynMap, birkhoff_rate, rotation, sine_pluck_map
 from .fields import (WaveProfile, circle_wave_metric, lipschitz_envelope, rotation_field,
@@ -60,9 +61,11 @@ def load_scenario(path: str | Path) -> Scenario:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"params must be a JSON object, not {type(params).__name__}")
+    # an integral number, or a string of one
+    seed = doc.get("seed", 0)
     try:
-        seed = int(doc.get("seed", 0))
-    except (TypeError, ValueError) as exc:
+        seed = int(seed) if isinstance(seed, str) else as_integer(seed)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"seed must be an integer, not {doc['seed']!r}") from exc
     return Scenario(kind=kind, params=params, seed=seed)
 
@@ -120,13 +123,6 @@ def _param(params: dict, key: str, type_=None, default=_REQUIRED):
         raise ConfigError(f"scenario key {key!r} has an invalid value {value!r}: {exc}") from exc
 
 
-def _integer(v):
-    """v as an int when it is integral: 4 and 4.0 pass; 4.5, "4" and true do not."""
-    if isinstance(v, bool) or int(v) != v:
-        raise ValueError("expected an integer")
-    return int(v)
-
-
 def _boolean(v):
     """v when it is JSON true or false."""
     if not isinstance(v, bool):
@@ -136,7 +132,7 @@ def _boolean(v):
 
 def _int_pair(v):
     a, b = v
-    return _integer(a), _integer(b)
+    return as_integer(a), as_integer(b)
 
 
 def _object(v):
@@ -160,8 +156,7 @@ def _list_of(item):
 
 def _run_wasserstein(sc: Scenario):
     p = sc.params
-    space, mu_doc, nu_doc = _param(p, "space"), _param(p, "mu"), _param(p, "nu")
-    X = space_from_json(space)
+    X, mu_doc, nu_doc = _param(p, "space", space_from_json), _param(p, "mu"), _param(p, "nu")
     mu = measure_from_json(X, mu_doc)
     nu = measure_from_json(X, nu_doc)
     value, plan = wasserstein1(mu, nu)
@@ -178,18 +173,16 @@ def _run_wasserstein(sc: Scenario):
 
 
 def _run_gh(sc: Scenario):
-    X = space_from_json(_param(sc.params, "space_x"))
-    Y = space_from_json(_param(sc.params, "space_y"))
+    X = _param(sc.params, "space_x", space_from_json)
+    Y = _param(sc.params, "space_y", space_from_json)
     value, kind = gh_distance(X, Y)
     return {"gh": value, "bound": kind}, {}
 
 
 def _run_gap(sc: Scenario):
     p = sc.params
-    space_x, space_y = _param(p, "space_x"), _param(p, "space_y")
-    m = _param(p, "resolution", _integer, 2)
-    X = space_from_json(space_x)
-    Y = space_from_json(space_y)
+    X, Y = _param(p, "space_x", space_from_json), _param(p, "space_y", space_from_json)
+    m = _param(p, "resolution", as_integer, 2)
     SX, SY = simplex_net(X, m), simplex_net(Y, m)
     gap = intertwining_gap(SX, SY)
     fuk = fukaya_distance(SX, SY)
@@ -203,8 +196,7 @@ def _run_gap(sc: Scenario):
 
 def _run_nucleus(sc: Scenario):
     p = sc.params
-    space, eps = _param(p, "space"), _param(p, "eps", float)
-    X = space_from_json(space)
+    X, eps = _param(p, "space", space_from_json), _param(p, "eps", float)
     r = _param(p, "r", float, X.radius)
     nuc = nucleus_net(X, r, eps, seed=sc.seed)
     report = {"members": len(nuc), "density": nuc.density, "complete": nuc.complete,
@@ -219,9 +211,9 @@ def _build_dynamics(X, doc):
                           "scenario deforms rotations through their invariant measures")
     kind = doc.get("kind", "table")
     if kind == "rotation":
-        return rotation(X, _param(doc, "steps", _integer))
+        return rotation(X, _param(doc, "steps", as_integer))
     if kind == "table":
-        return DynMap(X, _param(doc, "map", _list_of(_integer)))
+        return DynMap(X, _param(doc, "map", _list_of(as_integer)))
     if kind == "analytic":
         if doc.get("family") != "sine_pluck":
             raise ConfigError("only the sine_pluck analytic family is available")
@@ -231,10 +223,9 @@ def _build_dynamics(X, doc):
 
 def _run_birkhoff(sc: Scenario):
     p = sc.params
-    space, dynamics = _param(p, "space"), _param(p, "dynamics", _object)
-    eps, n_max = _param(p, "eps", float), _param(p, "n_max", _integer)
+    X, dynamics = _param(p, "space", space_from_json), _param(p, "dynamics", _object)
+    eps, n_max = _param(p, "eps", float), _param(p, "n_max", as_integer)
     nucleus_eps = _param(p, "nucleus_eps", float, 0.1)
-    X = space_from_json(space)
     h = _build_dynamics(X, dynamics)
     nuc = nucleus_net(X, _param(p, "r", float, X.radius), nucleus_eps, seed=sc.seed)
     rep = birkhoff_rate(h, nuc, eps, n_max)
@@ -249,12 +240,11 @@ def _run_birkhoff(sc: Scenario):
 
 def _run_ldp(sc: Scenario):
     p = sc.params
-    space, map_docs = _param(p, "space"), _param(p, "maps", _list_of(_object))
-    eps, n_values = _param(p, "eps", float), _param(p, "n_values", _list_of(_integer))
+    X, map_docs = _param(p, "space", space_from_json), _param(p, "maps", _list_of(_object))
+    eps, n_values = _param(p, "eps", float), _param(p, "n_values", _list_of(as_integer))
     nucleus_eps = _param(p, "nucleus_eps", float, 0.2)
-    samples = _param(p, "nucleus_samples", _integer, 256)
-    trials = _param(p, "trials", _integer, 10_000)
-    X = space_from_json(space)
+    samples = _param(p, "nucleus_samples", as_integer, 256)
+    trials = _param(p, "trials", as_integer, 10_000)
     maps = tuple(_build_dynamics(X, doc) for doc in map_docs)
     if not maps:
         raise ConfigError("scenario key 'maps' lists no map")
@@ -280,7 +270,7 @@ def _run_ldp(sc: Scenario):
 
 def _run_wave_field(sc: Scenario):
     p = sc.params
-    n_points = _param(p, "n_points", _integer, 17)
+    n_points = _param(p, "n_points", as_integer, 17)
     profile = (WaveProfile(_param(p, "modes", tuple), _param(p, "speed", float, 1.0),
                            _param(p, "length", float, math.pi))
                if "modes" in p else
@@ -301,9 +291,9 @@ def _run_wave_field(sc: Scenario):
 def _run_rotation_field(sc: Scenario):
     p = sc.params
     pnum, qnum = _param(p, "theta", _int_pair)
-    t_grid, net_size = _param(p, "t_grid", _list_of(float)), _param(p, "net_size", _integer)
+    t_grid, net_size = _param(p, "t_grid", _list_of(float)), _param(p, "net_size", as_integer)
     rep = rotation_field(pnum, qnum, t_grid, net_size,
-                         resolution=_param(p, "resolution", _integer, 1))
+                         resolution=_param(p, "resolution", as_integer, 1))
     report = {"theta": [pnum, qnum], "t_grid": list(rep.t_grid),
               "net_size": rep.net_size,
               "extremes_per_fibre": list(rep.extremes_per_fibre)}

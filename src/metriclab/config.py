@@ -31,6 +31,14 @@ class Tolerances:
 TOL = Tolerances()
 
 
+def as_integer(v) -> int:
+    """v as an int when it is integral: 4 and 4.0 pass; 4.5, "4" and true do
+    not (ValueError)."""
+    if isinstance(v, bool) or int(v) != v:
+        raise ValueError(f"expected an integer, not {v!r}")
+    return int(v)
+
+
 class DomainError(Exception):
     """Base class for all domain-level failures (CLI exit code 1)."""
 

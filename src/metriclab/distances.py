@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import TOL, DomainError
 from .spaces import FiniteMetricSpace, _map_distortion, bridge_metric
-from .transport import Measure, ProbNet, prob_net, w1_hausdorff, wasserstein1
+from .transport import Measure, ProbNet, _support_w1, prob_net, w1_hausdorff
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,7 @@ def _extend(P: np.ndarray, n_to: int) -> np.ndarray:
 
 def _all_maps(n_from: int, n_to: int) -> np.ndarray:
     """Every map of range(n_from) into range(n_to), in `itertools.product` order."""
-    M = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(n_from):
-        M = _extend(M, n_to)
-    return M
+    return np.indices((n_to,) * n_from, dtype=np.int64).reshape(n_from, -1).T
 
 
 def search_maps(blocks, cost: MapCost, budget: SearchBudget, seeds):
@@ -310,10 +307,14 @@ def gh_distance(X: FiniteMetricSpace, Y: FiniteMetricSpace,
 
 class _W1Table:
     """W1 between grid measures on one boundary, coded by their integer
-    weights at a fixed scale. Each entry is solved once, on first use, from
-    the measure of the lower code to the other, so that no entry depends on
-    the order in which entries are asked for (the simplex is not bitwise
-    symmetric in its arguments)."""
+    weights at a fixed scale. Each slot holds its code and its weights,
+    counts / scale; `index` finds the slots of known codes by one search in
+    the codes kept in ascending order, and decodes, checks and adds new codes
+    only on a miss. Each entry is solved once, on first use, by the checked
+    support-restricted simplex of `wasserstein1`, from the weights of the
+    lower code to the other, so that no entry depends on the order in which
+    entries are asked for (the simplex is not bitwise symmetric in its
+    arguments)."""
 
     def __init__(self, space: FiniteMetricSpace, scale: int):
         if (scale + 1) ** space.size > np.iinfo(np.int64).max:
@@ -321,38 +322,43 @@ class _W1Table:
         self.space, self.scale = space, scale
         self.radix = (scale + 1) ** np.arange(space.size, dtype=np.int64)
         self._codes = np.empty(0, dtype=np.int64)   # code of each slot
-        self._order = np.empty(0, dtype=np.int64)   # slots in ascending code order
-        self._measures: list[Measure] = []          # measure of each slot
+        self._sorted = np.empty(0, dtype=np.int64)  # the codes in ascending order
+        self._slot = np.empty(0, dtype=np.int64)    # slot of each sorted code
+        self._weights = np.zeros((0, space.size))   # weights of each slot
         self._table = np.zeros((0, 0))              # NaN until solved
 
     def index(self, codes: np.ndarray) -> np.ndarray:
         """Table slot of each code, a count vector's dot product with radix."""
+        pos = np.searchsorted(self._sorted, codes)
+        if self._sorted.size and (self._sorted.take(pos, mode="clip") == codes).all():
+            return self._slot[pos]
         new = np.setdiff1d(codes, self._codes)
-        if new.size:
-            K = len(self._measures)
-            for code in new.tolist():
-                counts = code // self.radix % (self.scale + 1)
-                self._measures.append(Measure(self.space, counts / self.scale))
-            self._codes = np.concatenate([self._codes, new])
-            self._order = np.argsort(self._codes)
-            table = np.full((K + new.size,) * 2, np.nan)
-            table[:K, :K] = self._table
-            np.fill_diagonal(table, 0.0)
-            self._table = table
-        return self._order[np.searchsorted(self._codes, codes, sorter=self._order)]
+        counts = new[:, None] // self.radix % (self.scale + 1)
+        if (counts.sum(axis=1) != self.scale).any():
+            raise DomainError("a net code's counts do not sum to the grid scale")
+        K = len(self._codes)
+        self._codes = np.concatenate([self._codes, new])
+        self._weights = np.concatenate([self._weights, counts / self.scale])
+        self._slot = np.argsort(self._codes)
+        self._sorted = self._codes[self._slot]
+        table = np.full((K + new.size,) * 2, np.nan)
+        table[:K, :K] = self._table
+        np.fill_diagonal(table, 0.0)
+        self._table = table
+        return self._slot[np.searchsorted(self._sorted, codes)]
 
     def dist(self, i, j) -> np.ndarray:
         """W1 between the measures in slots i and j, broadcast together."""
-        i, j = np.broadcast_arrays(i, j)
         vals = self._table[i, j]
         todo = np.isnan(vals)
         if todo.any():
+            i, j = np.broadcast_arrays(i, j)
             a, b = i[todo], j[todo]
             swap = self._codes[a] > self._codes[b]
             K = len(self._table)
             for pq in np.unique(np.where(swap, b, a) * K + np.where(swap, a, b)).tolist():
                 p, q = divmod(pq, K)
-                v, _ = wasserstein1(self._measures[p], self._measures[q])
+                v = _support_w1(self._weights[p], self._weights[q], self.space.dist)[0]
                 self._table[p, q] = self._table[q, p] = v
             vals = self._table[i, j]
         return vals

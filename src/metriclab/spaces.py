@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import TOL, DomainError
+from .config import TOL, DomainError, as_integer
 
 
 class MetricValidationError(DomainError):
@@ -327,22 +327,42 @@ def space_to_json(X: FiniteMetricSpace) -> dict:
 
 
 def space_from_json(doc: dict | str) -> FiniteMetricSpace:
-    """Load a space from {"labels", "dist"} or {"generator", "params"} documents."""
+    """Load a space from {"labels", "dist"} or {"generator", "params"} documents.
+
+    A malformed document (a missing key, or a generator param its conversion
+    rejects: a circle or interval "n" must be an integer, so 6.7, "6" and
+    true are refused) raises ValueError naming the key."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a space must be a JSON object, not {type(doc).__name__}")
     if "generator" in doc:
         gen = doc["generator"]
         params = doc.get("params", {})
         if gen == "circle":
-            return circle_net(int(params["n"]), float(params["circumference"]))
+            return circle_net(_key(params, "n", as_integer), _key(params, "circumference", float))
         if gen == "interval":
-            return interval_net(int(params["n"]), float(params["length"]))
+            return interval_net(_key(params, "n", as_integer), _key(params, "length", float))
         if gen == "product":
-            return product_space(space_from_json(params["left"]),
-                                 space_from_json(params["right"]),
+            return product_space(space_from_json(_key(params, "left")),
+                                 space_from_json(_key(params, "right")),
                                  params.get("combiner", "max"))
         raise DomainError(f"unknown generator {gen!r}")
     labels = doc.get("labels")
     if labels is not None:
         labels = tuple(tuple(l) if isinstance(l, list) else l for l in labels)
-    return validate_metric(np.asarray(doc["dist"], dtype=float), labels=labels)
+    return validate_metric(_key(doc, "dist", lambda v: np.asarray(v, dtype=float)),
+                           labels=labels)
+
+
+def _key(doc, key: str, convert=None):
+    """doc[key] passed through convert; ValueError naming the key when it is
+    missing or convert rejects it."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"space document is missing key {key!r}")
+    if convert is None:
+        return doc[key]
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"space key {key!r} has an invalid value {doc[key]!r}: {exc}") from exc

@@ -82,6 +82,18 @@ def uniform_measure(space: FiniteMetricSpace, indices=None) -> Measure:
     return Measure(space, w)
 
 
+def _check_plan(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Raise DomainError unless P is a plan from weights a to weights b: no
+    entry below -TOL.coupling_atol, and row and column sums within
+    TOL.coupling_atol of a and b."""
+    if P.min() < -TOL.coupling_atol:
+        raise DomainError("coupling has a negative entry")
+    if np.abs(P.sum(axis=1) - a).max() > TOL.coupling_atol:
+        raise DomainError("coupling row sums do not match the source weights")
+    if np.abs(P.sum(axis=0) - b).max() > TOL.coupling_atol:
+        raise DomainError("coupling column sums do not match the target weights")
+
+
 @dataclass(frozen=True, eq=False)
 class Coupling:
     """Primal transport witness; marginals must match source and target."""
@@ -92,12 +104,7 @@ class Coupling:
 
     def __post_init__(self):
         P = np.asarray(self.matrix, dtype=float)
-        if P.min() < -TOL.coupling_atol:
-            raise DomainError("coupling has a negative entry")
-        if np.abs(P.sum(axis=1) - self.source.weights).max() > TOL.coupling_atol:
-            raise DomainError("coupling row sums do not match the source weights")
-        if np.abs(P.sum(axis=0) - self.target.weights).max() > TOL.coupling_atol:
-            raise DomainError("coupling column sums do not match the target weights")
+        _check_plan(P, self.source.weights, self.target.weights)
         P = P.copy()
         P.flags.writeable = False
         object.__setattr__(self, "matrix", P)
@@ -327,17 +334,25 @@ def _transport_simplex(a, b, C, max_pivots=None, basis=None):
     return cost, P, u, v
 
 
+def _support_w1(wa: np.ndarray, wb: np.ndarray, D: np.ndarray):
+    """The network simplex between weights wa and wb under D, restricted to
+    their supports: (cost, plan over the supports, sa, sb), the plan checked
+    by `_check_plan` against the restricted weights."""
+    sa, sb = np.flatnonzero(wa > 0), np.flatnonzero(wb > 0)
+    a, b = wa[sa], wb[sb]
+    cost, P, _, _ = _transport_simplex(a, b, D[sa[:, None], sb])
+    _check_plan(P, a, b)
+    return cost, P, sa, sb
+
+
 def wasserstein1(mu: Measure, nu: Measure) -> tuple[float, Coupling]:
     """Exact optimal transport cost under the space metric, with a witness plan."""
     X = _same_space(mu, nu)
     if np.array_equal(mu.weights, nu.weights):
         return 0.0, Coupling(mu, nu, np.diag(mu.weights))
-    sa = mu.support
-    sb = nu.support
-    cost, P, _, _ = _transport_simplex(mu.weights[sa], nu.weights[sb],
-                                       X.dist[np.ix_(sa, sb)])
+    cost, P, sa, sb = _support_w1(mu.weights, nu.weights, X.dist)
     full = np.zeros((X.size, X.size))
-    full[np.ix_(sa, sb)] = P
+    full[sa[:, None], sb] = P
     return cost, Coupling(mu, nu, full)
 
 

@@ -60,6 +60,13 @@ class TestScenarioLoading:
         assert main(["--config", str(p)]) == 2
         p = write_scenario(tmp_path, {"kind": "check", "seed": "3"})
         assert load_scenario(p).seed == 3
+        p = write_scenario(tmp_path, {"kind": "check", "seed": 4.0})
+        assert load_scenario(p).seed == 4
+        for seed in (2.5, True):
+            out = tmp_path / "out"
+            p = write_scenario(tmp_path, {"kind": "check", "seed": seed})
+            assert main(["--config", str(p), "--out", str(out)]) == 2
+            assert not out.exists()
 
     def test_params_not_object_is_config_error(self, tmp_path):
         p = write_scenario(tmp_path, {"kind": "nucleus", "params": ["space", "eps"]})
@@ -109,6 +116,21 @@ class TestScenarioLoading:
         assert main(["--config", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("generator, params", [
+        ("circle", {"n": 6.7, "circumference": 6.0}), ("circle", {"n": "six", "circumference": 6.0}),
+        ("circle", {"n": "6", "circumference": 6.0}), ("interval", {"n": True, "length": 2.0}),
+        ("interval", {"length": 2.0})])
+    def test_space_generator_n_must_be_an_integer(self, tmp_path, capsys, generator, params):
+        doc = {"kind": "nucleus", "params": {"space": {"generator": generator, "params": params},
+                                             "eps": 0.5}}
+        out = tmp_path / "out"
+        assert main(["--config", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
+        assert "'n'" in capsys.readouterr().err
+        assert not out.exists()
+        doc["params"]["space"]["params"]["n"] = 4.0
+        assert main(["--config", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["members"] > 0
 
     def test_integral_float_is_an_integer(self, tmp_path):
         doc = scenario_doc("birkhoff")

@@ -232,6 +232,91 @@ class TestW1Table:
             assert table.dist(slots[q], slots[p]) == expect
 
 
+    def test_every_entry_is_wasserstein1_from_the_lower_code(self, rng):
+        # random boundaries at scales 1-3, and two nets on one boundary that
+        # share a table at their lcm scale; entries are asked for one at a
+        # time in shuffled order, then all at once
+        cases = []
+        for _ in range(6):
+            X = _planar(rng, int(rng.integers(3, 6)))
+            S = simplex_net(X, int(rng.integers(1, 4)))
+            table = _W1Table(X, S.resolution)
+            cases.append((table, table.index(S.counts @ table.radix)))
+        X = _planar(rng, 4)
+        x, y = distances._sides(simplex_net(X, 2), simplex_net(X, 3))
+        assert x.table is y.table and x.table.scale == 6
+        cases.append((x.table, np.concatenate([x.slots, y.slots])))
+        for table, slots in cases:
+            slots = np.unique(slots)
+            codes = table._codes[slots]
+            measures = [Measure(table.space, (c // table.radix % (table.scale + 1)) / table.scale)
+                        for c in codes.tolist()]
+            expect = np.array([[0.0 if p == q else
+                                wasserstein1(*(measures[k] for k in sorted(
+                                    (p, q), key=codes.__getitem__)))[0]
+                                for q in range(len(slots))] for p in range(len(slots))])
+            pairs = [(p, q) for p in range(len(slots)) for q in range(len(slots))]
+            for k in rng.permutation(len(pairs)):
+                p, q = pairs[k]
+                assert table.dist(slots[p], slots[q]) == expect[p, q]
+            assert np.array_equal(table.dist(slots[:, None], slots[None, :]), expect)
+
+    def test_known_codes_keep_their_slots(self, rng):
+        X = _planar(rng, 4)
+        S = simplex_net(X, 2)
+        table = _W1Table(X, 2)
+        codes = S.counts @ table.radix
+        first = table.index(codes[:4])
+        slots = table.index(codes)
+        assert slots[:4].tolist() == first.tolist()
+        size = len(table._codes)
+        assert table.index(codes[::-1]).tolist() == slots[::-1].tolist()
+        assert table.index(codes.reshape(2, -1)).tolist() == slots.reshape(2, -1).tolist()
+        assert len(table._codes) == size and table._table.shape == (size, size)
+
+    def test_code_off_the_scale_raises(self):
+        X = interval_net(3, 1.0)
+        table = _W1Table(X, 2)
+        table.index(np.array([2, 6]))             # counts (2, 0, 0) and (0, 2, 0)
+        for counts in ([1, 0, 0], [2, 1, 0], [0, 0, 0]):
+            with pytest.raises(DomainError):
+                table.index(np.array([2, np.dot(counts, table.radix)]))
+        assert table._codes.tolist() == [2, 6]
+
+    @pytest.mark.parametrize("n_from, n_to", [(4, 4), (3, 3), (5, 5), (1, 3), (3, 1), (6, 2)])
+    def test_all_maps_in_product_order(self, n_from, n_to):
+        assert (distances._all_maps(n_from, n_to).tolist()
+                == [list(f) for f in itertools.product(range(n_to), repeat=n_from)])
+
+    def test_searches_pinned_on_criterion_5_nets(self):
+        # values and witnesses of the acceptance criterion-5 nets, recorded
+        # before the table held weights in place of measures
+        rng = np.random.default_rng(505)
+        nets = [simplex_net(_planar(rng, 3 if k % 2 == 0 else 4), 2 if k % 2 == 0 else 1)
+                for k in range(10)]
+        pinned = [
+            ((0, 1), (1.5338585665099815, (3, 1, 0), (2, 1, 1, 0)),
+             (1.2439427014156113, (0, 2, 3)), 2.229774070117818),
+            ((1, 3), (1.2558726745356013, (2, 1, 1, 0), (3, 1, 0, 0)),
+             (1.2558726745356013, (2, 1, 1, 0)), 1.3715009912369744),
+            ((2, 4), (2.4476097313422267, (0, 2, 0), (0, 1, 1)),
+             (2.4476097313422267, (0, 2, 0)), 2.805734703645877),
+            ((3, 0), (1.4457284480649584, (0, 1, 2, 2), (0, 1, 2)),
+             (1.8357123401891924, (0, 1, 0, 2)), 2.044696001745786),
+            ((4, 7), (1.4702421058200343, (1, 0, 2), (1, 0, 2, 0)),
+             (1.1859244507890598, (0, 1, 3)), 1.934451326065231),
+            ((8, 9), (1.2431764882720566, (0, 2, 3), (0, 0, 1, 2)),
+             (1.2431764882720566, (0, 2, 3)), 1.818874668489052),
+        ]
+        for (a, b), gap, fukaya, dq in pinned:
+            g = intertwining_gap(nets[a], nets[b])
+            f = fukaya_distance(nets[a], nets[b])
+            assert (g.value, g.report.forward, g.report.backward) == gap
+            assert (f.value, f.report.forward) == fukaya
+            assert dq_upper(nets[a], nets[b], g.report.forward) == dq
+            assert g.exhaustive and f.exhaustive
+
+
 class TestSimplexNet:
     def test_off_grid_measures_rejected(self):
         X = interval_net(3, 1.0)

@@ -238,3 +238,11 @@ class TestJson:
                                                   "params": {"n": 2, "length": 1.0}},
                                         "combiner": "sum"}})
         assert P.dist[0, 3] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("params", [{"n": 6.7}, {"n": "6"}, {"n": True}, {"n": "six"}, {}])
+    def test_generator_n_must_be_an_integer(self, params):
+        for gen, size in (("circle", "circumference"), ("interval", "length")):
+            with pytest.raises(ValueError, match="'n'"):
+                space_from_json({"generator": gen, "params": {**params, size: 2.0}})
+            X = space_from_json({"generator": gen, "params": {"n": 4.0, size: 2.0}})
+            assert X.size == 4
