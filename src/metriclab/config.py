@@ -25,7 +25,15 @@ class Tolerances:
     atom_slack: float = 1e-15        # circle atoms this far past a breakpoint count as reached there
     mesh_snap: float = 1e-9          # fraction of a circle mesh within which an image snaps to a net point
     descent_step: float = 1e-15      # least drop in cost that moves a map-search descent
-    bridge_delta_floor: float = 1e-9  # least bridge scale in dq_upper (bridges need delta > 0)
+    projection_tie: float = 1e-15    # circle-map images this close to a tie take the lower net index
+    section_constant_atol: float = 1e-15  # a section this close to its first fibre is one function
+    ldp_tie_margin: float = 1e-9     # LDP deviations this near eps, per unit max|values|, are re-decided
+
+    @property
+    def bridge_delta_floor(self) -> float:
+        """Least bridge scale in dq_upper (bridges need delta > 0): a bridge
+        puts delta/2 between matched points, which must clear metric_atol."""
+        return 4 * self.metric_atol
 
 
 TOL = Tolerances()

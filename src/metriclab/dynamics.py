@@ -98,7 +98,7 @@ def project_circle_map(X: FiniteMetricSpace, fn, label: str = "analytic") -> Dyn
         wrap = min(abs(y - coords[j]), L - abs(y - coords[j]))
         alt = (j - 1) % n
         wrap_alt = min(abs(y - coords[alt]), L - abs(y - coords[alt]))
-        if abs(wrap_alt - wrap) <= 1e-15 and alt < j:
+        if abs(wrap_alt - wrap) <= TOL.projection_tie and alt < j:
             j = alt
             wrap = wrap_alt
         idx[i] = j

@@ -493,7 +493,7 @@ def field_continuity_check(fld: MetricField, sections, atol: float = 1e-9) -> Co
         for i in range(1, T - 1):
             if vals[i - 1] > vals[i] + atol and vals[i + 1] > vals[i] + atol:
                 flags.append((si, fld.thetas[i]))
-        constant = np.all(np.abs(sec - sec[0][None, :]) <= 1e-15)
+        constant = np.all(np.abs(sec - sec[0][None, :]) <= TOL.section_constant_atol)
         if constant and env is not None:
             # seminorms of a fixed function obey L_t in [k[t,s] L_s, K[t,s] L_s]
             for s in range(T):

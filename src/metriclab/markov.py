@@ -148,29 +148,30 @@ class LdpReport:
 
 
 # trials per block of ldp_experiment, and prefixes per chunk of its prefix
-# table: a block's visit counts, member sums and held visits take about this
-# many numbers (1 MB), so each step and each horizon works in cache instead
+# table: a block's start walks, visit counts and held visits take about this
+# many numbers (4 MB), so each step and each horizon works in cache instead
 # of streaming whole-experiment arrays through main memory
-_LDP_BLOCK_CELLS = 1 << 17
+_LDP_BLOCK_CELLS = 1 << 19
 
 
-def _exceed_flags(flat_maps, size, starts, values, mean, eps, horizons, choices):
-    """(len(horizons), trials) flags: does trial t deviate by more than eps
-    at horizon n? Trial t applies map choices[k, t] at step k, from every
-    start at once; rows are start-major, (start, trial). choices needs
-    horizons[-1] - 1 steps, the last that a horizon depends on."""
-    S, B = len(starts), choices.shape[1]
-    cells = np.arange(S * B).reshape(S, B) * size        # each row's first count
-    offsets = choices * size                             # map choice -> flat_maps
-    counts = np.zeros(S * B * size)
-    counts[(cells + starts[:, None]).ravel()] = 1.0
+def _horizon_counts(flat_maps, size, horizons, offsets, path):
+    """Yield every row's visit counts, (rows, size), at each horizon n: its
+    positions at steps 0 .. n - 1. path (k, *rows) holds the first k of them;
+    the rest are walked on from path[-1], step j going from x to
+    flat_maps[offsets[j - 1] + x]. One array, updated in place."""
+    k, shape = len(path), path.shape[1:]
+    rows = path[0].size
+    cells = np.arange(rows).reshape(shape) * size        # each row's first count
+    counts = np.zeros(rows * size)
     # positions walked but not yet counted: counted at each horizon, or
     # earlier when the buffer is full
-    held = np.empty((max(1, min(horizons[-1] - 1, _LDP_BLOCK_CELLS // (S * B))), S, B),
+    held = np.empty((max(1, min(horizons[-1] - k, _LDP_BLOCK_CELLS // rows)),) + shape,
                     dtype=np.intp)
-    pos, h, walked = starts[:, None], 0, 1
-    out = np.empty((len(horizons), B), dtype=bool)
-    for i, n in enumerate(horizons):
+    pos, h, walked, counted = path[-1], 0, k, 0
+    for n in horizons:
+        if counted < min(n, k):
+            counts += np.bincount((path[counted:n] + cells).ravel(), minlength=counts.size)
+            counted = min(n, k)
         while walked < n:
             pos = flat_maps.take(offsets[walked - 1] + pos, out=held[h])
             h += 1
@@ -178,12 +179,107 @@ def _exceed_flags(flat_maps, size, starts, values, mean, eps, horizons, choices)
             if h == len(held) or walked == n:
                 counts += np.bincount((held[:h] + cells).ravel(), minlength=counts.size)
                 h = 0
-        seg = (counts.reshape(S * B, size) @ values.T).reshape(S, B, -1)
-        # rounded seg / n - mean is nondecreasing in seg, and |x| > eps is
-        # x > eps or x < -eps, so the largest and the smallest seg over starts
-        # decide whether the sup of |seg / n - mean| exceeds eps, exactly
-        out[i] = (((seg.max(axis=0) / n - mean) > eps).any(axis=1)
-                  | ((seg.min(axis=0) / n - mean) < -eps).any(axis=1))
+        yield counts.reshape(rows, size)
+
+
+def _deviates(counts, n, values, mean, eps):
+    """(trials,) flags from exact visit counts (S, trials, size) at horizon
+    n: does some start's time average of some member leave its mean by
+    more than eps? Every count row goes through one product with the
+    values."""
+    S, B, size = counts.shape
+    seg = (counts.reshape(S * B, size) @ values.T).reshape(S, B, -1)
+    # rounded seg / n - mean is nondecreasing in seg, and |x| > eps is
+    # x > eps or x < -eps, so the largest and the smallest seg over starts
+    # decide whether the sup of |seg / n - mean| exceeds eps, exactly
+    return (((seg.max(axis=0) / n - mean) > eps).any(axis=1)
+            | ((seg.min(axis=0) / n - mean) < -eps).any(axis=1))
+
+
+def _exact_flags(flat_maps, size, values, mean, eps, horizons, offsets, path):
+    """(len(horizons), trials) flags of the rows (start, trial) whose first
+    positions are path (k, S, trials), walked on with offsets (see
+    _horizon_counts), each horizon decided by _deviates."""
+    out = np.empty((len(horizons), path.shape[2]), dtype=bool)
+    counts = _horizon_counts(flat_maps, size, horizons, offsets, path)
+    for i, (n, c) in enumerate(zip(horizons, counts)):
+        out[i] = _deviates(c.reshape(path.shape[1:] + (size,)), n, values, mean, eps)
+    return out
+
+
+def _exceed_flags(flat_maps, size, starts, values, mean, eps, horizons, choices):
+    """(len(horizons), trials) flags: does trial t deviate by more than eps
+    at horizon n? Trial t applies map choices[k, t] at step k, from every
+    start at once. choices needs horizons[-1] - 1 steps, the last that a
+    horizon depends on.
+
+    Merge: all starts of a trial take the same maps, so once they sit at
+    one point they stay together, and from then on each start's count row
+    is start 0's plus the difference of their visits before they met. The
+    kernel walks every start until each trial's starts have met, or its
+    buffer of _LDP_BLOCK_CELLS positions is full. A trial whose starts meet
+    after the first horizon, or not at all, is walked on from there by
+    _exact_flags. The other trials walk start 0 alone, and their
+    differences are multiplied by the values once per choice prefix.
+
+    Filter: at each horizon a flag is read from (start 0's product + the
+    largest or the smallest difference product) / n - mean against eps.
+    The counts are exact integers and the exact kernel's seg / n - mean
+    differs from this by less than (4 size + 8) u max|values|, u the unit
+    roundoff, so a trial whose deviations all stay more than
+    TOL.ldp_tie_margin * max(1, max|values|) from eps gets its exact flag.
+
+    Recheck: the few others get their exact count rows back, start 0's
+    plus the differences, and _deviates decides them."""
+    S, B = len(starts), choices.shape[1]
+    offsets = choices * size                             # map choice -> flat_maps
+    path = np.empty((max(1, min(horizons[-1], _LDP_BLOCK_CELLS // (S * B))), S, B),
+                    dtype=np.intp)
+    path[0] = starts[:, None]
+    k = 1
+    # the first and the last start meeting is cheap to test and necessary
+    while k < len(path) and not ((path[k - 1, -1] == path[k - 1, 0]).all()
+                                 and (path[k - 1] == path[k - 1, 0]).all()):
+        flat_maps.take(offsets[k - 1] + path[k - 1], out=path[k])
+        k += 1
+    path = path[:k]
+    # met[t]: the first step at which trial t's starts coincide, k if none
+    met = np.full(B, k)
+    if (path[-1] == path[-1, 0]).all(axis=0).any():
+        met = (path != path[:, :1]).any(axis=1).sum(axis=0)
+    late = met > min(horizons[0], k - 1)
+    if late.all():
+        return _exact_flags(flat_maps, size, values, mean, eps, horizons, offsets, path)
+    out = np.empty((len(horizons), B), dtype=bool)
+    if late.any():
+        out[:, late] = _exact_flags(flat_maps, size, values, mean, eps, horizons,
+                                    offsets[:, late], path[:, :, late])
+    sure = np.flatnonzero(~late)
+    # a trial's differences are fixed by its map choices before its starts
+    # met, so they are counted and multiplied once per such prefix; the key
+    # is met and the prefix, -1 for later choices, as one byte string per
+    # trial, which np.unique sorts fast (met keeps it nonempty at k = 1)
+    key = np.vstack([met[sure], np.where(np.arange(k - 1)[:, None] < met[sure] - 1,
+                                         choices[:k - 1, sure], -1)])
+    key = np.ascontiguousarray(key.T).view(np.dtype((np.void, key.itemsize * k)))
+    _, first, which = np.unique(key.ravel(), return_index=True, return_inverse=True)
+    cells = np.arange(S * len(first)).reshape(S, -1) * size
+    seen = np.bincount((path[:, :, sure[first]] + cells).ravel(), minlength=cells.size * size)
+    seen = seen.reshape(S, len(first), size)
+    diff = seen - seen[0]
+    spread = (diff.reshape(-1, size).astype(float) @ values.T).reshape(S, len(first), -1)
+    hi, lo = spread.max(axis=0)[which], spread.min(axis=0)[which]
+    margin = TOL.ldp_tie_margin * max(1.0, float(np.abs(values).max()))
+    common = _horizon_counts(flat_maps, size, horizons, offsets[:, sure], path[:, 0, sure])
+    for i, (n, c) in enumerate(zip(horizons, common)):
+        base = c @ values.T
+        up = ((base + hi) / n - mean).max(axis=1)
+        down = ((base + lo) / n - mean).min(axis=1)
+        out[i, sure] = (up > eps) | (down < -eps)
+        near = np.flatnonzero(~((up > eps + margin) | (down < -eps - margin)
+                                | ((up < eps - margin) & (down > margin - eps))))
+        if near.size:
+            out[i, sure[near]] = _deviates(c[near] + diff[:, which[near]], n, values, mean, eps)
     return out
 
 
@@ -207,17 +303,22 @@ def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
     are the fraction of trials whose deviation exceeds eps, and (c1, c2)
     come from a least-squares fit of log p against n (diagnostic only).
 
-    Trials run in blocks through one walk kernel. Its rows are start-major,
-    (start, trial), so the max and the min over starts reduce contiguous
-    slabs; it holds the positions of each step and adds them to the visit
-    counts with one bincount per horizon. A horizon n depends only on a
-    trial's first n - 1 map choices, so where maps ** (n - 1) <= trials the
-    kernel walks every such choice prefix once and each trial reads its
-    flag from that table by its prefix code. The bits are those of
-    evaluating every trial: each (trial, start) count row goes through the
-    same product with the nucleus values whatever block or table it sits
-    in, and |seg / n - mean| > eps is decided at the largest and the
-    smallest seg over starts because rounding is monotone.
+    Trials run in blocks through one walk kernel. A horizon n depends only
+    on a trial's first n - 1 map choices, so where maps ** (n - 1) <= trials
+    the kernel walks every such choice prefix once and each trial reads its
+    flag from that table by its prefix code. The kernel walks all starts of
+    a trial until they meet; from then on they move together, so it walks
+    start 0 alone and reads each flag from start 0's product with the
+    nucleus values plus the product of the starts' visits before the
+    meeting. That sum is within (4 size + 8) u max|values| of the exact
+    seg (u the unit roundoff), so only trials with a deviation within
+    TOL.ldp_tie_margin * max(1, max|values|) of eps are re-decided, from
+    their exact count rows; trials whose starts meet after the first
+    horizon, or never, are counted exactly throughout. The bits are those
+    of evaluating every trial on its own: each exact (trial, start) count
+    row goes through the same product with the nucleus values whatever
+    block or table it sits in, and |seg / n - mean| > eps is decided at the
+    largest and the smallest seg over starts because rounding is monotone.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")

@@ -361,6 +361,15 @@ class TestRun:
             assert key in report
         assert report["fukaya"] <= report["gamma"] + 1e-9
 
+    def test_gap_scenario_of_an_isometric_copy(self, tmp_path):
+        circle = {"generator": "circle", "params": {"n": 4, "circumference": 2 * math.pi}}
+        doc = {"kind": "gap", "params": {"space_x": circle, "space_y": circle, "resolution": 2}}
+        out = tmp_path / "out"
+        assert main(["--config", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["gamma"] == report["fukaya"] == 0.0
+        assert 0 < report["dq_upper"] <= metriclab.TOL.bridge_delta_floor
+
 
 class TestSvg:
     def test_single_point(self):

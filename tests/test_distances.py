@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from metriclab import (DomainError, Measure, SearchBudget, circle_net, dq_upper,
+from metriclab import (TOL, DomainError, Measure, SearchBudget, circle_net, dq_upper,
                        epsilon_isometry_check, fukaya_distance, gh_distance,
                        intertwining_gap, interval_net, point_mass, simplex_net,
                        validate_metric, wasserstein1)
@@ -365,6 +365,12 @@ class TestDqUpper:
         cross = B.dist[:3, 3:]
         expect = max(cross.min(axis=1).max(), cross.min(axis=0).max())
         assert v == pytest.approx(expect, abs=1e-9)
+
+    def test_isometric_copy_stays_at_the_floor(self):
+        # the identity has distortion 0, so delta falls to the floor, and the
+        # bridge's cross distances of half of it must still pass validate_metric
+        S = simplex_net(circle_net(4, 2 * math.pi), 2)
+        assert 0 < dq_upper(S, S, range(4)) <= TOL.bridge_delta_floor
 
     def test_scaled_circles_trend(self):
         X = circle_net(4, 2 * math.pi)

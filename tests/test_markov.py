@@ -19,16 +19,16 @@ from oracles import ldp_probabilities_scalar, stationary_measures_scc
 LDP_SCENARIO = Path(__file__).resolve().parents[1] / "scripts" / "scenarios" / "ldp.json"
 
 
-def two_contraction_family(n=16):
-    """x -> x/2 and x -> (x+1)/2 on an n-point net of [0, 1]."""
-    X = interval_net(n, 1.0)
+def two_contraction_family(n=16, length=1.0):
+    """x -> x/2 and x -> (x+L)/2 on an n-point net of [0, L]."""
+    X = interval_net(n, length)
     coords = np.asarray(X.meta["coords"])
 
     def proj(y):
         return int(np.argmin(np.abs(coords - y)))
 
     half = DynMap(X, np.array([proj(c / 2) for c in coords]), label="half")
-    shift = DynMap(X, np.array([proj(c / 2 + 0.5) for c in coords]), label="half+")
+    shift = DynMap(X, np.array([proj(c / 2 + length / 2) for c in coords]), label="half+")
     return X, RandomMapFamily((half, shift), np.array([0.5, 0.5]))
 
 
@@ -323,6 +323,74 @@ class TestLdp:
         assert walks == [(19, 1)]
         assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, 0.3, n_values, 30, 1)
         assert {0.0, 1.0} == set(rep.probabilities)
+
+    def test_never_merging_family_matches_scalar_oracle(self):
+        # rotations are bijections, so no two starts ever meet and every
+        # trial is walked on from the start walk and decided exactly
+        X = circle_net(16, 1.0)
+        fam = RandomMapFamily((rotation(X, 1), rotation(X, 3)), np.array([0.5, 0.5]))
+        nuc = nucleus_net(X, X.radius, 0.25, sample_budget=64, probe_count=16)
+        n_values = [1, 3, 9, 16, 33]
+        rep = ldp_experiment(fam, nuc, 0.05, n_values, trials=300, seed=6)
+        assert sum(0.0 < p < 1.0 for p in rep.probabilities) >= 2
+        assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, 0.05, n_values,
+                                                             300, 6)
+
+    def test_eps_on_the_deviation_lattice_is_rechecked(self, monkeypatch):
+        # both maps are constant, so every trial's starts meet at step 1 and
+        # every call of the exact decision is a re-check; the time averages
+        # of x - 1/2 are multiples of 1/(4n), so eps = 1/4 is hit exactly
+        X = interval_net(5, 1.0)
+        fam = RandomMapFamily((DynMap(X, [0] * 5), DynMap(X, [4] * 5)), np.array([0.5, 0.5]))
+        nuc = Nucleus(X, 0.5, np.asarray(X.meta["coords"])[None, :] - 0.5, 0.5, False, 0.25)
+        rechecked = []
+        deviates = markov._deviates
+
+        def record(counts, *args):
+            rechecked.append(counts.shape[1])
+            return deviates(counts, *args)
+
+        monkeypatch.setattr(markov, "_deviates", record)
+        n_values = [4, 8, 12, 16]
+        rep = ldp_experiment(fam, nuc, 0.25, n_values, trials=500, seed=3)
+        assert sum(rechecked) > 0
+        assert any(0.0 < p < 1.0 for p in rep.probabilities)
+        assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, 0.25, n_values, 500, 3)
+
+    @pytest.mark.parametrize("eps", [0.15e6, 103821.42857142845])
+    def test_scaled_interval_matches_scalar_oracle(self, eps):
+        # values up to 4.5e5 that are not dyadic round differently in the
+        # filter's sums than in the exact products; the second eps is trial
+        # 26's exact deviation at n = 16, which the filter alone misreads
+        X, fam = two_contraction_family(16, 1e6)
+        full = nucleus_net(X, X.radius, 0.25e6, sample_budget=64, probe_count=16)
+        nuc = Nucleus(X, full.r, 0.9 * full.values, full.density, False, full.target_eps)
+        n_values = [2, 8, 16, 32]
+        rep = ldp_experiment(fam, nuc, eps, n_values, trials=60, seed=1)
+        assert any(0.0 < p < 1.0 for p in rep.probabilities)
+        assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, eps, n_values, 60, 1)
+
+    def test_starts_meeting_after_the_first_horizon(self):
+        # twenty maps (ten copies of each contraction) keep n = 3 out of the
+        # prefix table, and most trials' starts meet after step 3, where
+        # their counts are not yet start 0's plus the difference
+        X, fam = two_contraction_family(16)
+        fam = RandomMapFamily(fam.maps * 10, np.full(20, 0.05))
+        nuc = nucleus_net(X, X.radius, 0.25, sample_budget=64, probe_count=16)
+        n_values = [3, 4, 6, 40]
+        rep = ldp_experiment(fam, nuc, 0.4, n_values, trials=300, seed=8)
+        assert sum(0.0 < p < 1.0 for p in rep.probabilities) >= 3
+        assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, 0.4, n_values, 300, 8)
+
+    @pytest.mark.parametrize("trials", [1, 300])
+    def test_horizons_before_any_merge_match_scalar_oracle(self, trials):
+        # the starts of the two contractions have not met after one step, so
+        # n = 1 and 2 are decided exactly, walked (1 trial) or from the table
+        X, fam = two_contraction_family(16)
+        nuc = nucleus_net(X, X.radius, 0.25, sample_budget=64, probe_count=16)
+        rep = ldp_experiment(fam, nuc, 0.5, [1, 2], trials=trials, seed=4)
+        assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, 0.5, [1, 2], trials, 4)
+        assert trials == 1 or 0.0 < rep.probabilities[1] < 1.0
 
     @pytest.mark.parametrize("trials", [0, -3, 2.5, "ten"])
     def test_trials_must_be_a_positive_integer(self, trials):
