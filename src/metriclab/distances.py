@@ -456,6 +456,11 @@ def intertwining_gap(SX: SimplexNet, SY: SimplexNet,
 
     With `fixed_pair=(f, g)` no search happens; the witnessed value of that
     pair is returned (an upper bound for the gap).
+
+    The exhaustive gap bounds `fukaya_distance` from above when SY's
+    resolution divides SX's: every g_*nu then lies in SX's net, so the gap's
+    pair (f, g) gives f a surjectivity defect no larger than its inversion
+    defect. From a coarser source net Fukaya can exceed the gap.
     """
     nx, ny = SX.boundary.size, SY.boundary.size
     x, y = _sides(SX, SY)
@@ -528,7 +533,11 @@ def _coupling_seeds(SA: SimplexNet, SB: SimplexNet) -> list[tuple]:
 def fukaya_distance(SX: SimplexNet, SY: SimplexNet,
                     budget: SearchBudget = SearchBudget()) -> GapResult:
     """Least eps admitting a single pushforward map that is eps-isometric on
-    the net and eps-surjective onto the target net."""
+    the net and eps-surjective onto the target net.
+
+    At most `intertwining_gap` (both exhaustive) when SY's resolution
+    divides SX's; see there.
+    """
     x, y = _sides(SX, SY)
     cost = MapCost((lambda F: np.maximum(_iso_defect(x, y, F), _surj_defect(x, y, F)),))
     val, (f,), exhaustive = search_maps([(SX.boundary.size, SY.boundary.size)], cost, budget,

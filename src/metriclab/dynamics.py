@@ -59,10 +59,6 @@ class DynMap:
         inv[self.idx] = np.arange(self.space.size)
         return DynMap(self.space, inv, self.projection_error, label=f"{self.label}^-1")
 
-    def distortion(self) -> float:
-        D = self.space.dist
-        return float(np.abs(D[np.ix_(self.idx, self.idx)] - D).max())
-
     def expansion(self) -> float:
         """Worst one-sided stretch; <= 0 means the map is 1-Lipschitz."""
         D = self.space.dist
@@ -392,14 +388,3 @@ def crossed_product_seminorm(a0: Observable, h: DynMap, resolution: int = 4) -> 
         if d > TOL.metric_atol:
             best = max(best, abs(vals[i] - vals[j]) / d)
     return float(best)
-
-
-def crossed_product_seminorm_dominated(a0: Observable, h: DynMap,
-                                       resolution: int = 4) -> tuple[float, float]:
-    """(seminorm over the invariant simplex, full seminorm of a0); asserts
-    the first never exceeds the second."""
-    restricted = crossed_product_seminorm(a0, h, resolution)
-    full = lipschitz_seminorm(a0)
-    if restricted > full + 1e-7:
-        raise DomainError(f"restricted seminorm {restricted!r} exceeds the full one {full!r}")
-    return restricted, full

@@ -110,28 +110,6 @@ def state_metric(states, generators) -> np.ndarray:
     return M
 
 
-def lipnorm_from_state_metric(values, metric) -> float:
-    """Seminorm of a function on states recovered from the state metric."""
-    v = np.asarray(values, dtype=float)
-    M = np.asarray(metric, dtype=float)
-    iu = np.triu_indices(len(v), k=1)
-    dists = M[iu]
-    pos = dists > TOL.metric_atol
-    if not pos.any():
-        raise DomainError("state metric is degenerate: no pair at positive distance")
-    diffs = np.abs(v[iu[0]] - v[iu[1]])
-    return float((diffs[pos] / dists[pos]).max())
-
-
-def extend_to_simplex(f: Observable, states) -> np.ndarray:
-    """Affine extension tau -> integral of f, evaluated on the given measures."""
-    for mu in states:
-        if mu.space is not f.space:
-            raise DomainError("state lives on a different space")
-    W = np.asarray([mu.weights for mu in states])
-    return W @ f.values
-
-
 # ---------------------------------------------------------------------------
 # nuclei
 
@@ -374,12 +352,3 @@ def nucleus_decompose(F: MatrixObservable, r: float) -> Decomposition:
     if tr_h.max() > TOL.trace_null_atol:
         raise DomainError("H is not tracially null")
     return Decomposition(G, c, H, x0)
-
-
-def matrix_observable_from_json(space: FiniteMetricSpace, doc) -> MatrixObservable:
-    """Per-point n x n matrices given as [re, im] entry pairs."""
-    arr = np.asarray(doc, dtype=float)
-    if arr.ndim != 4 or arr.shape[0] != space.size or arr.shape[3] != 2:
-        raise DomainError("expected shape (points, n, n, 2) of [re, im] pairs")
-    vals = arr[..., 0] + 1j * arr[..., 1]
-    return MatrixObservable(space, arr.shape[1], vals)

@@ -13,9 +13,9 @@ from functools import partial
 
 import numpy as np
 
-from .config import TOL, DomainError
+from .config import TOL, DomainError, as_integer
 from .lipgeom import Nucleus
-from .rng import RNG_VERSION, SplitMix64, derive_seeds, uniform_block
+from .rng import RNG_VERSION, derive_seeds, uniform_block
 from .spaces import FiniteMetricSpace, epsilon_net
 from .transport import Measure
 
@@ -111,22 +111,6 @@ def stationary_measures(P: MarkovKernel) -> list[Measure]:
         if np.abs(mu.weights @ P.P - mu.weights).max() > TOL.coupling_atol:
             raise DomainError("stationary solve failed its own invariance check")
         out.append(mu)
-    return out
-
-
-def simulate(P: MarkovKernel, x0: int, n: int, seed: int) -> np.ndarray:
-    """Trajectory [x0, x1, ..., xn]; each step by inverse CDF over the fixed
-    point order, driven by the pinned generator. Bit-identical across runs."""
-    if n < 1:
-        raise DomainError("need at least one step")
-    cum = np.cumsum(P.P, axis=1)
-    out = np.empty(n + 1, dtype=int)
-    out[0] = x0
-    x = x0
-    for k, u in enumerate(SplitMix64(seed).uniforms(n), start=1):
-        x = int(np.searchsorted(cum[x], u, side="right"))
-        x = min(x, P.space.size - 1)
-        out[k] = x
     return out
 
 
@@ -284,13 +268,14 @@ def _exceed_flags(flat_maps, size, starts, values, mean, eps, horizons, choices)
 
 
 def _positive_int(v, what: str) -> int:
+    """v by the CLI's integer rule (config.as_integer), and at least 1."""
     try:
-        ok = int(v) == v and v >= 1
+        n = as_integer(v)
     except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
+        n = 0
+    if n < 1:
         raise DomainError(f"{what} must be a positive integer, not {v!r}")
-    return int(v)
+    return n
 
 
 def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,

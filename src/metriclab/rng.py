@@ -92,6 +92,3 @@ class SplitMix64:
     def randint(self, n: int) -> int:
         """Integer in [0, n). Rejection-free modulo; fine at desk scale."""
         return self.next_uint64() % n
-
-    def spawn(self, index: int) -> "SplitMix64":
-        return SplitMix64(derive_seed(self.seed, index))

@@ -1,4 +1,4 @@
-"""Finite metric spaces: validation, constructors, nets, covers, bridges.
+"""Finite metric spaces: validation, constructors, nets, bridges.
 
 A ``FiniteMetricSpace`` is a labelled point set with a validated distance
 matrix, standing in for a compact metric space sampled on a finite net.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,9 +96,6 @@ class FiniteMetricSpace:
     def radius(self) -> float:
         return 0.5 * float(self.dist.max())
 
-    def index_of(self, label) -> int:
-        return self.labels.index(label)
-
 
 def validate_metric(D, labels: Sequence | None = None, meta: dict | None = None,
                     atol: float = TOL.metric_atol) -> FiniteMetricSpace:
@@ -138,15 +135,6 @@ class SubsetRef:
         if min(idx) < 0 or max(idx) >= self.space.size:
             raise DomainError("subset index out of bounds")
         object.__setattr__(self, "indices", idx)
-
-
-def _as_indices(space: FiniteMetricSpace, subset) -> np.ndarray:
-    if isinstance(subset, SubsetRef):
-        if subset.space is not space:
-            raise DomainError("subset belongs to a different space")
-        return np.asarray(subset.indices, dtype=int)
-    ref = SubsetRef(space, tuple(subset))
-    return np.asarray(ref.indices, dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -200,64 +188,7 @@ def product_space(T: FiniteMetricSpace, X: FiniteMetricSpace,
 
 
 # ---------------------------------------------------------------------------
-# basic geometry
-
-def hausdorff_distance(X: FiniteMetricSpace, A, B) -> float:
-    """Hausdorff distance between two nonempty subsets of one space."""
-    ia, ib = _as_indices(X, A), _as_indices(X, B)
-    block = X.dist[np.ix_(ia, ib)]
-    return float(max(block.min(axis=1).max(), block.min(axis=0).max()))
-
-
-class CoveringResult(NamedTuple):
-    count: int
-    exact: bool
-
-
-def covering_number(X: FiniteMetricSpace, eps: float,
-                    exact_cap: int = 20) -> CoveringResult:
-    """Minimum number of open eps-balls centred at points of X that cover X.
-
-    Exact (branch-and-bound set cover) for spaces up to `exact_cap` points;
-    beyond that a greedy upper bound is returned with exact=False.
-    """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    n = X.size
-    balls = [frozenset(np.flatnonzero(X.dist[i] < eps).tolist()) for i in range(n)]
-    universe = frozenset(range(n))
-
-    def greedy() -> int:
-        uncovered = set(universe)
-        count = 0
-        while uncovered:
-            best = max(range(n), key=lambda i: (len(balls[i] & uncovered), -i))
-            uncovered -= balls[best]
-            count += 1
-        return count
-
-    upper = greedy()
-    if n > exact_cap:
-        return CoveringResult(upper, False)
-
-    best = upper
-
-    def search(uncovered: frozenset, used: int):
-        nonlocal best
-        if not uncovered:
-            best = min(best, used)
-            return
-        if used + 1 >= best:
-            return
-        # branch on the uncovered point with fewest covering balls
-        pivot = min(uncovered, key=lambda p: (sum(p in b for b in balls), p))
-        for i in range(n):
-            if pivot in balls[i]:
-                search(uncovered - balls[i], used + 1)
-
-    search(universe, 0)
-    return CoveringResult(best, True)
-
+# nets
 
 def epsilon_net(X: FiniteMetricSpace, eps: float) -> SubsetRef:
     """Greedy farthest-point eps-net seeded at index 0.
@@ -319,11 +250,6 @@ def bridge_metric(X: FiniteMetricSpace, Y: FiniteMetricSpace, f, delta: float) -
         raise BridgeConstructionError(
             f"bridge output is not a metric (map distortion {distortion:.3g} exceeds "
             f"delta {delta:.3g}?): {exc}") from exc
-
-
-def space_to_json(X: FiniteMetricSpace) -> dict:
-    return {"labels": [list(l) if isinstance(l, tuple) else l for l in X.labels],
-            "dist": X.dist.tolist()}
 
 
 def space_from_json(doc: dict | str) -> FiniteMetricSpace:

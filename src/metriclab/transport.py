@@ -505,11 +505,11 @@ def pushforward(mu: Measure, h) -> Measure:
 
 @dataclass(frozen=True)
 class ProbNet:
-    """All measures with weights on a 1/m grid over the chosen support."""
+    """All measures with weights on a 1/m grid over the whole space."""
 
     measures: tuple
     resolution: int
-    density: float   # W1-density bound of the net inside Prob(support)
+    density: float   # W1-density bound of the net inside Prob(X)
 
 
 def convex_grid(k: int, m: int, max_size: int = 200_000) -> np.ndarray:
@@ -518,7 +518,7 @@ def convex_grid(k: int, m: int, max_size: int = 200_000) -> np.ndarray:
     if count > max_size:
         raise DomainError(
             f"grid would hold {count} weight vectors (> cap {max_size}); "
-            "use a coarser m or restrict the support")
+            "use a coarser m or fewer points")
     # stars and bars: k - 1 bars among m + k - 1 slots, in lexicographic order,
     # give the parts (gaps between bars) in lexicographic order
     bars = np.fromiter(itertools.chain.from_iterable(
@@ -528,21 +528,11 @@ def convex_grid(k: int, m: int, max_size: int = 200_000) -> np.ndarray:
     return (np.diff(edges, axis=1) - 1) / m
 
 
-def prob_net(X: FiniteMetricSpace, m: int, support=None,
-             max_size: int = 200_000) -> ProbNet:
+def prob_net(X: FiniteMetricSpace, m: int) -> ProbNet:
     if m < 1:
         raise DomainError("resolution m must be >= 1")
-    idx = np.arange(X.size) if support is None else np.asarray(list(support), dtype=int)
-    s = len(idx)
-    out = []
-    for lam in convex_grid(s, m, max_size):
-        w = np.zeros(X.size)
-        w[idx] = lam
-        out.append(Measure(X, w))
-    sub = X.dist[np.ix_(idx, idx)]
-    diam = float(sub.max())
-    density = diam * min(1.0, s / (2.0 * m))
-    return ProbNet(tuple(out), m, density)
+    out = tuple(Measure(X, lam) for lam in convex_grid(X.size, m))
+    return ProbNet(out, m, X.diameter * min(1.0, X.size / (2.0 * m)))
 
 
 def mix(measures, lambdas) -> Measure:
@@ -558,10 +548,6 @@ def mix(measures, lambdas) -> Measure:
             raise SpaceMismatchError("measures live on different spaces")
     w = sum(l * mu.weights for l, mu in zip(lam, measures))
     return Measure(space, w)
-
-
-def measure_to_json(mu: Measure) -> list:
-    return mu.weights.tolist()
 
 
 def measure_from_json(space: FiniteMetricSpace, doc) -> Measure:

@@ -107,6 +107,17 @@ def hausdorff_brute(D, A, B) -> float:
     return max(fwd, bwd)
 
 
+def lipnorm_from_state_metric(values, metric, atol: float = 1e-9) -> float:
+    """Seminorm of a function on states read off a state metric: the largest
+    |v_i - v_j| / d_ij over the pairs at distance above atol."""
+    ratios = [abs(values[i] - values[j]) / metric[i][j]
+              for i, j in itertools.combinations(range(len(values)), 2)
+              if metric[i][j] > atol]
+    if not ratios:
+        raise ValueError("state metric is degenerate: no pair at positive distance")
+    return float(max(ratios))
+
+
 def covering_brute(D, eps: float) -> int:
     """Exhaustive minimum number of open eps-balls covering all points."""
     n = len(D)

@@ -16,7 +16,69 @@ from metriclab.selfcheck import run_checks
 from metriclab.svg import emit_plot
 
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scripts" / "scenarios"
+SRC = str(Path(metriclab.__file__).resolve().parents[1])
+
+
+# What ships: the scenarios CI runs twice and diffs (the same globs), run in
+# all three formats, and the scripts, run at their defaults.
+SHIPPED_SOURCES = {p.stem: p for pattern in ("scripts/scenarios/*.json",
+                                             "perfbench/scenarios/nucleus.json",
+                                             "scripts/*.py")
+                   for p in sorted(ROOT.glob(pattern))}
+
+# sha256 of every file they write, keyed "<source stem>/<file>". This is the
+# one place an artifact byte change is declared; CHANGES.md gives the reason.
+SHIPPED_ARTIFACTS = {
+    "birkhoff/deviation.csv": "cc33d53995efa6c4e596f7e02221d226af2e7cadaff80e643f5aa2e2b8e7799a",
+    "birkhoff/deviation.svg": "566c5816cb70257e707258ac7358179fdf64cda9bf990d6cf45275ebcb0efd1c",
+    "birkhoff/report.json": "738ddc2b85f0cb71f1550875d0eb88fb7f42c18ab2eeb1ce64129fa3327fbd30",
+    "check/report.json": "246266a462bce71a6fbdeaa90c5e1aab50dca17d29235fa565b2807e03642a73",
+    "gap/report.json": "479b593f02126db6a0c1b0eb79a3edef2449919ea490cc3f634eab542352af45",
+    "ldp/ldp.csv": "a5dcd1ed365695045612593092ef2361352a3e90674e6ff2e526b2a4d0d9cfea",
+    "ldp/ldp.svg": "3a55215f275e3e708df925e731089b9583783fd965c3a0752a9b1971615a7887",
+    "ldp/report.json": "f8e38e9777c83e2120ad778e4d1ba7e5f05e85da594025402f3c18a9de9b1b22",
+    "ldp_two_contractions/ldp.csv":
+        "a5dcd1ed365695045612593092ef2361352a3e90674e6ff2e526b2a4d0d9cfea",
+    "ldp_two_contractions/ldp.svg":
+        "3a55215f275e3e708df925e731089b9583783fd965c3a0752a9b1971615a7887",
+    "ldp_two_contractions/report.json":
+        "f8e38e9777c83e2120ad778e4d1ba7e5f05e85da594025402f3c18a9de9b1b22",
+    "nucleus/nucleus.csv": "468af5caddc920774041e53b914aebf8ab43b6f52b85af96749db212f863ec6f",
+    "nucleus/report.json": "2985beca7f6737034597043e72e6235e4c4141d1ca04480a07797695308768aa",
+    "rotation_field/dhat.csv": "f9c01b3eccfa3a7262bcefda07c4e69df1d4b7155ea3b696959faa847eab42ad",
+    "rotation_field/gamma.csv": "38192fef75d8a07ef435dc802ca1a15b76ed504cc0dd00ff5c543e0bd9ba4158",
+    "rotation_field/report.json":
+        "affee8c1947578221895c6dec8da2e7ad6b1ba847757415cb8664fe866233891",
+    "wasserstein/coupling.csv": "6f1a2a90640fc1b8b82d5f05e3fdc5396575b503aa4cce4fade941ef32e7a908",
+    "wasserstein/potential.csv": "40d7979b16ffe726312ad36f16568c253faa4f4de7f2eff67dc3833c36e0375a",
+    "wasserstein/report.json": "5efe9c4407ffe10c970f09509309776f171a43887936baf70e3086800055f84b",
+    "wave_field_demo/wave_field.csv":
+        "fec65dd2df95d4f5fd1c2606d52437fcf5f0855ae3910284574236cd6f20208f",
+}
+
+SHIPPED_SOURCE_NAMES = sorted(set(SHIPPED_SOURCES)
+                              | {k.split("/")[0] for k in SHIPPED_ARTIFACTS})
+
+
+def subprocess_env():
+    """The environment with this package's source tree first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
+def run_shipped(path, out):
+    """Run a shipped scenario (all three formats) or script (at its defaults)
+    in a fresh interpreter, RuntimeWarnings as errors, writing into out."""
+    cmd = [sys.executable, "-W", "error::RuntimeWarning"]
+    if path.suffix == ".json":
+        cmd += ["-m", "metriclab", "--config", str(path),
+                "--format", "json", "--format", "csv", "--format", "svg"]
+    else:
+        cmd += [str(path)]
+    return subprocess.run(cmd + ["--out", str(out)], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=300)
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -322,16 +384,17 @@ class TestRun:
         assert hashlib.sha256(data).hexdigest() == (
             "468af5caddc920774041e53b914aebf8ab43b6f52b85af96749db212f863ec6f")
 
-    def test_shipped_ldp_bytes(self, tmp_path):
-        out = tmp_path / "out"
-        assert main(["--config", str(SCENARIOS / "ldp.json"), "--out", str(out), "--format",
-                     "json", "--format", "csv", "--format", "svg"]) == 0
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("ldp.csv", "ldp.svg", "report.json")}
-        assert digests == {
-            "ldp.csv": "a5dcd1ed365695045612593092ef2361352a3e90674e6ff2e526b2a4d0d9cfea",
-            "ldp.svg": "3a55215f275e3e708df925e731089b9583783fd965c3a0752a9b1971615a7887",
-            "report.json": "f8e38e9777c83e2120ad778e4d1ba7e5f05e85da594025402f3c18a9de9b1b22"}
+    @pytest.mark.parametrize("source", SHIPPED_SOURCE_NAMES)
+    def test_shipped_artifact_bytes(self, source, tmp_path):
+        assert source in SHIPPED_SOURCES, f"{source!r} is pinned but nothing ships it"
+        out = tmp_path / source
+        res = run_shipped(SHIPPED_SOURCES[source], out)
+        assert res.returncode == 0, res.stderr
+        written = {f"{source}/{p.relative_to(out).as_posix()}":
+                   hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.rglob("*") if p.is_file()}
+        pinned = {k: v for k, v in SHIPPED_ARTIFACTS.items() if k.split("/")[0] == source}
+        assert written == pinned
 
     def test_wave_field_scenario(self, tmp_path):
         doc = {"kind": "wave-field",
@@ -428,11 +491,8 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
 
 def test_runtime_loads_no_scipy(tmp_path):
     # a fresh interpreter: this test process has SciPy loaded for the oracles
-    src = str(Path(metriclab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     scenario = SCENARIOS / "wasserstein.json"
     res = subprocess.run([sys.executable, "-c", NO_SCIPY_PROGRAM, str(scenario), str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=120)
+                         env=subprocess_env(), capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"

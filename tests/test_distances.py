@@ -444,6 +444,16 @@ class TestFukaya:
             SX, SY = simplex_net(X, 1), simplex_net(Y, 1)
             assert fukaya_distance(SX, SY).value <= intertwining_gap(SX, SY).value + 1e-9
 
+    @pytest.mark.parametrize("m_x, m_y", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 3)])
+    def test_below_gap_when_target_resolution_divides_source(self, m_x, m_y):
+        rng = np.random.default_rng(2100 + 10 * m_x + m_y)
+        for _ in range(4):
+            SX = simplex_net(_planar(rng, int(rng.integers(2, 5))), m_x)
+            SY = simplex_net(_planar(rng, int(rng.integers(2, 5))), m_y)
+            fukaya, gap = fukaya_distance(SX, SY), intertwining_gap(SX, SY)
+            assert fukaya.exhaustive and gap.exhaustive
+            assert fukaya.value <= gap.value + 1e-9
+
     def test_scaled_intervals_window(self):
         SX = simplex_net(interval_net(3, 1.0), 2)
         SY = simplex_net(interval_net(3, 1.2), 2)

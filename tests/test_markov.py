@@ -8,7 +8,7 @@ import pytest
 from metriclab import markov
 from metriclab import (DomainError, DynMap, MarkovKernel, Measure, RandomMapFamily,
                        circle_net, identity_map, interval_net, kernel_from_maps,
-                       ldp_experiment, nucleus_net, point_mass, rotation, simulate,
+                       ldp_experiment, nucleus_net, point_mass, rotation,
                        stationary_measures, wasserstein1)
 from metriclab.cli import main
 from metriclab.dynamics import birkhoff_rate
@@ -155,29 +155,6 @@ class TestStationary:
             seen["several classes"] += len(want) > 1
             seen["absorbing"] += bool((np.diag(K.P) == 1.0).any())
         assert min(seen.values()) >= 20, seen
-
-
-class TestSimulate:
-    def test_deterministic_kernel_orbit(self):
-        X = circle_net(4, 2.0)
-        h = rotation(X, 1)
-        P = kernel_from_maps(RandomMapFamily((h,), np.array([1.0])))
-        traj = simulate(P, 0, 6, seed=5)
-        assert traj.tolist() == [0, 1, 2, 3, 0, 1, 2]
-
-    def test_identity_kernel_constant(self):
-        X = interval_net(3, 1.0)
-        P = MarkovKernel(X, np.eye(3))
-        assert np.array_equal(simulate(P, 2, 5, seed=1), [2] * 6)
-
-    def test_seed_reproducibility(self):
-        X, fam = two_contraction_family(8)
-        P = kernel_from_maps(fam)
-        a = simulate(P, 3, 50, seed=123)
-        b = simulate(P, 3, 50, seed=123)
-        c = simulate(P, 3, 50, seed=124)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
 
 
 class TestLdp:
@@ -392,14 +369,15 @@ class TestLdp:
         assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, 0.5, [1, 2], trials, 4)
         assert trials == 1 or 0.0 < rep.probabilities[1] < 1.0
 
-    @pytest.mark.parametrize("trials", [0, -3, 2.5, "ten"])
+    @pytest.mark.parametrize("trials", [0, -3, 2.5, "ten", True])
     def test_trials_must_be_a_positive_integer(self, trials):
         X, fam = two_contraction_family(8)
         nuc = nucleus_net(X, X.radius, 0.3, sample_budget=16)
         with pytest.raises(DomainError, match="trials"):
             ldp_experiment(fam, nuc, 0.2, [2, 4], trials=trials, seed=0)
 
-    @pytest.mark.parametrize("n_values", [[2.7, 4], [0, 4], ["4"], [math.inf], [math.nan], []])
+    @pytest.mark.parametrize("n_values", [[2.7, 4], [0, 4], ["4"], [math.inf], [math.nan], [],
+                                          [True]])
     def test_horizons_must_be_positive_integers(self, n_values):
         X, fam = two_contraction_family(8)
         nuc = nucleus_net(X, X.radius, 0.3, sample_budget=16)

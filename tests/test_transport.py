@@ -557,9 +557,9 @@ class TestProbNetMix:
                 assert np.array_equal(got, np.asarray(want) / m)
 
     def test_cap_error(self):
-        X = interval_net(10, 1.0)
+        # C(49, 9), about 2e9 weight vectors, is over the default cap of 200 000
         with pytest.raises(DomainError):
-            prob_net(X, 40, max_size=1000)
+            prob_net(interval_net(10, 1.0), 40)
 
     def test_density_bound_holds_empirically(self, rng):
         X = interval_net(4, 2.0)
