@@ -84,19 +84,26 @@ def _write_csv(path: Path, header, rows):
     format(v, ".12g"). Header and cells are quoted where CSV needs it, so a
     product space's tuple label is one field.
 
-    A 2-D float64 array is written in blocks of _CSV_BLOCK_ROWS rows, each
-    block one %-format of a whole-block template; any other rows (lists,
-    tuples, zips, mixed str/int/float cells) go through csv.writer, a float
-    pre-formatted as .12g.
+    A 2-D float64 array with columns is formatted once per distinct bit
+    pattern (so -0.0, 0.0 and each NaN keep their own text): each pattern's
+    text, ended by "," or, in the last column, by a newline, is a cell of a
+    table, and each block of _CSV_BLOCK_ROWS rows is one join of the cells
+    its codes pick. Any other rows (lists, tuples, zips, mixed str/int/float
+    cells) go through csv.writer, a float pre-formatted as .12g.
     """
     with path.open("w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
-            line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+        if (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
+                and rows.shape[1]):
+            bits = rows.view(np.uint64)
+            patterns = np.unique(bits)
+            text = [format(v, ".12g") for v in patterns.view(np.float64).tolist()]
+            cells = np.array([s + "," for s in text] + [s + "\n" for s in text], dtype=object)
+            codes = np.searchsorted(patterns, bits)     # (rows, columns)
+            codes[:, -1] += len(text)
             for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-                part = rows[start:start + _CSV_BLOCK_ROWS]
-                fh.write((line * len(part)) % tuple(part.ravel().tolist()))
+                fh.write("".join(cells[codes[start:start + _CSV_BLOCK_ROWS]].ravel().tolist()))
         else:
             writer.writerows([[f"{v:.12g}" if isinstance(v, float) else v for v in row]
                               for row in rows])

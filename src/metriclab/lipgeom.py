@@ -113,20 +113,48 @@ def state_metric(states, generators) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # nuclei
 
+def _columns(values, n) -> np.ndarray:
+    """The rows of values (1-D: one row) as one contiguous (n, rows) array."""
+    return np.ascontiguousarray(np.asarray(values, dtype=float).reshape(-1, n).T)
+
+
 def mcshane_project(space: FiniteMetricSpace, values) -> np.ndarray:
-    """Least 1-Lipschitz function dominating the input values; a 2-D input is
-    projected row by row, one point at a time to keep transients (rows, n)."""
+    """Least 1-Lipschitz function dominating the input values, of the input's
+    shape; a 2-D input is projected row by row.
+
+    out(x_i) = max_j (v(x_j) - d(x_i, x_j)), for all rows and all i at once:
+    the values are transposed to (n, rows), and the n terms are taken with
+    np.maximum in j order, the later j as its second operand, so a -0.0 that
+    ties a +0.0 resolves as np.maximum resolves it.
+    Transients are (n, rows).
+    """
     v = np.asarray(values, dtype=float)
-    out = np.empty_like(v)
-    for i, row in enumerate(space.dist):
-        out[..., i] = (v - row).max(axis=-1)
-    return out
+    D = space.dist
+    cols = _columns(v, len(D))
+    out = cols[0] - D[:, :1]
+    term = np.empty_like(out)
+    for j in range(1, len(D)):
+        np.maximum(out, np.subtract(cols[j], D[:, j:j + 1], out=term), out=out)
+    return out.T.reshape(v.shape)
 
 
 def _lipschitz_excess(values, dist) -> float:
-    """max over rows and point pairs of |f(x) - f(y)| - d(x, y), one point at a time."""
-    v = np.asarray(values, dtype=float)
-    return max(float((np.abs(v - v[..., i:i + 1]) - row).max()) for i, row in enumerate(dist))
+    """max over rows and point pairs of |f(x) - f(y)| - d(x, y), the diagonal
+    included.
+
+    The values are transposed to (n, rows); point i is compared with the
+    points j >= i at once, against min(d(i, j), d(j, i)), which gives the
+    max over both orders of an asymmetric pair exactly.
+    """
+    cols = _columns(values, len(dist))
+    d = np.minimum(dist, dist.T)
+    worst = []
+    for i in range(len(d)):
+        gap = cols[i:] - cols[i]
+        np.abs(gap, out=gap)
+        gap -= d[i, i:, None]
+        worst.append(float(gap.max()))
+    return max(worst)
 
 
 @dataclass(frozen=True, eq=False)

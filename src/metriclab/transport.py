@@ -512,12 +512,17 @@ class ProbNet:
     density: float   # W1-density bound of the net inside Prob(X)
 
 
-def convex_grid(k: int, m: int, max_size: int = 200_000) -> np.ndarray:
-    """All convex weight vectors of length k with entries in multiples of 1/m."""
+# most weight vectors convex_grid builds
+_CONVEX_GRID_CAP = 200_000
+
+
+def convex_grid(k: int, m: int) -> np.ndarray:
+    """All convex weight vectors of length k with entries in multiples of 1/m,
+    at most _CONVEX_GRID_CAP of them."""
     count = math.comb(m + k - 1, k - 1)
-    if count > max_size:
+    if count > _CONVEX_GRID_CAP:
         raise DomainError(
-            f"grid would hold {count} weight vectors (> cap {max_size}); "
+            f"grid would hold {count} weight vectors (> cap {_CONVEX_GRID_CAP}); "
             "use a coarser m or fewer points")
     # stars and bars: k - 1 bars among m + k - 1 slots, in lexicographic order,
     # give the parts (gaps between bars) in lexicographic order

@@ -211,6 +211,36 @@ def permutation_invariant_measures(idx):
     return out
 
 
+def mcshane_project_rows(dist, values):
+    """mcshane_project's earlier kernel: out[..., i] is the max over the last
+    axis of values - dist[i], one point i at a time."""
+    v = np.asarray(values, dtype=float)
+    out = np.empty_like(v)
+    for i, row in enumerate(dist):
+        out[..., i] = (v - row).max(axis=-1)
+    return out
+
+
+def mcshane_project_scalar(dist, row):
+    """One row's McShane projection by a scalar loop: out[i] is
+    np.maximum(best, row[j] - dist[i, j]) taken over j in order, so a tie of
+    -0.0 and +0.0 resolves as np.maximum resolves it."""
+    out = []
+    for i in range(len(dist)):
+        best = np.float64(row[0] - dist[i][0])
+        for j in range(1, len(dist)):
+            best = np.maximum(best, np.float64(row[j] - dist[i][j]))
+        out.append(best)
+    return np.array(out)
+
+
+def lipschitz_excess_full(values, dist) -> float:
+    """max of |f(x) - f(y)| - d(x, y) over the full (rows, n, n) array of
+    ordered point pairs, the diagonal included."""
+    v = np.atleast_2d(np.asarray(values, dtype=float))
+    return float((np.abs(v[:, :, None] - v[:, None, :]) - dist).max())
+
+
 def unique_rows_np(x):
     """nucleus_net's earlier dedupe: numpy's unique rows (a structured-dtype
     sort) of x rounded to 12 decimals."""

@@ -454,19 +454,43 @@ CSV_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 0.1 + 0.2,
               123456789012.5, -1e-14, 1 / 3, 2.0 ** 60, 1e-300, -7.25e22]
 
 
+def assert_block_writer_matches_cell_writer(tmp_path, x):
+    header = [f"p{k}" for k in range(x.shape[1])]
+    _write_csv(tmp_path / "block.csv", header, x)
+    _write_csv(tmp_path / "cell.csv", header, x.tolist())
+    block = (tmp_path / "block.csv").read_bytes()
+    assert block == (tmp_path / "cell.csv").read_bytes()
+    assert block.count(b"\n") == len(x) + 1
+
+
 @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
 def test_float_array_csv_matches_cell_writer(tmp_path, rows):
     rng = np.random.default_rng(rows)
     cols = 5
     x = rng.standard_normal(rows * cols) * 10.0 ** rng.integers(-20, 20, rows * cols)
     x[:len(CSV_FLOATS)] = CSV_FLOATS[:len(x)]
-    x = x.reshape(rows, cols)
-    header = [f"p{k}" for k in range(cols)]
-    _write_csv(tmp_path / "block.csv", header, x)
-    _write_csv(tmp_path / "cell.csv", header, x.tolist())
-    block = (tmp_path / "block.csv").read_bytes()
-    assert block == (tmp_path / "cell.csv").read_bytes()
-    assert block.count(b"\n") == rows + 1
+    assert_block_writer_matches_cell_writer(tmp_path, x.reshape(rows, cols))
+
+
+def repeated_float_arrays():
+    rng = np.random.default_rng(22)
+    # nucleus-like: few distinct values, rounded to 12 decimals, over many rows
+    grid = np.round(np.concatenate([np.linspace(-0.5, 0.5, 15), [-5 / 14, 1 / 3]]), 12)
+    nucleus = rng.choice(grid, size=(9000, 6))
+    zeros = rng.choice([0.5, 0.0, -0.0, -1e-300], size=(300, 3))
+    zeros[:, 1] = rng.choice([0.0, -0.0], size=300)
+    payload_nans = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000003],
+                            dtype=np.uint64).view(np.float64)
+    special = rng.choice(np.concatenate([[math.nan, math.inf, -math.inf, 0.0, -0.0, 2.5],
+                                         payload_nans]), size=(500, 4))
+    return {"nucleus": nucleus, "signed-zeros": zeros, "nonfinite": special,
+            "one-column": rng.choice(grid, size=(5000, 1)), "zero-rows": np.empty((0, 6)),
+            "zero-rows-one-column": np.empty((0, 1)), "no-columns": np.empty((3, 0))}
+
+
+@pytest.mark.parametrize("name", list(repeated_float_arrays()))
+def test_float_array_csv_matches_cell_writer_on_repeated_values(tmp_path, name):
+    assert_block_writer_matches_cell_writer(tmp_path, repeated_float_arrays()[name])
 
 
 class TestSelfCheck:

@@ -4,17 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from metriclab import (DomainError, MatrixObservable, Measure, Nucleus, Observable,
-                       circle_net, interval_net, lipschitz_seminorm,
-                       matrix_nucleus_membership, matrix_trace_observable,
-                       mcshane_project, nucleus_decompose, nucleus_net, point_mass,
-                       prob_net, state_metric, validate_metric, wasserstein1,
-                       wasserstein1_dual)
-from metriclab.lipgeom import _enumerate_grid_members, _unique_rows, operator_norm
+from metriclab import (DomainError, MatrixObservable, Measure, MetricField, Nucleus,
+                       Observable, circle_net, interval_net, lipschitz_envelope,
+                       lipschitz_seminorm, matrix_nucleus_membership,
+                       matrix_trace_observable, mcshane_project, nucleus_decompose,
+                       nucleus_field, nucleus_net, point_mass, prob_net, state_metric,
+                       validate_metric, wasserstein1, wasserstein1_dual)
+from metriclab.fields import retract_between_fibres
+from metriclab.lipgeom import (_enumerate_grid_members, _lipschitz_excess, _unique_rows,
+                               operator_norm)
 from metriclab.rng import SplitMix64
 from metriclab.spaces import check_metric
 
 from oracles import (grid_dead_prefixes, grid_members_dfs, lipnorm_from_state_metric,
+                     lipschitz_excess_full, mcshane_project_rows, mcshane_project_scalar,
                      unique_rows_np)
 
 
@@ -229,6 +232,79 @@ class TestNucleus:
             tracemalloc.stop()
         assert not nuc.complete
         assert peak < 6 * 2 ** 20
+
+
+def assert_same_bits(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.fixture(scope="module")
+def kernel_inputs():
+    """(space, values) pairs: 1-D and 2-D input, a 1-point space, metrics
+    that validate_metric accepts with a tiny diagonal or a tiny asymmetry
+    (the largest excess sits on the asymmetric pair), and the retracted rows
+    that nucleus_field checks."""
+    rng = np.random.default_rng(8)
+    X = circle_net(5, 4.0)
+    rows = rng.uniform(-2.0, 2.0, size=(7, 5))
+    diagonal = validate_metric(interval_net(4, 3.0).dist + np.diag([0.0, 4e-10, 0.0, -3e-10]))
+    D = np.array([[0.0, 1.0, 1.5], [1.0, 0.0, 1.0], [1.5, 1.0, 0.0]])
+    D[0, 2] += 5e-10
+    asymmetric = validate_metric(D)
+    single = validate_metric(np.zeros((1, 1)))
+    cases = [(X, rows[0]), (X, rows), (single, np.array([0.25])), (single, rows[:, :1]),
+             (diagonal, rng.uniform(-1.0, 1.0, size=(20, 4))),
+             (asymmetric, np.array([[0.8, 0.0, -0.8], [-0.8, 0.0, 0.8]]))]
+    base = interval_net(3, 2.0)
+    fld = MetricField(base.labels, (0.0, 0.5), (base.dist, 1.5 * base.dist))
+    env = lipschitz_envelope(fld)
+    rep = nucleus_field(fld, 1.5 * base.radius, 0.5)
+    for src, dst, Kc in ((rep.nuclei[0], fld.fibre_space(1), env.K[1, 0]),
+                         (rep.nuclei[1], fld.fibre_space(0), env.K[0, 1])):
+        cases.append((dst, retract_between_fibres(src.values, Kc, src.r)))
+    return cases
+
+
+class TestLipschitzKernels:
+    """The column-major kernels against the row-major ones they replaced, bit
+    for bit: values ==, and every zero with the same sign."""
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_projection_matches_row_kernel(self, kernel_inputs, case):
+        X, values = kernel_inputs[case]
+        assert_same_bits(mcshane_project(X, values), mcshane_project_rows(X.dist, values))
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_excess_matches_full_pair_array(self, kernel_inputs, case):
+        X, values = kernel_inputs[case]
+        got = _lipschitz_excess(values, X.dist)
+        assert_same_bits(got, lipschitz_excess_full(values, X.dist))
+
+    def test_negative_zero_tie_follows_np_maximum(self):
+        # out(x_i) = max_j (v_j - d_ij): v_i - d_ii = -0.0 - 0.0 = -0.0 ties
+        # v_j - d_ij = +0.0, and the zero kept is the one np.maximum keeps
+        # when the later j is its second operand. numpy's own reduction over
+        # 3 or more values may keep either zero of a tie, depending on its
+        # SIMD width, so the row kernel is compared with signs on 2 points only
+        later = bool(np.signbit(np.maximum(np.float64(0.0), np.float64(-0.0))))
+        X = interval_net(2, 1.0)
+        d = X.dist[0, 1]
+        values = np.array([[d, -0.0], [-0.0, d]])
+        got = mcshane_project(X, values)
+        assert_same_bits(got, mcshane_project_rows(X.dist, values))
+        assert got.tolist() == [[d, 0.0], [0.0, d]]
+        assert np.signbit(got).tolist() == [[False, later], [False, False]]
+        rng = np.random.default_rng(4)
+        X = circle_net(8, 4.0)
+        values = rng.choice([-0.0, 0.0, -0.5, 0.5], size=(200, 8))
+        got = mcshane_project(X, values)
+        assert np.array_equal(got, mcshane_project_rows(X.dist, values))
+        assert_same_bits(got, [mcshane_project_scalar(X.dist, row) for row in values])
+        assert (got == 0).any()
+        assert_same_bits(_lipschitz_excess(values, X.dist),
+                         lipschitz_excess_full(values, X.dist))
 
 
 class TestExtension:
