@@ -231,7 +231,7 @@ def birkhoff_rate(h: DynMap, nucleus: Nucleus, eps: float, n_max: int) -> Birkho
     Requires unique ergodicity on the net; re-crossings beyond n_max are
     undetectable and the report says so via `resolved`.
     """
-    if eps <= 0 or n_max < 1:
+    if not (eps > 0 and n_max >= 1):
         raise DomainError("need eps > 0 and n_max >= 1")
     if nucleus.space is not h.space:
         raise DomainError("nucleus lives on a different space")

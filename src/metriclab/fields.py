@@ -68,7 +68,7 @@ class WaveProfile:
     def __post_init__(self):
         if len(self.modes) < 1:
             raise DomainError("need at least one mode")
-        if self.speed <= 0 or self.length <= 0:
+        if not (self.speed > 0 and self.length > 0):
             raise DomainError("speed and length must be positive")
         object.__setattr__(self, "modes", tuple(float(a) for a in self.modes))
 

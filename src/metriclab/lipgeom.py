@@ -79,33 +79,31 @@ def lipschitz_seminorm(f: Observable) -> float:
     return float((np.abs(v[:, None] - v[None, :])[off] / D[off]).max())
 
 
-def state_metric(states, generators) -> np.ndarray:
-    """Metric on a list of measures induced by a family of seminormed observables.
+def state_metric(states, values) -> np.ndarray:
+    """Metric on a list of measures induced by a family of observables.
 
-    generators: iterable of (Observable, seminorm_value); each is rescaled to
-    seminorm 1, and the distance is the max integral difference over the
-    rescaled family. This is a lower approximant of the dual state metric
-    that grows with the generator family. The pseudometric triangle
-    inequality is checked on the result.
+    values: (F, n) array, one observable per row, each read as having
+    Lipschitz seminorm 1 (scale a row by its seminorm first; a nucleus's
+    `values` qualify as they are). The distance is the max integral
+    difference over the rows. This is a lower approximant of the dual state
+    metric that grows with the family. The pseudometric triangle inequality
+    is checked on the result. Both passes go one state at a time, so memory
+    is O(S*F + S**2) for S states and F rows.
     """
-    gens = list(generators)
-    if not gens:
-        raise DomainError("need at least one generator")
-    space = states[0].space
-    G = []
-    for obs, L in gens:
-        if obs.space is not space:
-            raise DomainError("generator lives on a different space")
-        if not (L > 0 and math.isfinite(L)):
-            raise DomainError("seminorm values must be finite and positive")
-        G.append(obs.values / L)
-    G = np.asarray(G)                                # (F, n)
+    G = np.asarray(values, dtype=float)              # (F, n)
+    n = states[0].space.size
+    if G.ndim != 2 or G.shape[1] != n:
+        raise DomainError(f"values must be an (F, {n}) array, got shape {G.shape}")
+    if G.shape[0] == 0:
+        raise DomainError("need at least one observable")
+    if not np.all(np.isfinite(G)):
+        raise DomainError("observable values must be finite")
     W = np.asarray([mu.weights for mu in states])    # (S, n)
     E = W @ G.T                                      # (S, F) integrals
-    M = np.abs(E[:, None, :] - E[None, :, :]).max(axis=2)
+    M = np.array([np.abs(e - E).max(axis=1) for e in E])
     np.fill_diagonal(M, 0.0)
-    bad = M[:, None, :] - (M[:, :, None] + M[None, :, :])
-    if bad.max() > TOL.metric_atol:
+    worst = max((m[None, :] - (m[:, None] + M)).max() for m in M)
+    if not worst <= TOL.metric_atol:
         raise DomainError("state metric failed the pseudometric triangle check")
     return M
 
@@ -171,9 +169,12 @@ class Nucleus:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if np.abs(vals).max() > self.r + TOL.lipschitz_atol:
-            raise DomainError("nucleus member exceeds the norm bound r")
-        if _lipschitz_excess(vals, self.space.dist) > TOL.lipschitz_atol:
+        # negated tests: a NaN fails them, at no extra pass
+        top = np.abs(vals).max()
+        if not top <= self.r + TOL.lipschitz_atol:
+            raise DomainError("nucleus member is not a number" if np.isnan(top)
+                              else "nucleus member exceeds the norm bound r")
+        if not _lipschitz_excess(vals, self.space.dist) <= TOL.lipschitz_atol:
             raise DomainError("nucleus member is not 1-Lipschitz")
         vals = vals.copy()
         vals.flags.writeable = False
@@ -181,13 +182,6 @@ class Nucleus:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-    def observables(self):
-        return [Observable(self.space, row) for row in self.values]
-
-    def generators(self):
-        """(Observable, seminorm) pairs ready for state_metric."""
-        return [(Observable(self.space, row), 1.0) for row in self.values]
 
 
 def _enumerate_grid_members(D, grid, slack, cap):
@@ -243,6 +237,8 @@ def _unique_rows(x: np.ndarray) -> np.ndarray:
 
 # most admissible grid prefixes at any point before nucleus_net falls back
 _NUCLEUS_SIZE_CAP = 200_000
+# cells of one (members, probes) block of the fallback density pass (1 MiB)
+_DENSITY_CELLS = 1 << 17
 
 
 def nucleus_net(X: FiniteMetricSpace, r: float, eps: float, sample_budget: int = 1024,
@@ -255,12 +251,15 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float, sample_budget: int =
     prefixes, the enumeration runs in full and the net is complete (density
     <= eps by construction). Otherwise the net holds the metric cone
     functions, a constants grid and projected random samples, and the
-    reported density is measured by random-member probing.
+    reported density is measured by random-member probing: the sup distance
+    from every member to every probe is accumulated point by point on the
+    members' (n, members) columns, for a block of probes at a time, and the
+    density is the max over probes of the min over members.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise DomainError("eps must be positive")
-    if r < X.radius - TOL.metric_atol:
-        raise DomainError(f"need r >= X.radius = {X.radius!r}")
+    if not (r >= X.radius - TOL.metric_atol and math.isfinite(r)):
+        raise DomainError(f"need finite r >= X.radius = {X.radius!r}")
     n = X.size
     steps = max(1, math.ceil(4.0 * r / eps))
     grid = np.linspace(-r, r, steps + 1)
@@ -291,9 +290,18 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float, sample_budget: int =
     vals = _unique_rows(np.asarray(rows))
 
     probes = _uniform_rows(SplitMix64(seed ^ 0x5EED), probe_count, n, r)
+    probes = np.clip(mcshane_project(X, probes), -r, r)
+    cols = _columns(vals, n)
+    block = max(1, _DENSITY_CELLS // len(vals))
     worst = 0.0
-    for member in np.clip(mcshane_project(X, probes), -r, r):
-        worst = max(worst, float(np.abs(vals - member[None, :]).max(axis=1).min()))
+    for lo in range(0, len(probes), block):
+        p = probes[lo:lo + block]
+        sup = np.abs(cols[0][:, None] - p[:, 0])            # (members, probes)
+        term = np.empty_like(sup)
+        for x in range(1, n):
+            np.abs(np.subtract(cols[x][:, None], p[:, x], out=term), out=term)
+            np.maximum(sup, term, out=sup)
+        worst = max(worst, float(sup.min(axis=0).max()))
     return Nucleus(X, r, vals, density=worst, complete=False, target_eps=eps)
 
 
@@ -324,7 +332,7 @@ class MembershipReport:
 
 def matrix_nucleus_membership(F: MatrixObservable, r: float) -> MembershipReport:
     """Check sup operator norm <= r and pairwise operator-norm Lipschitz bound."""
-    if r <= 0:
+    if not r > 0:
         raise DomainError("r must be positive")
     norms = np.array([operator_norm(F.values[i]) for i in range(F.space.size)])
     worst = int(np.argmax(norms))

@@ -32,9 +32,12 @@ class MarkovKernel:
         n = self.space.size
         if P.shape != (n, n):
             raise DomainError("kernel shape does not match the space")
-        if P.min() < -TOL.weight_atol:
-            raise DomainError("kernel has a negative entry")
-        if np.abs(P.sum(axis=1) - 1.0).max() > TOL.weight_atol:
+        # negated tests: a NaN fails them, at no extra pass
+        low = P.min()
+        if not low >= -TOL.weight_atol:
+            raise DomainError("kernel has an entry that is not a number" if np.isnan(low)
+                              else "kernel has a negative entry")
+        if not np.abs(P.sum(axis=1) - 1.0).max() <= TOL.weight_atol:
             raise DomainError("kernel rows must sum to 1")
         P = np.clip(P, 0.0, None)
         P.flags.writeable = False
@@ -54,8 +57,10 @@ class RandomMapFamily:
         p = np.asarray(self.probabilities, dtype=float)
         if len(maps) == 0 or p.shape != (len(maps),):
             raise DomainError("need one probability per map")
-        if p.min() < -TOL.weight_atol or abs(p.sum() - 1.0) > TOL.weight_atol:
-            raise DomainError("probabilities are not convex")
+        low = p.min()
+        if not (low >= -TOL.weight_atol and abs(p.sum() - 1.0) <= TOL.weight_atol):
+            raise DomainError("a probability is not a number" if np.isnan(low)
+                              else "probabilities are not convex")
         space = maps[0].space
         for m in maps:
             if m.space is not space:
@@ -305,7 +310,7 @@ def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
     block or table it sits in, and |seg / n - mean| > eps is decided at the
     largest and the smallest seg over starts because rounding is monotone.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise DomainError("eps must be positive")
     trials = _positive_int(trials, "trials")
     n_values = sorted(_positive_int(n, "a horizon") for n in n_values)

@@ -103,7 +103,7 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     ok = True
     X = interval_net(4, 2.0)
     nuc = nucleus_net(X, X.radius, 0.4)
-    metric = state_metric([point_mass(X, i) for i in range(X.size)], nuc.generators())
+    metric = state_metric([point_mass(X, i) for i in range(X.size)], nuc.values)
     err = np.abs(metric - X.dist).max()
     ok = err <= 0.4 * (1.0 + X.diameter / X.radius) + 1e-12
     out.append(CheckResult("duality-roundtrip", ok, f"recovery error {err:.2e}"))

@@ -32,11 +32,22 @@ class MetricViolation:
     detail: str
 
 
+# cells of one (rows, n, n) block of the triangle test: each block takes
+# max(1, _TRIANGLE_CELLS // n**2) rows of i. 256 KiB of float64: on a 2-core
+# x86-64 host this ran faster than 2**14 or 2**16 cells at 48 and 64 points.
+_TRIANGLE_CELLS = 1 << 15
+
+
 def check_metric(D, atol: float = TOL.metric_atol) -> list[MetricViolation]:
     """Return a report of every violated metric axiom (empty list if valid).
 
-    Triangle violations are listed with their witnessing triples, capped at
-    64 entries per call.
+    Triangle violations are listed with their witnessing triples (i, j, k)
+    in lexicographic order, capped at 64 entries per call. The triangle test
+    runs over blocks of i, max(1, _TRIANGLE_CELLS // n**2) rows at a time,
+    so its memory is O(n**2): one block of max(n**2, _TRIANGLE_CELLS) cells
+    instead of three (n, n, n) arrays. Up to 32 points it is one block. Each
+    block evaluates the same expression in the same order as the full cube,
+    so every decision and the listed triples are the cube's.
     """
     D = np.asarray(D, dtype=float)
     out: list[MetricViolation] = []
@@ -62,14 +73,24 @@ def check_metric(D, atol: float = TOL.metric_atol) -> list[MetricViolation]:
             kind = "negative" if D[i, j] < -atol else "degenerate"
             out.append(MetricViolation(kind, (int(i), int(j)),
                                        f"nonpositive off-diagonal at ({i},{j}): {D[i, j]!r}"))
-    # triangle: D[i,k] <= D[i,j] + D[j,k] for all triples
-    lhs = D[:, None, :]
-    rhs = D[:, :, None] + D[None, :, :]
-    bad = np.argwhere(lhs > rhs + atol)
-    for i, j, k in bad[:64]:
-        out.append(MetricViolation("triangle", (int(i), int(j), int(k)),
-                                   f"triangle violation ({i},{j},{k}): "
-                                   f"d({i},{k})={D[i, k]!r} > {D[i, j]!r}+{D[j, k]!r}"))
+    # triangle: D[i,k] <= D[i,j] + D[j,k] for all triples, one block of i at a time
+    rows = max(1, _TRIANGLE_CELLS // (n * n))
+    left = 64
+    for lo in range(0, n, rows):
+        block = D[lo:lo + rows]
+        rhs = block[:, :, None] + D[None, :, :]
+        rhs += atol
+        bad = block[:, None, :] > rhs
+        if not bad.any():
+            continue
+        for i, j, k in np.argwhere(bad)[:left]:
+            i += lo
+            out.append(MetricViolation("triangle", (int(i), int(j), int(k)),
+                                       f"triangle violation ({i},{j},{k}): "
+                                       f"d({i},{k})={D[i, k]!r} > {D[i, j]!r}+{D[j, k]!r}"))
+            left -= 1
+        if not left:
+            break
     return out
 
 
@@ -144,7 +165,7 @@ def circle_net(n: int, circumference: float) -> FiniteMetricSpace:
     """n equispaced points on a circle with the geodesic (arc-length) metric."""
     if n < 2:
         raise DomainError("circle_net needs n >= 2")
-    if circumference <= 0:
+    if not circumference > 0:
         raise DomainError("circumference must be positive")
     step = circumference / n
     idx = np.arange(n)
@@ -160,7 +181,7 @@ def interval_net(n: int, length: float) -> FiniteMetricSpace:
     """n equispaced points on [0, length] with the Euclidean metric."""
     if n < 2:
         raise DomainError("interval_net needs n >= 2")
-    if length <= 0:
+    if not length > 0:
         raise DomainError("length must be positive")
     xs = np.linspace(0.0, length, n)
     D = np.abs(xs[:, None] - xs[None, :])
@@ -195,7 +216,7 @@ def epsilon_net(X: FiniteMetricSpace, eps: float) -> SubsetRef:
 
     Every point of X ends up within eps (closed) of the returned subset.
     """
-    if eps <= 0:
+    if not eps > 0:      # negated, so a NaN eps cannot loop forever
         raise DomainError("eps must be positive")
     chosen = [0]
     mind = X.dist[0].copy()
@@ -228,7 +249,7 @@ def bridge_metric(X: FiniteMetricSpace, Y: FiniteMetricSpace, f, delta: float) -
     true metric when the distortion of f does not exceed delta; otherwise the
     triangle inequality can genuinely fail and a structured error is raised.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise DomainError("delta must be positive")
     fm = np.asarray(list(f), dtype=int)
     if fm.shape != (X.size,) or fm.min() < 0 or fm.max() >= Y.size:

@@ -50,9 +50,12 @@ class Measure:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.space.size,):
             raise DomainError(f"weights shape {w.shape} does not match space size {self.space.size}")
-        if w.min() < -TOL.weight_atol:
-            raise DomainError(f"negative weight {w.min()!r}")
-        if abs(w.sum() - 1.0) > TOL.weight_atol:
+        # negated tests: a NaN fails them, at no extra pass
+        low = w.min()
+        if not low >= -TOL.weight_atol:
+            raise DomainError("a weight is not a number" if np.isnan(low)
+                              else f"negative weight {low!r}")
+        if not abs(w.sum() - 1.0) <= TOL.weight_atol:
             raise DomainError(f"weights sum to {w.sum()!r}, not 1")
         w = np.clip(w, 0.0, None)
         w.flags.writeable = False
@@ -441,8 +444,10 @@ def wasserstein1_dual(mu: Measure, nu: Measure) -> tuple[float, Potential]:
     f = (X.dist[:, sb] - v).min(axis=1)
     pot = Potential(X, f - f[0])
     value = pot.pairing(mu, nu)
-    if abs(cost - value) > TOL.duality_gap:
-        raise DomainError(f"duality gap {abs(cost - value):.3e} exceeds {TOL.duality_gap:.1e}")
+    gap = abs(cost - value)
+    if not gap <= TOL.duality_gap:    # negated, so a NaN gap fails too
+        raise DomainError("duality gap is not a number" if math.isnan(gap)
+                          else f"duality gap {gap:.3e} exceeds {TOL.duality_gap:.1e}")
     return value, pot
 
 

@@ -241,6 +241,28 @@ def lipschitz_excess_full(values, dist) -> float:
     return float((np.abs(v[:, :, None] - v[:, None, :]) - dist).max())
 
 
+def triangle_violations_cube(D, atol):
+    """check_metric's earlier triangle test on the full (n, n, n) cube: the
+    first 64 triples (i, j, k) with D[i,k] > D[i,j] + D[j,k] + atol, each as
+    (indices, detail)."""
+    D = np.asarray(D, dtype=float)
+    bad = np.argwhere(D[:, None, :] > D[:, :, None] + D[None, :, :] + atol)
+    return [((int(i), int(j), int(k)),
+             f"triangle violation ({i},{j},{k}): "
+             f"d({i},{k})={D[i, k]!r} > {D[i, j]!r}+{D[j, k]!r}")
+            for i, j, k in bad[:64]]
+
+
+def density_per_probe(members, probes) -> float:
+    """nucleus_net's earlier fallback density: for each probe in turn, the
+    sup distance to its nearest member; the worst of them (0.0 with no
+    probe)."""
+    worst = 0.0
+    for p in probes:
+        worst = max(worst, float(np.abs(members - p[None, :]).max(axis=1).min()))
+    return worst
+
+
 def unique_rows_np(x):
     """nucleus_net's earlier dedupe: numpy's unique rows (a structured-dtype
     sort) of x rounded to 12 decimals."""

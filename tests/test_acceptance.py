@@ -92,7 +92,7 @@ def test_criterion_3_duality_round_trip():
         errors = []
         for eps in (0.2, 0.1, 0.05):
             nuc = nucleus_net(X, r, eps, sample_budget=256, probe_count=32)
-            M = state_metric(states, nuc.generators())
+            M = state_metric(states, nuc.values)
             err = float(np.abs(M - X.dist).max())
             assert err <= eps * bound_scale + 1e-9
             errors.append(err)

@@ -243,6 +243,17 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert "error" in report
 
+    def test_nan_weight_is_domain_error(self, tmp_path):
+        doc = {"kind": "wasserstein",
+               "params": {"space": {"generator": "circle",
+                                    "params": {"n": 4, "circumference": 2 * math.pi}},
+                          "mu": [math.nan, 0.5, 0.5, 0], "nu": [0, 0, 0.5, 0.5]}}
+        p = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["--config", str(p), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert "not a number" in report["error"]
+
     def test_seed_flag_overrides_scenario_seed(self, tmp_path):
         doc = {"kind": "birkhoff", "seed": 2,
                "params": {"space": {"generator": "circle",

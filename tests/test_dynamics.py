@@ -138,6 +138,13 @@ class TestBirkhoff:
         rep = birkhoff_rate(h, nuc, eps=2 * X.radius + 1.0, n_max=10)
         assert rep.rate == 1
 
+    def test_nan_eps_rejected(self):
+        # `curve > NaN` is all False, which would read as rate 1, resolved
+        X = circle_net(4, 2.0)
+        nuc = nucleus_net(X, X.radius, 0.4)
+        with pytest.raises(DomainError):
+            birkhoff_rate(rotation(X, 1), nuc, eps=math.nan, n_max=10)
+
     def test_cycle_multiples_vanish(self):
         for q in (4, 6):
             X = circle_net(q, 2 * math.pi)

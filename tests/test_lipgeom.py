@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +14,14 @@ from metriclab import (DomainError, MatrixObservable, Measure, MetricField, Nucl
                        nucleus_field, nucleus_net, point_mass, prob_net, state_metric,
                        validate_metric, wasserstein1, wasserstein1_dual)
 from metriclab.fields import retract_between_fibres
-from metriclab.lipgeom import (_enumerate_grid_members, _lipschitz_excess, _unique_rows,
-                               operator_norm)
+from metriclab.lipgeom import (_DENSITY_CELLS, _enumerate_grid_members, _lipschitz_excess,
+                               _uniform_rows, _unique_rows, operator_norm)
 from metriclab.rng import SplitMix64
-from metriclab.spaces import check_metric
+from metriclab.spaces import check_metric, space_from_json
 
-from oracles import (grid_dead_prefixes, grid_members_dfs, lipnorm_from_state_metric,
-                     lipschitz_excess_full, mcshane_project_rows, mcshane_project_scalar,
-                     unique_rows_np)
+from oracles import (density_per_probe, grid_dead_prefixes, grid_members_dfs,
+                     lipnorm_from_state_metric, lipschitz_excess_full, mcshane_project_rows,
+                     mcshane_project_scalar, unique_rows_np)
 
 
 def random_hermitian_field(rng, X, n):
@@ -55,30 +58,74 @@ class TestStateMetric:
     def test_single_constant_generator(self):
         X = interval_net(3, 1.0)
         states = [point_mass(X, i) for i in range(3)]
-        M = state_metric(states, [(Observable(X, np.ones(3)), 1.0)])
+        M = state_metric(states, np.ones((1, 3)))
         assert np.allclose(M, 0.0)
 
     def test_two_point_masses_single_generator(self):
         X = interval_net(3, 2.0)
         f = Observable(X, [0.0, 0.5, 2.0])
         L = lipschitz_seminorm(f)
-        M = state_metric([point_mass(X, 0), point_mass(X, 2)], [(f, L)])
+        M = state_metric([point_mass(X, 0), point_mass(X, 2)], (f.values / L)[None])
         assert M[0, 1] == pytest.approx(abs(f.values[0] - f.values[2]) / L)
 
     def test_nucleus_recovers_w1_on_point_masses(self):
         X = interval_net(4, 2.0)
         nuc = nucleus_net(X, X.radius, 0.25)
         states = [point_mass(X, i) for i in range(4)]
-        M = state_metric(states, nuc.generators())
+        M = state_metric(states, nuc.values)
         for i in range(4):
             for j in range(4):
                 w, _ = wasserstein1_dual(states[i], states[j])
                 assert abs(M[i, j] - w) <= nuc.density + 1e-9
 
+    @pytest.mark.parametrize("values, match", [
+        (np.ones(3), "array"),
+        (np.ones((1, 1, 3)), "array"),
+        (np.ones((2, 4)), "array"),
+        (np.ones((0, 3)), "at least one"),
+        (np.array([[0.0, np.nan, 1.0]]), "finite"),
+        (np.array([[0.0, np.inf, 1.0]]), "finite"),
+    ])
+    def test_rejects_malformed_values(self, values, match):
+        X = interval_net(3, 1.0)
+        with pytest.raises(DomainError, match=match):
+            state_metric([point_mass(X, 0), point_mass(X, 2)], values)
+
+    # sha256 prefixes of M.tobytes() for the criterion-3 nuclei, recorded
+    # from state_metric's earlier (Observable, seminorm) interface
+    CRITERION_3 = [
+        ((6, 0.2), "0f21bb962bc3b4aa"), ((6, 0.1), "f44ea2480794b527"),
+        ((6, 0.05), "f44ea2480794b527"), ((8, 0.2), "43f5aa2a14f94e66"),
+        ((8, 0.1), "43f5aa2a14f94e66"), ((8, 0.05), "43f5aa2a14f94e66"),
+    ]
+
+    def test_memory_is_not_cubic(self):
+        X = interval_net(4, 1.0)
+        nuc = nucleus_net(X, X.radius, 0.25)
+        w = np.random.default_rng(64).uniform(0.1, 1.0, size=(64, 4))
+        states = [Measure(X, row / row.sum()) for row in w]
+        tracemalloc.start()
+        try:
+            M = state_metric(states, nuc.values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.shape == (64, 64)
+        # E is (64, 1787): 0.9 MiB; the (S, S, F) differences alone take 58 MiB
+        assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("case, digest", CRITERION_3)
+    def test_criterion_3_matrices_pinned(self, case, digest):
+        n, eps = case
+        X = interval_net(6, math.pi) if n == 6 else circle_net(8, 2 * math.pi)
+        nuc = nucleus_net(X, X.radius, eps, sample_budget=256, probe_count=32)
+        M = state_metric([point_mass(X, i) for i in range(X.size)], nuc.values)
+        assert hashlib.sha256(M.tobytes()).hexdigest()[:16] == digest
+
     def test_lipnorm_from_state_metric(self):
         X = interval_net(4, 3.0)
         states = [point_mass(X, i) for i in range(4)]
-        M = state_metric(states, nucleus_net(X, X.radius, 0.3).generators())
+        M = state_metric(states, nucleus_net(X, X.radius, 0.3).values)
         assert lipnorm_from_state_metric(np.ones(4), M) == 0.0
         # a 1-Lipschitz potential evaluated against the W1 metric stays below 1
         _, pot = wasserstein1_dual(states[0], states[3])
@@ -232,6 +279,70 @@ class TestNucleus:
             tracemalloc.stop()
         assert not nuc.complete
         assert peak < 6 * 2 ** 20
+
+    def test_nan_member_rejected(self):
+        X = interval_net(3, 1.0)
+        with pytest.raises(DomainError, match="not a number"):
+            Nucleus(X, 1.0, np.array([[np.nan, 0.0, 0.0]]), 0.1, False, 0.1)
+        with pytest.raises(DomainError, match="not a number"):
+            Nucleus(X, 1.0, np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]]), 0.1, False, 0.1)
+
+    @pytest.mark.parametrize("r, eps", [(np.nan, 0.1), (1.0, np.nan), (np.inf, 0.1)])
+    def test_nan_level_rejected(self, r, eps):
+        with pytest.raises(DomainError):
+            nucleus_net(interval_net(3, 1.0), r, eps)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+
+
+def scenario_net(name, probe_count=128):
+    """(space, nucleus, probes) of a shipped scenario's nucleus_net call; the
+    probes are drawn and projected as nucleus_net draws them."""
+    doc = json.loads((SCENARIOS / name).read_text())
+    p = doc["params"]
+    X = space_from_json(p["space"])
+    nuc = nucleus_net(X, X.radius, p["nucleus_eps"], seed=doc["seed"],
+                      sample_budget=p.get("nucleus_samples", 1024), probe_count=probe_count)
+    return nuc, fallback_probes(nuc, probe_count, doc["seed"])
+
+
+def fallback_probes(nuc, probe_count, seed):
+    X, r = nuc.space, nuc.r
+    raw = _uniform_rows(SplitMix64(seed ^ 0x5EED), probe_count, X.size, r)
+    return np.clip(mcshane_project(X, raw), -r, r)
+
+
+class TestFallbackDensity:
+    """The one-pass density equals the earlier per-probe loop with ==."""
+
+    @pytest.mark.parametrize("cells", [1, 100, None])
+    @pytest.mark.parametrize("name", ["ldp.json", "birkhoff.json"])
+    @pytest.mark.parametrize("probe_count", [0, 1, 128])
+    def test_shipped_nets(self, name, probe_count, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr("metriclab.lipgeom._DENSITY_CELLS", cells)
+        nuc, probes = scenario_net(name, probe_count)
+        assert not nuc.complete
+        assert nuc.density == density_per_probe(nuc.values, probes)
+
+    def test_birkhoff_net_spans_two_probe_blocks(self):
+        nuc, probes = scenario_net("birkhoff.json")
+        assert len(nuc) * len(probes) > _DENSITY_CELLS
+        assert nuc.density == density_per_probe(nuc.values, probes)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_planar_nets(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        n = int(rng.integers(6, 9))
+        pts = rng.uniform(0.0, 2.0, size=(n, 2))
+        X = validate_metric(np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)))
+        probe_count = int(rng.integers(1, 40))
+        nuc = nucleus_net(X, X.radius, 0.2, sample_budget=64, probe_count=probe_count,
+                          seed=seed)
+        assert not nuc.complete
+        assert nuc.density == density_per_probe(nuc.values,
+                                                fallback_probes(nuc, probe_count, seed))
 
 
 def assert_same_bits(got, want):
@@ -430,7 +541,7 @@ class TestDualityRoundTrip:
         errors = []
         for eps in (0.4, 0.2, 0.1):
             nuc = nucleus_net(X, X.radius, eps)
-            M = state_metric(states, nuc.generators())
+            M = state_metric(states, nuc.values)
             err = np.abs(M - X.dist).max()
             assert err <= eps * (1.0 + X.diameter / X.radius) + 1e-9
             errors.append(err)

@@ -98,6 +98,16 @@ class TestKernel:
         with pytest.raises(DomainError):
             MarkovKernel(X, np.array([[0.5, 0.4], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("P", [[[math.nan, 0.5], [0.0, 1.0]], [[0.5, 0.5], [1.0, math.nan]]])
+    def test_nan_entry_rejected(self, P):
+        with pytest.raises(DomainError, match="not a number"):
+            MarkovKernel(interval_net(2, 1.0), np.array(P))
+
+    def test_nan_probability_rejected(self):
+        X = interval_net(2, 1.0)
+        with pytest.raises(DomainError, match="not a number"):
+            RandomMapFamily((identity_map(X), identity_map(X)), [math.nan, 1.0])
+
 
 class TestStationary:
     def test_doubly_stochastic_irreducible_uniform(self):
@@ -164,6 +174,12 @@ class TestLdp:
         rep = ldp_experiment(fam, nuc, eps=2 * nuc.r + 0.5, n_values=[2, 4],
                              trials=50, seed=3)
         assert all(p == 0.0 for p in rep.probabilities)
+
+    def test_nan_eps_rejected(self):
+        X, fam = two_contraction_family(8)
+        nuc = nucleus_net(X, X.radius, 0.3, sample_budget=32)
+        with pytest.raises(DomainError, match="eps"):
+            ldp_experiment(fam, nuc, eps=math.nan, n_values=[2, 4], trials=50, seed=3)
 
     def test_deterministic_map_matches_birkhoff_rate(self):
         X = circle_net(4, 2 * math.pi)

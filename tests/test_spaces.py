@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import given, strategies as st
 from metriclab import (DomainError, MetricValidationError, SubsetRef, bridge_metric,
                        circle_net, epsilon_net, interval_net, product_space,
                        space_from_json, validate_metric)
+from metriclab.config import TOL
 from metriclab.spaces import BridgeConstructionError, check_metric
 
-from oracles import covering_brute, hausdorff_brute
+from oracles import covering_brute, hausdorff_brute, triangle_violations_cube
 
 
 @st.composite
@@ -51,6 +53,72 @@ class TestValidate:
     @given(euclidean_spaces())
     def test_constructor_outputs_validate(self, X):
         assert not check_metric(X.dist)
+
+
+def planar(rng, n, collinear=False):
+    pts = rng.uniform(0.0, 4.0, size=(n, 2))
+    if collinear:
+        pts[:, 1] = 0.0
+    return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+
+
+def with_noise(rng, D, scale=1e-9):
+    noise = np.triu(rng.uniform(-scale, scale, size=D.shape), 1)
+    return D + noise + noise.T
+
+
+def detoured(D, count):
+    """D with `count` pairs (i, k), i spread over the rows, each pushed 1e-6
+    past its shortest detour: few violations per row, in many row blocks."""
+    M = D.copy()
+    n = len(D)
+    if n < 3:    # no detour exists
+        return M
+    for i in np.linspace(0, n - 1, count).astype(int):
+        k = (i + n // 2) % n
+        if k != i:
+            via = np.delete(M[i] + M[:, k], [i, k]).min()
+            M[i, k] = M[k, i] = via + 1e-6
+    return M
+
+
+def triangle_list(D):
+    return [(v.indices, v.detail) for v in check_metric(D) if v.kind == "triangle"]
+
+
+class TestTriangleBlocks:
+    """The row-block triangle test lists exactly what the full cube listed."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 32, 33, 40, 41, 64, 65, 129, 257])
+    def test_violation_lists_match_cube(self, n):
+        rng = np.random.default_rng(9000 + n)
+        D = planar(rng, n)
+        late = D.copy()
+        if n >= 2:    # only the last two rows violate
+            late[-1, -2] = late[-2, -1] = 3.0 * D.max() + 1.0
+        cases = {"clean": D, "squared": D ** 2, "late": late,
+                 "noisy": with_noise(rng, D), "detoured": detoured(D, 40),
+                 "noisy-collinear": with_noise(rng, planar(rng, n, collinear=True))}
+        lengths = {}
+        for name, M in cases.items():
+            got = triangle_list(M)
+            assert got == triangle_violations_cube(M, TOL.metric_atol), name
+            lengths[name] = len(got)
+        assert lengths["clean"] == 0
+        if n >= 40:
+            assert lengths["squared"] == lengths["late"] == 64
+            assert 0 < lengths["noisy-collinear"]
+            assert 40 <= lengths["detoured"]
+
+    def test_validate_metric_memory_is_quadratic(self):
+        D = planar(np.random.default_rng(128), 128)
+        tracemalloc.start()
+        try:
+            validate_metric(D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20    # three (n, n, n) arrays would take 34 MiB
 
 
 class TestConstructors:
@@ -121,6 +189,11 @@ class TestEpsilonNet:
         X = interval_net(6, 2.0)
         assert epsilon_net(X, 5.0).indices == (0,)
         assert set(epsilon_net(X, 0.1).indices) == set(range(6))
+
+    def test_nan_eps_rejected(self):
+        # `eps <= 0` is False for NaN, and `mind <= NaN` never ends the loop
+        with pytest.raises(DomainError):
+            epsilon_net(interval_net(6, 2.0), math.nan)
 
     def test_cover_feasibility(self):
         # oracle-frozen: open pi/2-balls on this net hold 3 consecutive points,

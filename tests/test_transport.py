@@ -219,6 +219,11 @@ class TestMeasure:
         with pytest.raises(DomainError):
             Measure(X, [-0.2, 0.6, 0.6])
 
+    @pytest.mark.parametrize("w", [[math.nan, 0.5, 0.5], [0.5, math.nan, 0.5]])
+    def test_nan_weight_rejected(self, w):
+        with pytest.raises(DomainError, match="not a number"):
+            Measure(interval_net(3, 1.0), w)
+
     def test_point_mass_and_uniform(self):
         X = interval_net(4, 1.0)
         assert point_mass(X, 2).weights[2] == 1.0
@@ -273,6 +278,19 @@ class TestWasserstein1:
 
 
 class TestDual:
+    def test_nan_gap_rejected(self, monkeypatch):
+        # `abs(cost - value) > tol` is False for a NaN gap; the check must not be
+        from metriclab import transport
+        real = transport._transport_simplex
+
+        def nan_cost(*args, **kwargs):
+            return (math.nan, *real(*args, **kwargs)[1:])
+
+        monkeypatch.setattr(transport, "_transport_simplex", nan_cost)
+        X = interval_net(3, 2.0)
+        with pytest.raises(DomainError, match="not a number"):
+            wasserstein1_dual(Measure(X, [1, 0, 0]), Measure(X, [0, 0, 1]))
+
     def test_identical(self):
         X = interval_net(3, 1.0)
         mu = uniform_measure(X)
