@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .config import TOL, DomainError
-from .spaces import FiniteMetricSpace, _map_distortion, bridge_metric
-from .transport import Measure, ProbNet, _support_w1, prob_net, w1_hausdorff
+from .spaces import FiniteMetricSpace, _check_map, _map_distortion, bridge_metric
+from .transport import Measure, SimplexNet, _support_w1, prob_net, w1_hausdorff
 
 
 @dataclass(frozen=True)
@@ -29,54 +28,8 @@ class SearchBudget:
 _GH_ANCHORS = 3
 
 
-# finest 1/m grid a SimplexNet may lie on
-_MAX_RESOLUTION = 10_000
-
-
-@dataclass(frozen=True, eq=False)
-class SimplexNet:
-    """Computable stand-in for a simplex of measures over a compact boundary.
-
-    The measures lie on one 1/m grid. The least such m is derived from the
-    weights as `resolution`, and `counts` holds the integer weights m * mu,
-    one row per measure.
-    """
-
-    boundary: FiniteMetricSpace
-    measures: tuple
-    density: float
-
-    def __post_init__(self):
-        for mu in self.measures:
-            if mu.space is not self.boundary:
-                raise DomainError("net measure lives off the declared boundary")
-        # point masses must be present
-        W = np.asarray([mu.weights for mu in self.measures])
-        for i in range(self.boundary.size):
-            target = np.zeros(self.boundary.size)
-            target[i] = 1.0
-            if not np.any(np.all(np.abs(W - target) <= TOL.weight_atol, axis=1)):
-                raise DomainError(f"net is missing the point mass at index {i}")
-        m = _grid_resolution(W)
-        object.__setattr__(self, "resolution", m)
-        object.__setattr__(self, "counts", np.rint(W * m).astype(np.int64))
-
-
-def _grid_resolution(W: np.ndarray) -> int:
-    """Least m such that every weight is a multiple of 1/m."""
-    m = 1
-    for w in np.unique(W):
-        m = math.lcm(m, Fraction(float(w)).limit_denominator(_MAX_RESOLUTION).denominator)
-        if m > _MAX_RESOLUTION:
-            break
-    if m > _MAX_RESOLUTION or np.abs(W * m - np.rint(W * m)).max() > TOL.weight_atol * m:
-        raise DomainError("net measures do not lie on one 1/m grid")
-    return m
-
-
-def simplex_net(X: FiniteMetricSpace, m: int) -> SimplexNet:
-    net: ProbNet = prob_net(X, m)
-    return SimplexNet(X, net.measures, net.density)
+# the one grid-net builder, under the name the searches' callers use
+simplex_net = prob_net
 
 
 @dataclass
@@ -376,13 +329,16 @@ class _Side:
 
 def _sides(SX: SimplexNet, SY: SimplexNet) -> tuple[_Side, _Side]:
     """Both nets on the finest of their grids, where every pushforward between
-    the two boundaries lies too; nets on one boundary share its table."""
-    scale = math.lcm(SX.resolution, SY.resolution)
+    the two boundaries lies too; nets on one boundary share its table. A
+    net's own grid is the coarsest it lies on, its resolution over the gcd
+    of its counts: 1 on a one-point boundary at any resolution."""
+    gcds = [int(np.gcd.reduce(S.counts, axis=None)) for S in (SX, SY)]
+    scale = math.lcm(SX.resolution // gcds[0], SY.resolution // gcds[1])
     tx = _W1Table(SX.boundary, scale)
     ty = tx if SY.boundary is SX.boundary else _W1Table(SY.boundary, scale)
     sides = []
-    for S, table in ((SX, tx), (SY, ty)):
-        counts = S.counts * (scale // S.resolution)
+    for S, g, table in ((SX, gcds[0], tx), (SY, gcds[1], ty)):
+        counts = S.counts // g * (scale * g // S.resolution)
         sides.append(_Side(counts, table.index(counts @ table.radix), table))
     return sides[0], sides[1]
 
@@ -438,7 +394,8 @@ def _one_map_report(f: tuple, x: _Side, y: _Side,
 
 def epsilon_isometry_check(f, SX: SimplexNet, SY: SimplexNet) -> AlmostIsometryReport:
     """Exact distortion of a boundary map on boundary pairs and on the nets."""
-    return _one_map_report(tuple(int(v) for v in f), *_sides(SX, SY))
+    f = tuple(_check_map(f, SX.boundary, SY.boundary).tolist())
+    return _one_map_report(f, *_sides(SX, SY))
 
 
 @dataclass(frozen=True)
@@ -475,7 +432,9 @@ def intertwining_gap(SX: SimplexNet, SY: SimplexNet,
         seeds = list(dict.fromkeys([(fwd[0], back[0]), (fwd[-1], back[-1])]))
         _, (f, g), exhaustive = search_maps([(nx, ny), (ny, nx)], cost, budget, seeds)
     else:
-        f, g = (tuple(int(v) for v in m) for m in fixed_pair)
+        f, g = fixed_pair
+        f = tuple(_check_map(f, SX.boundary, SY.boundary).tolist())
+        g = tuple(_check_map(g, SY.boundary, SX.boundary).tolist())
         exhaustive = False
     F, G = np.asarray([f], dtype=np.int64), np.asarray([g], dtype=np.int64)
     a, b = float(cost.unary[0](F)[0]), float(cost.unary[1](G)[0])
@@ -553,19 +512,13 @@ def dq_upper(SX: SimplexNet, SY: SimplexNet, f, delta: float | None = None) -> f
     distance between the lifted nets. `delta` defaults to the distortion of
     f on the boundary (the scale at which the bridge construction is valid).
     """
-    f = tuple(int(v) for v in f)
+    f = tuple(_check_map(f, SX.boundary, SY.boundary).tolist())
     if delta is None:
         delta = max(_map_distortion(f, SX.boundary, SY.boundary), TOL.bridge_delta_floor)
     bridge = bridge_metric(SX.boundary, SY.boundary, f, delta)
-    nx = SX.boundary.size
-    lifted_x = []
-    for mu in SX.measures:
-        w = np.zeros(bridge.size)
-        w[:nx] = mu.weights
-        lifted_x.append(Measure(bridge, w))
-    lifted_y = []
-    for nu in SY.measures:
-        w = np.zeros(bridge.size)
-        w[nx:] = nu.weights
-        lifted_y.append(Measure(bridge, w))
-    return w1_hausdorff(lifted_x, lifted_y)
+    nx, kx = SX.boundary.size, len(SX.counts)
+    W = np.zeros((kx + len(SY.counts), bridge.size))
+    W[:kx, :nx] = SX.counts / SX.resolution
+    W[kx:, nx:] = SY.counts / SY.resolution
+    lifted = [Measure(bridge, w) for w in W]
+    return w1_hausdorff(lifted[:kx], lifted[kx:])

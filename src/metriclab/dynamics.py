@@ -17,7 +17,7 @@ import numpy as np
 from .config import TOL, DomainError
 from .distances import MapCost, SearchBudget, profile_seed, search_maps
 from .lipgeom import Nucleus, Observable, lipschitz_seminorm
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, _check_map
 from .transport import (convex_grid, mix, pushforward, uniform_measure, w1_hausdorff,
                         wasserstein1)
 
@@ -32,10 +32,7 @@ class DynMap:
     label: str = ""
 
     def __post_init__(self):
-        a = np.asarray(self.idx, dtype=int)
-        if a.shape != (self.space.size,) or a.min() < 0 or a.max() >= self.space.size:
-            raise DomainError("dynamics must map every point to a point of the space")
-        a = a.copy()
+        a = _check_map(self.idx, self.space, self.space).copy()
         a.flags.writeable = False
         object.__setattr__(self, "idx", a)
 

@@ -16,7 +16,8 @@ import numpy as np
 from .config import TOL, DomainError
 from .dynamics import (DynMap, birkhoff_rate, invariant_measures, measure_mixtures,
                        rotation, sine_pluck)
-from .lipgeom import Observable, _lipschitz_excess, lipschitz_seminorm, nucleus_net
+from .lipgeom import (Observable, _directed_sup_hausdorff, _lipschitz_excess,
+                      lipschitz_seminorm, nucleus_net)
 from .spaces import FiniteMetricSpace, circle_net, validate_metric
 from .transport import Measure, _circle_w1, convex_grid, w1_hausdorff
 
@@ -264,7 +265,8 @@ def nucleus_field(fld: MetricField, r: float, eps: float, **nucleus_kwargs):
     ok = True
     for i in range(T - 1):
         a, b = nuclei[i], nuclei[i + 1]
-        d_ab = _sup_hausdorff(a.values, b.values)
+        d_ab = max(_directed_sup_hausdorff(a.values, b.values),
+                   _directed_sup_hausdorff(b.values, a.values))
         haus[i] = d_ab
         # retraction i -> i+1 divides by K[i+1, i]; i+1 -> i by K[i, i+1]
         disp_ab = r * abs(1.0 - 1.0 / env.K[i + 1, i])
@@ -279,18 +281,6 @@ def nucleus_field(fld: MetricField, r: float, eps: float, **nucleus_kwargs):
         if haus[i] > bound[i] + TOL.lipschitz_atol:
             ok = False
     return NucleusFieldReport(fld.thetas, tuple(nuclei), haus, bound, ok)
-
-
-def _sup_hausdorff(A: np.ndarray, B: np.ndarray) -> float:
-    def one_sided(P, Q):
-        worst = 0.0
-        chunk = max(1, 2_000_000 // max(1, Q.shape[0] * Q.shape[1]))
-        for lo in range(0, P.shape[0], chunk):
-            seg = np.abs(P[lo:lo + chunk, None, :] - Q[None, :, :]).max(axis=2).min(axis=1)
-            worst = max(worst, float(seg.max()))
-        return worst
-
-    return max(one_sided(A, B), one_sided(B, A))
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ def _unique_rows(x: np.ndarray) -> np.ndarray:
 
 # most admissible grid prefixes at any point before nucleus_net falls back
 _NUCLEUS_SIZE_CAP = 200_000
-# cells of one (members, probes) block of the fallback density pass (1 MiB)
+# cells of one (rows, block) array of _directed_sup_hausdorff (1 MiB)
 _DENSITY_CELLS = 1 << 17
 
 
@@ -251,10 +251,9 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float, sample_budget: int =
     prefixes, the enumeration runs in full and the net is complete (density
     <= eps by construction). Otherwise the net holds the metric cone
     functions, a constants grid and projected random samples, and the
-    reported density is measured by random-member probing: the sup distance
-    from every member to every probe is accumulated point by point on the
-    members' (n, members) columns, for a block of probes at a time, and the
-    density is the max over probes of the min over members.
+    reported density is measured by random-member probing: the
+    `_directed_sup_hausdorff` from the probes to the members, the max over
+    probes of the min over members of the sup distance.
     """
     if not eps > 0:
         raise DomainError("eps must be positive")
@@ -291,18 +290,34 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float, sample_budget: int =
 
     probes = _uniform_rows(SplitMix64(seed ^ 0x5EED), probe_count, n, r)
     probes = np.clip(mcshane_project(X, probes), -r, r)
-    cols = _columns(vals, n)
-    block = max(1, _DENSITY_CELLS // len(vals))
+    return Nucleus(X, r, vals, density=_directed_sup_hausdorff(probes, vals),
+                   complete=False, target_eps=eps)
+
+
+def _directed_sup_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
+    """max over rows p of P of min over rows q of Q of max_x |p(x) - q(x)|,
+    the directed sup-norm Hausdorff distance from P to Q (0.0 when P has no
+    rows).
+
+    The sup distance from every row of Q to a block of P's rows is
+    accumulated point by point on Q's (n, rows) columns, with blocks sized
+    so that the (rows of Q, block) array holds about _DENSITY_CELLS cells.
+    Only abs, max and min touch the values, so the result does not depend
+    on the blocking.
+    """
+    n = Q.shape[1]
+    cols = _columns(Q, n)
+    block = max(1, _DENSITY_CELLS // len(Q))
     worst = 0.0
-    for lo in range(0, len(probes), block):
-        p = probes[lo:lo + block]
-        sup = np.abs(cols[0][:, None] - p[:, 0])            # (members, probes)
+    for lo in range(0, len(P), block):
+        p = P[lo:lo + block]
+        sup = np.abs(cols[0][:, None] - p[:, 0])            # (rows of Q, block)
         term = np.empty_like(sup)
         for x in range(1, n):
             np.abs(np.subtract(cols[x][:, None], p[:, x], out=term), out=term)
             np.maximum(sup, term, out=sup)
         worst = max(worst, float(sup.min(axis=0).max()))
-    return Nucleus(X, r, vals, density=worst, complete=False, target_eps=eps)
+    return worst
 
 
 def _uniform_rows(rng: SplitMix64, count: int, n: int, r: float) -> np.ndarray:

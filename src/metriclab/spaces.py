@@ -236,6 +236,18 @@ class BridgeConstructionError(DomainError):
     pass
 
 
+def _check_map(f, X: FiniteMetricSpace, Y: FiniteMetricSpace) -> np.ndarray:
+    """f as an int64 array; DomainError unless it has one entry per point of
+    X, each an integer index of Y in [0, Y.size): a negative index would
+    wrap, and a float would be truncated."""
+    fm = np.asarray(f)
+    if (fm.shape != (X.size,) or fm.dtype.kind not in "iu"
+            or fm.min() < 0 or fm.max() >= Y.size):
+        raise DomainError(f"map must send each of the {X.size} points to an integer "
+                          f"index in [0, {Y.size})")
+    return fm.astype(np.int64, copy=False)
+
+
 def _map_distortion(f, X: FiniteMetricSpace, Y: FiniteMetricSpace) -> float:
     """max over point pairs (i, j) of X of |D_Y[f i, f j] - D_X[i, j]|."""
     return float(np.abs(Y.dist[np.ix_(f, f)] - X.dist).max())
@@ -251,9 +263,7 @@ def bridge_metric(X: FiniteMetricSpace, Y: FiniteMetricSpace, f, delta: float) -
     """
     if not delta > 0:
         raise DomainError("delta must be positive")
-    fm = np.asarray(list(f), dtype=int)
-    if fm.shape != (X.size,) or fm.min() < 0 or fm.max() >= Y.size:
-        raise DomainError("map must assign a Y index to every point of X")
+    fm = _check_map(f, X, Y)
     distortion = _map_distortion(fm, X, Y)
     cross = (X.dist[:, :, None] + Y.dist[fm][None, :, :]).min(axis=1) + delta / 2.0
     n, m = X.size, Y.size

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL, DomainError, SpaceMismatchError
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, _check_map
 
 
 @dataclass(frozen=True, eq=False)
@@ -499,22 +499,47 @@ def wasserstein_inf(mu: Measure, nu: Measure) -> float:
 
 def pushforward(mu: Measure, h) -> Measure:
     """Weights summed over preimages of a total point map: a DynMap or an
-    index array."""
-    idx = np.asarray(getattr(h, "idx", h), dtype=int)
-    if idx.shape != (mu.space.size,):
-        raise DomainError("map must be total on the space")
+    index array (DomainError unless it sends every point to a point)."""
+    idx = _check_map(getattr(h, "idx", h), mu.space, mu.space)
     w = np.zeros(mu.space.size)
     np.add.at(w, idx, mu.weights)
     return Measure(mu.space, w)
 
 
-@dataclass(frozen=True)
-class ProbNet:
-    """All measures with weights on a 1/m grid over the whole space."""
+@dataclass(frozen=True, eq=False)
+class SimplexNet:
+    """A 1/m grid net of the Bauer simplex Prob(boundary), coded by counts.
 
-    measures: tuple
+    Each row of `counts` is one measure's integer weights resolution * mu,
+    so a row is nonnegative and sums to `resolution`. Every point mass is a
+    row, so the net spans the whole simplex. `counts` is stored read-only;
+    `measures` decodes the rows as `Measure`s on demand.
+    """
+
+    boundary: FiniteMetricSpace
     resolution: int
-    density: float   # W1-density bound of the net inside Prob(X)
+    counts: np.ndarray
+    density: float   # W1-density bound of the net inside Prob(boundary)
+
+    def __post_init__(self):
+        c = np.asarray(self.counts)
+        n, m = self.boundary.size, self.resolution
+        if c.ndim != 2 or c.shape[1] != n or c.dtype.kind not in "iu":
+            raise DomainError(f"counts must be an integer (measures, {n}) array, "
+                              f"not {c.dtype} of shape {c.shape}")
+        if not m >= 1 or c.min(initial=0) < 0 or (c.sum(axis=1) != m).any():
+            raise DomainError(f"counts must be nonnegative rows that sum to the "
+                              f"resolution {m} >= 1")
+        missing = np.flatnonzero(~(c == m).any(axis=0))
+        if missing.size:
+            raise DomainError(f"net is missing the point mass at index {missing[0]}")
+        c = c.astype(np.int64)      # a copy, so the caller's array cannot change it
+        c.flags.writeable = False
+        object.__setattr__(self, "counts", c)
+
+    @property
+    def measures(self) -> tuple:
+        return tuple(Measure(self.boundary, w) for w in self.counts / self.resolution)
 
 
 # most weight vectors convex_grid builds
@@ -538,11 +563,13 @@ def convex_grid(k: int, m: int) -> np.ndarray:
     return (np.diff(edges, axis=1) - 1) / m
 
 
-def prob_net(X: FiniteMetricSpace, m: int) -> ProbNet:
+def prob_net(X: FiniteMetricSpace, m: int) -> SimplexNet:
+    """The net of every measure on X with weights in multiples of 1/m, its
+    rows in `convex_grid` order."""
     if m < 1:
         raise DomainError("resolution m must be >= 1")
-    out = tuple(Measure(X, lam) for lam in convex_grid(X.size, m))
-    return ProbNet(out, m, X.diameter * min(1.0, X.size / (2.0 * m)))
+    counts = np.rint(convex_grid(X.size, m) * m).astype(np.int64)
+    return SimplexNet(X, m, counts, X.diameter * min(1.0, X.size / (2.0 * m)))
 
 
 def mix(measures, lambdas) -> Measure:

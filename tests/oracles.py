@@ -263,6 +263,21 @@ def density_per_probe(members, probes) -> float:
     return worst
 
 
+def sup_hausdorff_chunked(A, B) -> float:
+    """nucleus_field's earlier sup-norm Hausdorff distance between two row
+    sets: each direction in chunks of rows of a full (chunk, rows, n)
+    difference array."""
+    def one_sided(P, Q):
+        worst = 0.0
+        chunk = max(1, 2_000_000 // max(1, Q.shape[0] * Q.shape[1]))
+        for lo in range(0, P.shape[0], chunk):
+            seg = np.abs(P[lo:lo + chunk, None, :] - Q[None, :, :]).max(axis=2).min(axis=1)
+            worst = max(worst, float(seg.max()))
+        return worst
+
+    return max(one_sided(A, B), one_sided(B, A))
+
+
 def unique_rows_np(x):
     """nucleus_net's earlier dedupe: numpy's unique rows (a structured-dtype
     sort) of x rounded to 12 decimals."""

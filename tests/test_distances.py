@@ -6,10 +6,11 @@ import pytest
 
 from metriclab import (TOL, DomainError, Measure, SearchBudget, circle_net, dq_upper,
                        epsilon_isometry_check, fukaya_distance, gh_distance,
-                       intertwining_gap, interval_net, point_mass, simplex_net,
+                       intertwining_gap, interval_net, simplex_net,
                        validate_metric, wasserstein1)
 from metriclab import distances
 from metriclab.distances import MapCost, SimplexNet, _W1Table, search_maps
+from metriclab.transport import convex_grid
 
 from oracles import enumerate_maps_loop, gh_exhaustive
 
@@ -319,21 +320,81 @@ class TestW1Table:
 
 class TestSimplexNet:
     def test_off_grid_measures_rejected(self):
+        # a row of counts that does not sum to the resolution is a measure off
+        # the 1/m grid, or no probability measure at all
         X = interval_net(3, 1.0)
-        masses = tuple(point_mass(X, i) for i in range(3))
-        w = 1.0 / math.pi
         with pytest.raises(DomainError):
-            SimplexNet(X, masses + (Measure(X, [w, 1.0 - w, 0.0]),), 0.1)
-        # measures on two grids lie on their common one
-        net = SimplexNet(X, masses + (Measure(X, [0.5, 0.5, 0.0]),
-                                      Measure(X, [1 / 3, 0.0, 2 / 3])), 0.5)
+            SimplexNet(X, 2, [[2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 0, 0]], 0.1)
+        with pytest.raises(DomainError):
+            SimplexNet(X, 2, [[2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 1, 1]], 0.1)
+        net = SimplexNet(X, 6, [[6, 0, 0], [0, 6, 0], [0, 0, 6], [2, 0, 4]], 0.5)
         assert net.resolution == 6
         assert net.counts[-1].tolist() == [2, 0, 4]
+        assert net.measures[-1].weights.tolist() == [2 / 6, 0.0, 4 / 6]
 
     def test_point_masses_required(self):
         X = interval_net(3, 1.0)
+        with pytest.raises(DomainError, match="point mass at index 2"):
+            SimplexNet(X, 2, [[2, 0, 0], [0, 2, 0], [1, 1, 0]], 0.1)
+
+    @pytest.mark.parametrize("counts", [
+        [2, 0, 0],                                      # one row, not a 2-D array
+        [[2, 0], [0, 2]],                               # a column short
+        [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0]],     # a column too many
+        [[2.0, 0, 0], [0, 2, 0], [0, 0, 2]],            # not integers
+        [[2, 0, 0], [0, 2, 0], [0, 0, 2], [3, -1, 0]],  # a negative count
+    ])
+    def test_malformed_counts_rejected(self, counts):
         with pytest.raises(DomainError):
-            SimplexNet(X, (Measure(X, [0.5, 0.5, 0.0]),), 0.1)
+            SimplexNet(interval_net(3, 1.0), 2, counts, 0.1)
+
+    def test_resolution_below_one_rejected(self):
+        X = validate_metric([[0.0]])
+        with pytest.raises(DomainError):
+            SimplexNet(X, 0, [[0]], 0.0)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (2, 3), (3, 1), (3, 2), (4, 3), (5, 2)])
+    def test_counts_are_the_convex_grid(self, n, m):
+        S = simplex_net(interval_net(n, 1.0) if n > 1 else validate_metric([[0.0]]), m)
+        grid = convex_grid(n, m)
+        assert S.counts.dtype == np.int64 and S.resolution == m
+        assert np.array_equal(S.counts, np.rint(grid * m))
+        W = np.array([mu.weights for mu in S.measures])
+        assert W.shape == grid.shape and W.tobytes() == grid.tobytes()
+        assert all(mu.space is S.boundary for mu in S.measures)
+
+    def test_counts_read_only(self):
+        counts = np.array([[2, 0], [1, 1], [0, 2]])
+        S = SimplexNet(interval_net(2, 1.0), 2, counts, 0.5)
+        with pytest.raises(ValueError):
+            S.counts[0, 0] = 1
+        counts[0, 0] = 1        # the net holds its own copy
+        assert S.counts[0].tolist() == [2, 0]
+
+    def test_one_point_boundary_keeps_its_resolution(self):
+        # the float-derived resolution of a one-point net was 1 whatever m;
+        # now it is m, and the searches give the same values and witnesses
+        P = validate_metric([[0.0]])
+        SY, SZ = simplex_net(interval_net(3, 1.0), 2), simplex_net(circle_net(4, 2.0), 3)
+        for m in (1, 3):
+            SP = simplex_net(P, m)
+            assert SP.resolution == m and SP.counts.tolist() == [[m]]
+            pinned = [
+                ((SP, SY), (1.0, (0,), (0, 0, 0)), (0.5, (1,))),
+                ((SY, SP), (1.0, (0, 0, 0), (0,)), (1.0, (0, 0, 0))),
+                ((SP, SZ), (1.0, (0,), (0, 0, 0, 0)), (1.0, (0,))),
+                ((SZ, SP), (1.0, (0, 0, 0, 0), (0,)), (1.0, (0, 0, 0, 0))),
+            ]
+            for (A, B), gap, fukaya in pinned:
+                g, f = intertwining_gap(A, B), fukaya_distance(A, B)
+                assert (g.value, g.report.forward, g.report.backward) == gap
+                assert (f.value, f.report.forward) == fukaya
+        # searched on the one-point net's own grid, 1/1, not on 1/1000, whose
+        # codes on an 8-point boundary would overflow int64
+        SP, SW = simplex_net(P, 1000), simplex_net(interval_net(8, 1.0), 1)
+        g, f = intertwining_gap(SP, SW), fukaya_distance(SP, SW)
+        assert (g.value, g.report.forward, g.report.backward) == (1.0, (0,), (0,) * 8)
+        assert (f.value, f.report.forward) == (4 / 7, (3,))
 
     def test_builder(self):
         X = interval_net(3, 1.0)
@@ -525,6 +586,37 @@ class TestEpsilonIsometryCheck:
             pa, pb = Measure(Y, wa), Measure(Y, wb)
             worst = max(worst, abs(wasserstein1(pa, pb)[0] - wasserstein1(a, b)[0]))
         assert rep.distortion == pytest.approx(worst, abs=1e-9)
+
+
+# a negative index, an index past the end, a float index, and maps one point
+# short and one point long, all from a 3-point boundary into a 3-point one
+_BAD_MAPS = [(0, 1, -1), (0, 1, 3), (0, 1, 2.9), (0, 1), (0, 1, 2, 0)]
+
+
+class TestMapsFromOutside:
+    """A boundary map handed in is checked once: one integer index per source
+    point, each in range. Before, a negative index wrapped to the last point
+    and a float index was truncated."""
+
+    @pytest.fixture(scope="class")
+    def nets(self):
+        return simplex_net(interval_net(3, 1.0), 2), simplex_net(interval_net(3, 1.2), 2)
+
+    @pytest.mark.parametrize("f", _BAD_MAPS)
+    def test_epsilon_isometry_check(self, nets, f):
+        with pytest.raises(DomainError, match="integer index in"):
+            epsilon_isometry_check(f, *nets)
+
+    @pytest.mark.parametrize("f", _BAD_MAPS)
+    def test_fixed_pair(self, nets, f):
+        for pair in ((f, (0, 1, 2)), ((0, 1, 2), f)):
+            with pytest.raises(DomainError, match="integer index in"):
+                intertwining_gap(*nets, fixed_pair=pair)
+
+    @pytest.mark.parametrize("f", _BAD_MAPS)
+    def test_dq_upper(self, nets, f):
+        with pytest.raises(DomainError, match="integer index in"):
+            dq_upper(*nets, f)
 
 
 def _brute_boundary_distortion(f, X, Y):

@@ -14,14 +14,15 @@ from metriclab import (DomainError, MatrixObservable, Measure, MetricField, Nucl
                        nucleus_field, nucleus_net, point_mass, prob_net, state_metric,
                        validate_metric, wasserstein1, wasserstein1_dual)
 from metriclab.fields import retract_between_fibres
-from metriclab.lipgeom import (_DENSITY_CELLS, _enumerate_grid_members, _lipschitz_excess,
-                               _uniform_rows, _unique_rows, operator_norm)
+from metriclab.lipgeom import (_DENSITY_CELLS, _directed_sup_hausdorff,
+                               _enumerate_grid_members, _lipschitz_excess, _uniform_rows,
+                               _unique_rows, operator_norm)
 from metriclab.rng import SplitMix64
 from metriclab.spaces import check_metric, space_from_json
 
 from oracles import (density_per_probe, grid_dead_prefixes, grid_members_dfs,
                      lipnorm_from_state_metric, lipschitz_excess_full, mcshane_project_rows,
-                     mcshane_project_scalar, unique_rows_np)
+                     mcshane_project_scalar, sup_hausdorff_chunked, unique_rows_np)
 
 
 def random_hermitian_field(rng, X, n):
@@ -343,6 +344,38 @@ class TestFallbackDensity:
         assert not nuc.complete
         assert nuc.density == density_per_probe(nuc.values,
                                                 fallback_probes(nuc, probe_count, seed))
+
+
+class TestDirectedSupHausdorff:
+    """One kernel serves the fallback density and nucleus_field's Hausdorff
+    distance; both directions of it equal the earlier chunked pass with ==."""
+
+    @staticmethod
+    def both_ways(A, B):
+        return max(_directed_sup_hausdorff(A, B), _directed_sup_hausdorff(B, A))
+
+    @pytest.mark.parametrize("cells", [1, 7, None])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_row_sets(self, seed, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr("metriclab.lipgeom._DENSITY_CELLS", cells)
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(1, 7))
+        A = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 40)), n))
+        B = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 40)), n))
+        B[:len(A) // 2] = A[:len(B)][:len(A) // 2]      # some shared rows
+        assert self.both_ways(A, B) == sup_hausdorff_chunked(A, B)
+        assert _directed_sup_hausdorff(A[:0], B) == 0.0
+
+    def test_criterion_11_nuclei(self):
+        X = interval_net(3, 2.0)
+        thetas = (0.0, 0.25, 0.5)
+        fld = MetricField(X.labels, thetas, tuple((1.0 + t) * X.dist for t in thetas),
+                          meta={"generator": "scaled"})
+        rep = nucleus_field(fld, 1.5 * X.radius, 0.4, sample_budget=256, probe_count=32)
+        for i, (a, b) in enumerate(zip(rep.nuclei, rep.nuclei[1:])):
+            want = sup_hausdorff_chunked(a.values, b.values)
+            assert self.both_ways(a.values, b.values) == want == rep.hausdorff[i]
 
 
 def assert_same_bits(got, want):

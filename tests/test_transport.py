@@ -508,6 +508,12 @@ class TestPushforward:
         assert np.allclose(pushforward(mu, range(4)).weights, mu.weights)
         assert pushforward(point_mass(X, 1), [3, 3, 3, 3]).weights[3] == 1.0
 
+    @pytest.mark.parametrize("h", [[-1, 0, 1], [0, 1, 3], [0.7, 1, 2], [0, 1], [0, 1, 2, 0]])
+    def test_map_off_the_space_rejected(self, h):
+        # before, -1 wrapped round and put the mass on point 2, and 0.7 became 0
+        with pytest.raises(DomainError, match="integer index in"):
+            pushforward(point_mass(interval_net(3, 1.0), 0), h)
+
     def test_merge(self):
         X = interval_net(3, 1.0)
         mu = Measure(X, [0.3, 0.7, 0.0])
