@@ -432,7 +432,10 @@ def intertwining_gap(SX: SimplexNet, SY: SimplexNet,
         seeds = list(dict.fromkeys([(fwd[0], back[0]), (fwd[-1], back[-1])]))
         _, (f, g), exhaustive = search_maps([(nx, ny), (ny, nx)], cost, budget, seeds)
     else:
-        f, g = fixed_pair
+        try:
+            f, g = fixed_pair
+        except (TypeError, ValueError):
+            raise DomainError("fixed_pair must be a pair of maps (f, g)") from None
         f = tuple(_check_map(f, SX.boundary, SY.boundary).tolist())
         g = tuple(_check_map(g, SY.boundary, SX.boundary).tolist())
         exhaustive = False

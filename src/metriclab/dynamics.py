@@ -80,22 +80,24 @@ def project_circle_map(X: FiniteMetricSpace, fn, label: str = "analytic") -> Dyn
         raise DomainError("analytic circle maps need a circle net")
     L = X.meta["circumference"]
     n = X.size
-    mesh = L / n
     coords = np.asarray(X.meta["coords"])
-    err = 0.0
-    idx = np.empty(n, dtype=int)
-    for i, x in enumerate(coords):
-        y = fn(x) % L
-        j = int(round(y / mesh)) % n
-        # resolve ties toward the lower index
-        wrap = min(abs(y - coords[j]), L - abs(y - coords[j]))
-        alt = (j - 1) % n
-        wrap_alt = min(abs(y - coords[alt]), L - abs(y - coords[alt]))
-        if abs(wrap_alt - wrap) <= TOL.projection_tie and alt < j:
-            j = alt
-            wrap = wrap_alt
-        idx[i] = j
-        err = max(err, wrap)
+    y = np.array([fn(x) for x in coords], dtype=float)
+    if not np.isfinite(y).all():
+        raise DomainError("the circle map has a non-finite image on the net")
+    y %= L
+
+    def wrap(j):
+        d = np.abs(y - coords[j])
+        return np.minimum(d, L - d)
+
+    # nearest point, halves rounded to even; near-ties go to the lower index
+    idx = np.rint(y / (L / n)).astype(int) % n
+    alt = (idx - 1) % n
+    err, err_alt = wrap(idx), wrap(alt)
+    tie = (np.abs(err_alt - err) <= TOL.projection_tie) & (alt < idx)
+    idx[tie] = alt[tie]
+    err[tie] = err_alt[tie]
+    err = float(err.max())
     return DynMap(X, idx, projection_error=err, label=label)
 
 
@@ -175,10 +177,7 @@ def invariant_measures(h: DynMap) -> InvariantSimplex:
 
 def measure_mixtures(measures, m: int):
     """All 1/m-grid convex combinations of the given measures."""
-    e = len(measures)
-    if e == 1 or m < 1:
-        return list(measures)
-    return [mix(measures, lam) for lam in convex_grid(e, m)]
+    return [mix(measures, lam) for lam in convex_grid(len(measures), m)]
 
 
 def invariant_simplex_hausdorff(h1: DynMap, h2: DynMap, m: int = 2) -> float:

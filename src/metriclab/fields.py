@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOL, DomainError
-from .dynamics import (DynMap, birkhoff_rate, invariant_measures, measure_mixtures,
-                       rotation, sine_pluck)
+from .dynamics import DynMap, birkhoff_rate, invariant_measures, rotation, sine_pluck
 from .lipgeom import (Observable, _directed_sup_hausdorff, _lipschitz_excess,
                       lipschitz_seminorm, nucleus_net)
 from .spaces import FiniteMetricSpace, circle_net, validate_metric
-from .transport import Measure, _circle_w1, convex_grid, w1_hausdorff
+from .transport import Measure, _circle_w1, convex_grid, mix, w1_hausdorff
 
 
 # ---------------------------------------------------------------------------
@@ -74,18 +73,16 @@ class WaveProfile:
         object.__setattr__(self, "modes", tuple(float(a) for a in self.modes))
 
     @classmethod
-    def triangular_pluck(cls, amplitude: float = 0.3, pluck_at: float | None = None,
-                         n_modes: int = 16, speed: float = 1.0,
-                         length: float = math.pi) -> "WaveProfile":
-        a = pluck_at if pluck_at is not None else length / 2.0
-        if not (0 < a < length):
-            raise DomainError("pluck position must be interior")
+    def triangular_pluck(cls, amplitude: float = 0.3, n_modes: int = 16) -> "WaveProfile":
+        """A string of the default length and speed plucked at its midpoint."""
+        length = cls.length
+        a = length / 2.0
         coeffs = []
         for m in range(1, n_modes + 1):
             c = (2.0 * amplitude * length ** 2 /
                  (math.pi ** 2 * m ** 2 * a * (length - a))) * math.sin(m * math.pi * a / length)
             coeffs.append(c)
-        return cls(tuple(coeffs), speed, length)
+        return cls(tuple(coeffs))
 
     def slope(self, x: float, t: float) -> float:
         """d/dx of the displacement u(x, t)."""
@@ -317,59 +314,25 @@ def birkhoff_field(fld: MetricField, h: DynMap, eps: float, r: float, n_max: int
 # ---------------------------------------------------------------------------
 # rotation fields
 
-def _circle_cdfs(pos, W, L: float) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoint geometry of atoms on a circle of circumference L.
-
-    The breakpoints are the atom positions (taken mod L) with 0 and L. Returns
-    the arc lengths between consecutive breakpoints and, for each row of the
-    weights W (aligned with pos), the mass on [0, x] at every breakpoint x
-    before L; an atom within TOL.atom_slack past a breakpoint counts as
-    reached there.
-    """
-    pos = np.asarray(pos, dtype=float) % L
-    pts = np.unique(np.concatenate([pos, [0.0, L]]))
-    order = np.argsort(pos, kind="stable")
-    reached = np.searchsorted(pos[order], pts[:-1] + TOL.atom_slack, side="right")
-    F = np.cumsum(np.asarray(W, dtype=float)[..., order], axis=-1)
-    F = np.concatenate([np.zeros(F.shape[:-1] + (1,)), F], axis=-1)
-    return np.diff(pts), F[..., reached]
-
-
 def circle_w1_atoms(pos_a, w_a, pos_b, w_b, L: float) -> float:
     """Exact 1-Wasserstein distance between atomic measures on a circle of
     circumference L with the arc metric: minimise the integral of
-    |F_a - F_b - alpha| over the shift alpha (weighted median)."""
+    |F_a - F_b - alpha| over the shift alpha (weighted median).
+
+    The breakpoints are the atom positions (taken mod L) with 0 and L; the
+    mass difference is read at every breakpoint before L, where an atom
+    within TOL.atom_slack past a breakpoint counts as reached.
+    """
     na = len(pos_a)
     W = np.zeros((2, na + len(pos_b)))
     W[0, :na] = w_a
     W[1, na:] = w_b
-    arcs, F = _circle_cdfs(np.concatenate([pos_a, pos_b]), W, L)
-    return float(_circle_w1(F[0] - F[1], arcs))
-
-
-def _barycentric_circle_kernel(X: FiniteMetricSpace, fn) -> np.ndarray:
-    """Row-stochastic kernel of an analytic circle map: each image point's
-    mass splits linearly between its two neighbouring net points, so measure
-    pushforwards vary continuously with the map. Exact on-grid images stay
-    point masses."""
-    L = X.meta["circumference"]
-    n = X.size
-    mesh = L / n
-    K = np.zeros((n, n))
-    for i, x in enumerate(X.meta["coords"]):
-        y = fn(x) % L
-        pos = y / mesh
-        j = int(math.floor(pos))
-        frac = pos - j
-        if frac < TOL.mesh_snap:
-            frac = 0.0
-        elif frac > 1.0 - TOL.mesh_snap:
-            j += 1
-            frac = 0.0
-        K[i, j % n] += 1.0 - frac
-        if frac:
-            K[i, (j + 1) % n] += frac
-    return K
+    pos = np.asarray(np.concatenate([pos_a, pos_b]), dtype=float) % L
+    pts = np.unique(np.concatenate([pos, [0.0, L]]))
+    order = np.argsort(pos, kind="stable")
+    reached = np.searchsorted(pos[order], pts[:-1] + TOL.atom_slack, side="right")
+    F = np.concatenate([np.zeros((2, 1)), np.cumsum(W[:, order], axis=1)], axis=1)[:, reached]
+    return float(_circle_w1(F[0] - F[1], np.diff(pts)))
 
 
 @dataclass(frozen=True)
@@ -399,38 +362,54 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
     mixture-net Hausdorff distances, gamma from the intertwining defect
     witnessed by the projected fibre maps g_s o g_t^{-1}.
 
-    Both tables are closed-form W1 on the circle: the net is a cycle metric,
-    so each dhat entry is one `w1_hausdorff` over a `w1_table`, and each
-    fibre's table of W1 between mixtures of its exact atoms is one
-    weighted-median pass over all mixture pairs.
+    Each fibre's images g_t(x) of the net points are computed once, as one
+    array. The projected g_t splits each image's mass linearly between its
+    two net neighbours, so pushforwards vary continuously with t; an image
+    within TOL.mesh_snap mesh lengths of a net point stays a point mass
+    there. Both tables are closed-form W1 on the circle: the net is a
+    cycle metric, so each dhat entry is one `w1_hausdorff` over a
+    `w1_table`. Gamma reads the moved net g_t(X) itself: its arcs, with a
+    table of cumulative mixture masses that the whole field shares, give
+    each fibre's W1 between all mixture pairs in one weighted-median pass.
     """
     if q <= 0 or math.gcd(p, q) != 1:
         raise DomainError("theta must be given as a reduced fraction p/q")
     if net_size % q != 0:
         raise DomainError(f"net size must be a multiple of q={q}")
     X = circle_net(net_size, math.pi)
-    h0 = rotation(X, net_size * p // q)
-    base = invariant_measures(h0)
+    base = invariant_measures(rotation(X, net_size * p // q)).extremes
     t_grid = tuple(float(t) for t in t_grid)
     T = len(t_grid)
-    analytic = [sine_pluck(t) for t in t_grid]
-    kernels = [_barycentric_circle_kernel(X, g) for g in analytic]
-    extreme_sets = [[Measure(X, mu.weights @ K) for mu in base.extremes] for K in kernels]
-    nets = [measure_mixtures(ex, resolution) for ex in extreme_sets]
-
-    # exact fibre geometry: atoms moved analytically, one atom bundle per orbit;
-    # every mixture weighs the same atoms, so one breakpoint set serves the table
-    base_pos = [np.asarray(X.meta["coords"])[mu.support] for mu in base.extremes]
-    lam_grid = convex_grid(len(base.extremes), max(resolution, 1))
-    orbit_size = len(base_pos[0])
-    weights = np.repeat(lam_grid / orbit_size, orbit_size, axis=1)
+    lam_grid = convex_grid(len(base), resolution)
+    # g_t is increasing and fixes 0, so the moved net g_t(X) lists its atoms
+    # in net order; every net point lies on exactly one orbit (of q points),
+    # so in the mixture lam point x weighs lam_k / q, k its orbit. The mass on
+    # [0, g_t(x)] is then one table for every fibre, and so are its pair
+    # differences: only the arcs of the moved net change with t.
+    orbit = np.argmax([mu.weights for mu in base], axis=0)
+    F = np.cumsum(lam_grid[:, orbit] / q, axis=1)
     iu = np.triu_indices(len(lam_grid), k=1)
-    atom_tables = []
-    for g in analytic:
-        arcs, F = _circle_cdfs([g(x) for pos in base_pos for x in pos], weights, math.pi)
+    G = F[iu[0]] - F[iu[1]]
+    rows = np.arange(net_size)
+    extreme_sets, atom_tables = [], []
+    for t in t_grid:
+        g = sine_pluck(t)
+        images = np.array([g(x) for x in X.meta["coords"]])
+        pos = images % math.pi / X.meta["mesh"]
+        j = np.floor(pos)
+        frac = pos - j
+        j = j.astype(int)
+        up = frac > 1.0 - TOL.mesh_snap
+        j[up] += 1
+        frac[up | (frac < TOL.mesh_snap)] = 0.0
+        K = np.zeros((net_size, net_size))
+        K[rows, j % net_size] = 1.0 - frac
+        K[rows, (j + 1) % net_size] += frac
+        extreme_sets.append([Measure(X, mu.weights @ K) for mu in base])
         tab = np.zeros((len(lam_grid), len(lam_grid)))
-        tab[iu] = tab[iu[::-1]] = _circle_w1(F[iu[0]] - F[iu[1]], arcs)
+        tab[iu] = tab[iu[::-1]] = _circle_w1(G, np.diff(np.append(images, math.pi)))
         atom_tables.append(tab)
+    nets = [[mix(ex, lam) for lam in lam_grid] for ex in extreme_sets]
 
     dhat = np.zeros((T, T))
     gamma = np.zeros((T, T))
@@ -460,7 +439,7 @@ class ContinuityReport:
     envelope_ok: bool            # constant sections stayed within envelope bounds
 
 
-def field_continuity_check(fld: MetricField, sections, atol: float = 1e-9) -> ContinuityReport:
+def field_continuity_check(fld: MetricField, sections) -> ContinuityReport:
     """Sample per-fibre Lipschitz seminorms of the given sections.
 
     sections: arrays of shape (n_thetas, n_points) (a constant row means a
@@ -469,6 +448,7 @@ def field_continuity_check(fld: MetricField, sections, atol: float = 1e-9) -> Co
     the envelope inequality k L_s <= L_t <= K L_s is asserted pairwise.
     """
     T = len(fld)
+    atol = TOL.lipschitz_atol
     spaces = [fld.fibre_space(k) for k in range(T)]
     env = lipschitz_envelope(fld) if T >= 2 else None
     rows = []

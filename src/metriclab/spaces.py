@@ -38,8 +38,9 @@ class MetricViolation:
 _TRIANGLE_CELLS = 1 << 15
 
 
-def check_metric(D, atol: float = TOL.metric_atol) -> list[MetricViolation]:
-    """Return a report of every violated metric axiom (empty list if valid).
+def check_metric(D) -> list[MetricViolation]:
+    """Return a report of every violated metric axiom (empty list if valid),
+    each tested with slack TOL.metric_atol.
 
     Triangle violations are listed with their witnessing triples (i, j, k)
     in lexicographic order, capped at 64 entries per call. The triangle test
@@ -57,6 +58,7 @@ def check_metric(D, atol: float = TOL.metric_atol) -> list[MetricViolation]:
         i, j = np.argwhere(~np.isfinite(D))[0]
         return [MetricViolation("nonfinite", (int(i), int(j)), f"non-finite entry at ({i},{j})")]
     n = D.shape[0]
+    atol = TOL.metric_atol
     asym = np.argwhere(np.abs(D - D.T) > atol)
     for i, j in asym:
         if i < j:
@@ -118,13 +120,13 @@ class FiniteMetricSpace:
         return 0.5 * float(self.dist.max())
 
 
-def validate_metric(D, labels: Sequence | None = None, meta: dict | None = None,
-                    atol: float = TOL.metric_atol) -> FiniteMetricSpace:
+def validate_metric(D, labels: Sequence | None = None,
+                    meta: dict | None = None) -> FiniteMetricSpace:
     """Validate a square distance matrix and wrap it as a space.
 
     Raises MetricValidationError carrying the full list of violated axioms.
     """
-    violations = check_metric(D, atol=atol)
+    violations = check_metric(D)
     if violations:
         raise MetricValidationError(violations)
     D = np.asarray(D, dtype=float).copy()

@@ -548,7 +548,9 @@ _CONVEX_GRID_CAP = 200_000
 
 def convex_grid(k: int, m: int) -> np.ndarray:
     """All convex weight vectors of length k with entries in multiples of 1/m,
-    at most _CONVEX_GRID_CAP of them."""
+    at most _CONVEX_GRID_CAP of them. Raises DomainError unless m >= 1."""
+    if m < 1:
+        raise DomainError(f"resolution m must be >= 1, got {m!r}")
     count = math.comb(m + k - 1, k - 1)
     if count > _CONVEX_GRID_CAP:
         raise DomainError(
@@ -566,8 +568,6 @@ def convex_grid(k: int, m: int) -> np.ndarray:
 def prob_net(X: FiniteMetricSpace, m: int) -> SimplexNet:
     """The net of every measure on X with weights in multiples of 1/m, its
     rows in `convex_grid` order."""
-    if m < 1:
-        raise DomainError("resolution m must be >= 1")
     counts = np.rint(convex_grid(X.size, m) * m).astype(np.int64)
     return SimplexNet(X, m, counts, X.diameter * min(1.0, X.size / (2.0 * m)))
 

@@ -646,3 +646,97 @@ def egh_cost_direct(maps1, maps2, require_isometry, F):
         dis = np.abs(D2[F[:, :, None], F[:, None, :]] - D1).max(axis=(1, 2))
         val = np.maximum(val, dis)
     return val
+
+
+def barycentric_circle_kernel_loop(X, fn) -> np.ndarray:
+    """Row-stochastic kernel of an analytic circle map on a circle net, point
+    by point: each image's mass splits linearly between its two neighbouring
+    net points, and an image within 1e-9 of a mesh fraction of a net point
+    stays a point mass there. The package's earlier per-point form."""
+    from metriclab.config import TOL
+    L = X.meta["circumference"]
+    n = X.size
+    mesh = L / n
+    K = np.zeros((n, n))
+    for i, x in enumerate(X.meta["coords"]):
+        pos = (fn(x) % L) / mesh
+        j = int(math.floor(pos))
+        frac = pos - j
+        if frac < TOL.mesh_snap:
+            frac = 0.0
+        elif frac > 1.0 - TOL.mesh_snap:
+            j += 1
+            frac = 0.0
+        K[i, j % n] += 1.0 - frac
+        if frac:
+            K[i, (j + 1) % n] += frac
+    return K
+
+
+def circle_cdfs(pos, W, L: float):
+    """Breakpoint arcs of atoms on a circle of circumference L, and for each
+    row of the weights W (aligned with pos) the mass on [0, x] at every
+    breakpoint x before L; an atom within 1e-15 past a breakpoint counts as
+    reached there. The package's earlier atom-table helper."""
+    from metriclab.config import TOL
+    pos = np.asarray(pos, dtype=float) % L
+    pts = np.unique(np.concatenate([pos, [0.0, L]]))
+    order = np.argsort(pos, kind="stable")
+    reached = np.searchsorted(pos[order], pts[:-1] + TOL.atom_slack, side="right")
+    F = np.cumsum(np.asarray(W, dtype=float)[..., order], axis=-1)
+    F = np.concatenate([np.zeros(F.shape[:-1] + (1,)), F], axis=-1)
+    return np.diff(pts), F[..., reached]
+
+
+def rotation_gamma_atoms(p: int, q: int, t_grid, net_size: int, resolution: int) -> np.ndarray:
+    """`fields.rotation_field`'s gamma table by the package's earlier route:
+    each fibre moves every orbit's atoms analytically, places them with
+    `circle_cdfs` and tables W1 between all pairs of 1/m mixtures."""
+    from metriclab import circle_net, invariant_measures, rotation, sine_pluck
+    from metriclab.transport import _circle_w1, convex_grid
+    X = circle_net(net_size, math.pi)
+    base = invariant_measures(rotation(X, net_size * p // q)).extremes
+    base_pos = [np.asarray(X.meta["coords"])[mu.support] for mu in base]
+    lam_grid = convex_grid(len(base), resolution)
+    orbit_size = len(base_pos[0])
+    weights = np.repeat(lam_grid / orbit_size, orbit_size, axis=1)
+    iu = np.triu_indices(len(lam_grid), k=1)
+    tables = []
+    for t in t_grid:
+        g = sine_pluck(float(t))
+        arcs, F = circle_cdfs([g(x) for pos in base_pos for x in pos], weights, math.pi)
+        tab = np.zeros((len(lam_grid), len(lam_grid)))
+        tab[iu] = tab[iu[::-1]] = _circle_w1(F[iu[0]] - F[iu[1]], arcs)
+        tables.append(tab)
+    T = len(tables)
+    gamma = np.zeros((T, T))
+    for s in range(T):
+        for t in range(s + 1, T):
+            gamma[s, t] = gamma[t, s] = float(np.abs(tables[s] - tables[t]).max())
+    return gamma
+
+
+def project_circle_map_loop(X, fn):
+    """(indices, projection error) of the nearest-point projection of an
+    analytic circle map, point by point: `round` halves to even, and an image
+    within 1e-15 of a tie goes to the lower index. The package's earlier
+    scalar form of `dynamics.project_circle_map`."""
+    from metriclab.config import TOL
+    L = X.meta["circumference"]
+    n = X.size
+    mesh = L / n
+    coords = np.asarray(X.meta["coords"])
+    err = 0.0
+    idx = np.empty(n, dtype=int)
+    for i, x in enumerate(coords):
+        y = fn(x) % L
+        j = int(round(y / mesh)) % n
+        wrap = min(abs(y - coords[j]), L - abs(y - coords[j]))
+        alt = (j - 1) % n
+        wrap_alt = min(abs(y - coords[alt]), L - abs(y - coords[alt]))
+        if abs(wrap_alt - wrap) <= TOL.projection_tie and alt < j:
+            j = alt
+            wrap = wrap_alt
+        idx[i] = j
+        err = max(err, wrap)
+    return idx, err

@@ -311,6 +311,17 @@ class TestRun:
             for j in range(5):
                 assert table[i][j] == pytest.approx(table[j][i])
 
+    def test_rotation_field_resolution_below_one(self, tmp_path):
+        doc = {"kind": "rotation-field",
+               "params": {"theta": [1, 4], "t_grid": [-0.5, 0.5],
+                          "net_size": 16, "resolution": 0}}
+        p = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["--config", str(p), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert "resolution" in report["error"]
+        assert sorted(f.name for f in out.iterdir()) == ["report.json"]
+
     def test_ldp_scenario_with_plot(self, tmp_path):
         doc = {"kind": "ldp", "seed": 3,
                "params": {"space": {"generator": "interval",

@@ -216,15 +216,16 @@ class TestW1Table:
         for _ in range(200):
             X = _planar(rng, int(rng.integers(3, 6)))
             S = simplex_net(X, int(rng.integers(1, 4)))
-            found = [(p, q) for p, q in itertools.combinations(range(len(S.measures)), 2)
-                     if wasserstein1(S.measures[p], S.measures[q])[0]
-                     != wasserstein1(S.measures[q], S.measures[p])[0]]
+            measures = S.measures
+            found = [(p, q) for p, q in itertools.combinations(range(len(measures)), 2)
+                     if wasserstein1(measures[p], measures[q])[0]
+                     != wasserstein1(measures[q], measures[p])[0]]
             if found:
                 break
         assert found, "no asymmetric pair found"
         p, q = found[0]
         lo, hi = sorted((p, q), key=lambda k: S.counts[k] @ (S.resolution + 1) ** np.arange(X.size))
-        expect = wasserstein1(S.measures[lo], S.measures[hi])[0]
+        expect = wasserstein1(measures[lo], measures[hi])[0]
         for first in ((p, q), (q, p)):
             table = _W1Table(X, S.resolution)
             slots = table.index(S.counts @ table.radix)
@@ -612,6 +613,11 @@ class TestMapsFromOutside:
         for pair in ((f, (0, 1, 2)), ((0, 1, 2), f)):
             with pytest.raises(DomainError, match="integer index in"):
                 intertwining_gap(*nets, fixed_pair=pair)
+
+    @pytest.mark.parametrize("pair", [((0, 1, 2),), ((0, 1, 2), (0, 1, 2), (0, 1, 2)), (), 5])
+    def test_fixed_pair_not_a_pair(self, nets, pair):
+        with pytest.raises(DomainError, match="fixed_pair"):
+            intertwining_gap(*nets, fixed_pair=pair)
 
     @pytest.mark.parametrize("f", _BAD_MAPS)
     def test_dq_upper(self, nets, f):

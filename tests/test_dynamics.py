@@ -7,7 +7,8 @@ from metriclab import (DomainError, DynMap, Observable, birkhoff_rate, circle_ne
                        crossed_product_seminorm, deform, egh_distance, identity_map,
                        interval_net, invariant_measures, invariant_simplex_hausdorff,
                        lipschitz_seminorm, measure_mixtures, mix, nucleus_net,
-                       point_mass, rotation, sine_pluck_map, validate_metric,
+                       point_mass, project_circle_map, rotation, sine_pluck_map,
+                       validate_metric,
                        wasserstein1)
 from metriclab import distances, dynamics
 from metriclab.distances import MapCost
@@ -15,7 +16,8 @@ from metriclab.dynamics import z_action_window
 from metriclab.spaces import _map_distortion
 
 from oracles import (birkhoff_curve_brute, egh_cost_direct, enumerate_maps_loop,
-                     lipnorm_from_state_metric, permutation_invariant_measures)
+                     lipnorm_from_state_metric, permutation_invariant_measures,
+                     project_circle_map_loop)
 
 
 class TestMaps:
@@ -37,6 +39,44 @@ class TestMaps:
         assert g0.projection_error == 0.0
         g = sine_pluck_map(X, 0.4)
         assert g.projection_error <= 0.5 * X.meta["mesh"] + 1e-12
+
+
+class TestProjectCircleMap:
+    """One vectorised pass gives the indices and projection error of the
+    scalar loop it replaced, ties included."""
+
+    def test_equal_to_scalar_loop(self, rng):
+        ties = 0
+        for _ in range(600):
+            n = int(rng.integers(2, 25))
+            L = float(rng.choice([math.pi, 1.0, 2 * math.pi, rng.uniform(0.3, 9.0)]))
+            X = circle_net(n, L)
+            mesh = L / n
+            kind = int(rng.integers(5))
+            a, b, c = rng.uniform(-2.0, 2.0), int(rng.integers(1, 6)), rng.uniform(-L, L)
+            if kind == 0:       # sine pluck, any circumference
+                fn = lambda x, a=a: x + 0.5 * a * math.sin(x) ** 2
+            elif kind == 1:     # shift, possibly by more than a turn
+                fn = lambda x, c=c: x + 2.0 * c
+            elif kind == 2:     # exact half-mesh shift: every image ties
+                fn = lambda x, k=b - 3: x + (k + 0.5) * mesh
+            elif kind == 3:     # whole-mesh shift: every image on the net
+                fn = lambda x, k=b - 3: x + k * mesh
+            else:               # non-monotone
+                fn = lambda x, a=a, b=b, c=c: x + a * L * math.sin(b * x + c)
+            want_idx, want_err = project_circle_map_loop(X, fn)
+            got = project_circle_map(X, fn)
+            assert np.array_equal(got.idx, want_idx)
+            assert got.projection_error == want_err
+            y = np.array([fn(x) for x in X.meta["coords"]]) % L
+            ties += int(np.sum(got.idx != np.rint(y / mesh).astype(int) % n))
+        assert ties > 0         # the lower-index rule was exercised
+
+    def test_non_finite_image_rejected(self):
+        X = circle_net(6, math.pi)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="non-finite"):
+                project_circle_map(X, lambda x, bad=bad: bad if x > 1.0 else x)
 
 
 class TestDeform:
@@ -435,6 +475,14 @@ class TestCrossedProduct:
         ergodic_value = crossed_product_seminorm(a0, rotation(X, 1))
         nearby = crossed_product_seminorm(a0, rotation(X, 2), resolution=4)
         assert ergodic_value >= nearby - 1e-9
+
+    def test_resolution_below_one_rejected(self):
+        X = circle_net(4, 2 * math.pi)
+        h = rotation(X, 2)
+        with pytest.raises(DomainError, match="resolution"):
+            crossed_product_seminorm(Observable(X, [1.0, 0.0, 1.0, 0.0]), h, resolution=0)
+        with pytest.raises(DomainError, match="resolution"):
+            invariant_simplex_hausdorff(h, identity_map(X), 0)
 
     def test_monotone_under_subsimplex(self):
         X = circle_net(6, 3.0)

@@ -5,12 +5,14 @@ import pytest
 
 from metriclab import (DomainError, MetricField, WaveProfile, birkhoff_field,
                        circle_net, circle_wave_metric, field_continuity_check,
-                       interval_net, lipschitz_envelope, measure_mixtures, nucleus_field,
-                       rotation, rotation_field, validate_metric, wave_metric_field,
-                       Measure, wasserstein1)
+                       interval_net, invariant_measures, lipschitz_envelope,
+                       measure_mixtures, nucleus_field, rotation, rotation_field,
+                       sine_pluck, validate_metric, wave_metric_field, Measure, wasserstein1)
 from metriclab.fields import adaptive_simpson, circle_w1_atoms, retract_between_fibres
+from metriclab.transport import w1_hausdorff
 
-from oracles import circle_w1_atoms_loop, riemann_arc_length
+from oracles import (barycentric_circle_kernel_loop, circle_w1_atoms_loop,
+                     riemann_arc_length, rotation_gamma_atoms)
 
 
 def scaled_field(base, thetas, scale):
@@ -227,6 +229,43 @@ class TestRotationField:
                 want = max(W.min(axis=1).max(), W.min(axis=0).max())
                 assert abs(rep.dhat[s, t] - want) <= 1e-12
                 assert rep.dhat[t, s] == rep.dhat[s, t]
+
+
+class TestRotationFieldPerPointRoutes:
+    """The field computes each fibre's images once, as one array. Its
+    extremes, dhat and gamma are those of the per-point routes it replaced:
+    the barycentric kernel loop and the breakpoint atom table."""
+
+    @pytest.mark.parametrize("p, q, n, m", [(1, 4, 32, 1), (1, 4, 16, 1), (1, 4, 16, 2),
+                                            (1, 3, 24, 2), (2, 5, 20, 1), (1, 2, 8, 3),
+                                            (0, 1, 12, 1)])
+    def test_equal_to_per_point_routes(self, p, q, n, m):
+        t_grid = np.linspace(-1, 1, 9)
+        rep = rotation_field(p, q, t_grid, n, resolution=m)
+        X = circle_net(n, math.pi)
+        base = invariant_measures(rotation(X, n * p // q)).extremes
+        nets = []
+        for t, got in zip(t_grid, rep.extremes):
+            K = barycentric_circle_kernel_loop(X, sine_pluck(t))
+            want = [Measure(X, mu.weights @ K) for mu in base]
+            assert len(got) == len(want)
+            assert all(np.array_equal(a.weights, b.weights) for a, b in zip(got, want))
+            nets.append(measure_mixtures(want, m))
+        dhat = np.zeros((len(t_grid),) * 2)
+        for s in range(len(t_grid)):
+            for t in range(s + 1, len(t_grid)):
+                dhat[s, t] = dhat[t, s] = w1_hausdorff(nets[s], nets[t])
+        assert np.array_equal(rep.dhat, dhat)
+        assert np.array_equal(rep.gamma, rotation_gamma_atoms(p, q, t_grid, n, m))
+        if q == 1:
+            # every point is its own orbit, so gamma is far from rounding noise
+            assert rep.gamma.max() > 0.8
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_rotation_field_resolution_below_one_rejected(m):
+    with pytest.raises(DomainError, match="resolution"):
+        rotation_field(1, 4, [-0.5, 0.5], 16, resolution=m)
 
 
 class TestCircleW1Atoms:

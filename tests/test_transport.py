@@ -580,6 +580,13 @@ class TestProbNetMix:
                 assert got.shape == (len(want), k)
                 assert np.array_equal(got, np.asarray(want) / m)
 
+    def test_convex_grid_needs_resolution_one(self):
+        for k, m in ((1, 0), (3, 0), (2, -1)):
+            with pytest.raises(DomainError, match="resolution"):
+                convex_grid(k, m)
+        with pytest.raises(DomainError, match="resolution"):
+            prob_net(interval_net(3, 1.0), 0)
+
     def test_cap_error(self):
         # C(49, 9), about 2e9 weight vectors, is over the default cap of 200 000
         with pytest.raises(DomainError):
