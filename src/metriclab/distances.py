@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import TOL, DomainError
 from .spaces import FiniteMetricSpace, _check_map, _map_distortion, bridge_metric
-from .transport import Measure, SimplexNet, _support_w1, prob_net, w1_hausdorff
+from .transport import Measure, SimplexNet, _w1_fill, prob_net, w1_hausdorff
 
 
 @dataclass(frozen=True)
@@ -263,11 +263,11 @@ class _W1Table:
     weights at a fixed scale. Each slot holds its code and its weights,
     counts / scale; `index` finds the slots of known codes by one search in
     the codes kept in ascending order, and decodes, checks and adds new codes
-    only on a miss. Each entry is solved once, on first use, by the checked
-    support-restricted simplex of `wasserstein1`, from the weights of the
-    lower code to the other, so that no entry depends on the order in which
-    entries are asked for (the simplex is not bitwise symmetric in its
-    arguments)."""
+    only on a miss. The entries one call misses are filled together by
+    `_w1_fill`, each once, from the weights of the lower code to the other,
+    so that no entry depends on the order in which entries are asked for
+    (the simplex is not bitwise symmetric in its arguments, and a validated
+    distance matrix may be asymmetric within TOL.metric_atol)."""
 
     def __init__(self, space: FiniteMetricSpace, scale: int):
         if (scale + 1) ** space.size > np.iinfo(np.int64).max:
@@ -309,10 +309,9 @@ class _W1Table:
             a, b = i[todo], j[todo]
             swap = self._codes[a] > self._codes[b]
             K = len(self._table)
-            for pq in np.unique(np.where(swap, b, a) * K + np.where(swap, a, b)).tolist():
-                p, q = divmod(pq, K)
-                v = _support_w1(self._weights[p], self._weights[q], self.space.dist)[0]
-                self._table[p, q] = self._table[q, p] = v
+            p, q = np.divmod(np.unique(np.where(swap, b, a) * K + np.where(swap, a, b)), K)
+            self._table[p, q] = self._table[q, p] = _w1_fill(self._weights[p], self._weights[q],
+                                                             self.space.dist)
             vals = self._table[i, j]
         return vals
 

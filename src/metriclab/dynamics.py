@@ -374,9 +374,10 @@ def crossed_product_seminorm(a0: Observable, h: DynMap, resolution: int = 4) -> 
     if a0.space is not h.space:
         raise DomainError("observable and dynamics live on different spaces")
     simplex = invariant_measures(h)
+    # built first, so that a resolution below 1 raises on either branch
+    net = measure_mixtures(simplex.extremes, resolution)
     if simplex.uniquely_ergodic:
         return lipschitz_seminorm(a0)
-    net = measure_mixtures(simplex.extremes, resolution)
     vals = np.asarray([mu.integrate(a0.values) for mu in net])
     best = 0.0
     for i, j in combinations(range(len(net)), 2):

@@ -16,7 +16,8 @@ on the subtree that the leaving arc cuts off. The Kantorovich dual is read
 off the same solve: the c-transform of the simplex's column potentials is
 1-Lipschitz on the whole space, so its pairing with mu - nu lies between the
 simplex's dual objective and W1, and the mandatory duality-gap check
-certifies both the plan and the potential.
+certifies both the plan and the potential. With one source or one target
+point the least-cost start is the one feasible plan and needs no tree.
 
 Tables of W1 values between two lists of measures (`w1_table`, behind
 `w1_hausdorff`) take a closed form when the distance matrix is, within
@@ -25,7 +26,8 @@ circle nets, interval nets (as half-circles) and every space of two or three
 points. On a cycle the flow across arc k is G_k - alpha, with G the
 cumulative mass difference, and the cost sum_k arc_k |G_k - alpha| is least
 at the arc-weighted median alpha of G (Cabrelli & Molter 1995; Rabin, Delon
-& Gousseau 2011). Any other space gets the network simplex pair by pair.
+& Gousseau 2011). Any other space gets `_w1_fill`, which the map searches'
+tables share: point-mass pairs off the distance matrix, the rest by simplex.
 """
 from __future__ import annotations
 
@@ -218,6 +220,14 @@ def _transport_simplex(a, b, C, max_pivots=None, basis=None):
     """
     n, m = len(a), len(b)
     flow = _least_cost_basis(a, b, C) if basis is None else basis
+    if basis is None and min(n, m) == 1:
+        # every cell is basic: the least-cost start is the one feasible plan,
+        # with the potentials that `hang` gives it from u_0 = 0 (on finite
+        # costs, u_0 = C[0, 0] - v_0 comes out as 0.0 exactly)
+        v = C[0] - 0.0
+        u = C[:, 0] - v[0]
+        P = _plan(flow, n, m)
+        return float((P * C).sum()), P, u, v
     adj: list[list[int]] = [[] for _ in range(n + m)]
     for i, j in flow:
         adj[i].append(n + j)
@@ -330,22 +340,16 @@ def _transport_simplex(a, b, C, max_pivots=None, basis=None):
         parent[top] = anchor
         hang(top)
 
+    P = _plan(flow, n, m)
+    return float((P * C).sum()), P, u, v
+
+
+def _plan(flow: dict[tuple[int, int], float], n: int, m: int) -> np.ndarray:
+    """The (n, m) plan of a basis flow dict."""
     P = np.zeros((n, m))
-    for (bi, bj), q in flow.items():
-        P[bi, bj] = q
-    cost = float((P * C).sum())
-    return cost, P, u, v
-
-
-def _support_w1(wa: np.ndarray, wb: np.ndarray, D: np.ndarray):
-    """The network simplex between weights wa and wb under D, restricted to
-    their supports: (cost, plan over the supports, sa, sb), the plan checked
-    by `_check_plan` against the restricted weights."""
-    sa, sb = np.flatnonzero(wa > 0), np.flatnonzero(wb > 0)
-    a, b = wa[sa], wb[sb]
-    cost, P, _, _ = _transport_simplex(a, b, D[sa[:, None], sb])
-    _check_plan(P, a, b)
-    return cost, P, sa, sb
+    for (i, j), q in flow.items():
+        P[i, j] = q
+    return P
 
 
 def wasserstein1(mu: Measure, nu: Measure) -> tuple[float, Coupling]:
@@ -353,10 +357,36 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple[float, Coupling]:
     X = _same_space(mu, nu)
     if np.array_equal(mu.weights, nu.weights):
         return 0.0, Coupling(mu, nu, np.diag(mu.weights))
-    cost, P, sa, sb = _support_w1(mu.weights, nu.weights, X.dist)
+    sa, sb = mu.support, nu.support
+    cost, P, _, _ = _transport_simplex(mu.weights[sa], nu.weights[sb], X.dist[sa[:, None], sb])
     full = np.zeros((X.size, X.size))
     full[sa[:, None], sb] = P
     return cost, Coupling(mu, nu, full)
+
+
+def _w1_fill(WA: np.ndarray, WB: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """W1 under D from each row of weights WA to the matching row of WB
+    (broadcast together), bit for bit as `wasserstein1`: identical rows give
+    0.0; single-point supports x and y have one plan, so min(a_x, b_y) *
+    D[x, y] for all such pairs at once; the rest get the support-restricted
+    simplex, its plan checked by `_check_plan`."""
+    WA, WB = np.broadcast_arrays(WA, WB)
+    shape, n = WA.shape[:-1], WA.shape[-1]
+    WA, WB = WA.reshape(-1, n), WB.reshape(-1, n)
+    inA, inB = WA > 0, WB > 0
+    vals = np.zeros(len(WA))
+    todo = ~(WA == WB).all(axis=1)
+    point = np.flatnonzero(todo & (inA.sum(axis=1) == 1) & (inB.sum(axis=1) == 1))
+    x, y = inA[point].argmax(axis=1), inB[point].argmax(axis=1)
+    vals[point] = np.minimum(WA[point, x], WB[point, y]) * D[x, y]
+    todo[point] = False
+    for k in np.flatnonzero(todo).tolist():
+        sa, sb = np.flatnonzero(inA[k]), np.flatnonzero(inB[k])
+        a, b = WA[k, sa], WB[k, sb]
+        cost, P, _, _ = _transport_simplex(a, b, D[sa[:, None], sb])
+        _check_plan(P, a, b)
+        vals[k] = cost
+    return vals.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -400,22 +430,25 @@ def w1_table(A, B) -> np.ndarray:
     the weighted-median closed form in one numpy pass; a plan's cost moves by
     at most that tolerance between the two matrices, so each entry is within
     TOL.metric_atol of the network simplex value, up to rounding. Identical
-    measures give exactly 0.0. Any other space gets `wasserstein1` pair by
-    pair.
+    measures give exactly 0.0. Any other space gets `_w1_fill`.
     """
     A, B = list(A), list(B)
     if not A or not B:
         return np.zeros((len(A), len(B)))
     for mu in A + B:
         X = _same_space(A[0], mu)
+    WA = np.array([mu.weights for mu in A])
+    WB = np.array([nu.weights for nu in B])
+    FB = np.cumsum(WB, axis=1)
     arcs = _cycle_arcs(X.dist)
-    if arcs is None:
-        return np.array([[wasserstein1(mu, nu)[0] for nu in B] for mu in A])
-    FA = np.cumsum([mu.weights for mu in A], axis=1)
-    FB = np.cumsum([nu.weights for nu in B], axis=1)
+
+    def block(WA):
+        if arcs is None:
+            return _w1_fill(WA[:, None, :], WB, X.dist)
+        return _circle_w1(np.cumsum(WA, axis=1)[:, None, :] - FB, arcs)
+
     rows = max(1, 250_000 // (len(B) * X.size))     # bounds the (rows, len(B), n) temporaries
-    return np.concatenate([_circle_w1(FA[lo:lo + rows, None, :] - FB[None, :, :], arcs)
-                           for lo in range(0, len(A), rows)])
+    return np.concatenate([block(WA[lo:lo + rows]) for lo in range(0, len(A), rows)])
 
 
 def w1_hausdorff(A, B) -> float:

@@ -143,19 +143,20 @@ def gh_exhaustive(DX, DY) -> float:
 
 
 def birkhoff_curve_brute(idx, values, means, n_max: int):
-    """Deviation curve by literal trajectory recomputation (nested loops)."""
+    """Deviation curve by literal trajectory sums (nested loops): one running
+    sum per (member, start), which step n extends by the value at h^(n-1)(x0),
+    so each sum adds the same terms in the same order as a recomputation."""
     n_pts = len(idx)
+    pos = list(range(n_pts))                # h^(n-1)(x0) for every start x0
+    sums = [[0.0] * n_pts for _ in values]
     curve = []
     for n in range(1, n_max + 1):
         worst = 0.0
-        for f, mean in zip(values, means):
+        for f, mean, s in zip(values, means, sums):
             for x0 in range(n_pts):
-                x = x0
-                s = 0.0
-                for _ in range(n):
-                    s += f[x]
-                    x = idx[x]
-                worst = max(worst, abs(s / n - mean))
+                s[x0] += f[pos[x0]]
+                worst = max(worst, abs(s[x0] / n - mean))
+        pos = [idx[x] for x in pos]
         curve.append(worst)
     return curve
 

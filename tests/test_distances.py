@@ -263,6 +263,37 @@ class TestW1Table:
                 assert table.dist(slots[p], slots[q]) == expect[p, q]
             assert np.array_equal(table.dist(slots[:, None], slots[None, :]), expect)
 
+    def test_search_entries_read_the_lower_code_orientation(self, rng, monkeypatch):
+        # distances raised by 1e-12 above the diagonal, within
+        # TOL.metric_atol: W1 between two point masses differs in its last
+        # bits between the two orientations, and each entry a gap search
+        # solves must be W1 from the lower code's measure
+        tables = []
+
+        class Recorded(_W1Table):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+        monkeypatch.setattr(distances, "_W1Table", Recorded)
+
+        def skewed(n):
+            X = _planar(rng, n)
+            return validate_metric(X.dist + 1e-12 * np.triu(np.ones((n, n)), 1))
+
+        for n, m in ((4, 1), (3, 2)):
+            intertwining_gap(simplex_net(skewed(n), m), simplex_net(skewed(n), m))
+        flipped = 0
+        for table in tables:
+            measures = [Measure(table.space, w) for w in table._weights]
+            for p, q in zip(*np.nonzero(~np.isnan(table._table))):
+                if p == q:
+                    continue
+                lo, hi = sorted((p, q), key=table._codes.__getitem__)
+                expect = wasserstein1(measures[lo], measures[hi])[0]
+                assert table._table[p, q] == expect
+                flipped += wasserstein1(measures[hi], measures[lo])[0] != expect
+        assert flipped
+
     def test_known_codes_keep_their_slots(self, rng):
         X = _planar(rng, 4)
         S = simplex_net(X, 2)

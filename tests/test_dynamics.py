@@ -484,6 +484,16 @@ class TestCrossedProduct:
         with pytest.raises(DomainError, match="resolution"):
             invariant_simplex_hausdorff(h, identity_map(X), 0)
 
+    def test_resolution_below_one_rejected_when_uniquely_ergodic(self):
+        # one extreme: the convention returns a0's own seminorm, but only
+        # for a resolution the other branch accepts too
+        X = circle_net(4, 2 * math.pi)
+        a0 = Observable(X, [0.0, 1.0, 0.0, 1.0])
+        for resolution in (-7, 0):
+            with pytest.raises(DomainError, match="resolution"):
+                crossed_product_seminorm(a0, rotation(X, 1), resolution=resolution)
+        assert crossed_product_seminorm(a0, rotation(X, 1), resolution=1) == lipschitz_seminorm(a0)
+
     def test_monotone_under_subsimplex(self):
         X = circle_net(6, 3.0)
         h = rotation(X, 2)   # two 3-cycles

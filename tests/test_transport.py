@@ -126,7 +126,13 @@ class TestSimplex:
             assert np.abs(P.sum(axis=1) - a).max() <= 1e-12
             assert np.abs(P.sum(axis=0) - b).max() <= 1e-12
             # a basis that is not a spanning tree raises _SimplexStall
-            _transport_simplex(a, b, C, basis=basis)
+            tree = _transport_simplex(a, b, C, basis=basis)
+            # a fresh solve, the forced plan of the one-row and one-column
+            # "single" problems included, is the tree path from the same start
+            cost, P, u, v = _transport_simplex(a, b, C)
+            assert cost == tree[0]
+            assert np.array_equal(P, tree[1])
+            assert np.array_equal(u, tree[2]) and np.array_equal(v, tree[3])
             # with every cost tied, row-major order is the northwest staircase
             assert _least_cost_basis(a, b, np.zeros((n, m))) == northwest_corner(a, b)
 
@@ -256,6 +262,18 @@ class TestWasserstein1:
         X, Y = interval_net(3, 1.0), interval_net(3, 1.0)
         with pytest.raises(SpaceMismatchError):
             wasserstein1(point_mass(X, 0), point_mass(Y, 0))
+
+    def test_far_point_mass_is_the_product_coupling(self):
+        # a one-point side has one plan, the product coupling; on a circle of
+        # circumference 1e6 the potentials' rounding error on a basic arc
+        # exceeds TOL.simplex_opt_tol, so no pivot may be tried
+        X = circle_net(6, 1e6)
+        mu, nu = uniform_measure(X), point_mass(X, 1)
+        for source, target in ((mu, nu), (nu, mu)):
+            v, plan = wasserstein1(source, target)
+            assert abs(v - X.dist[:, 1].sum() / 6) <= 1e-12 * v
+            product = np.outer(source.weights, target.weights)
+            assert np.abs(plan.matrix - product).max() <= TOL.coupling_atol
 
     def test_exhaustive_oracle_quarter_grid(self):
         # every pair of quarter-weight measures on a 4-point space
@@ -396,6 +414,11 @@ class TestW1Table:
         assert w1_hausdorff(A, A) == 0.0
         h = rotation(X, 4)
         assert invariant_simplex_hausdorff(h, h, 2) == 0.0
+        # off the cycle too, where a diagonal within TOL.metric_atol of 0
+        # would give the simplex a positive cost
+        X = validate_metric(random_space(rng, 6).dist + 1e-12 * np.eye(6))
+        A = mixed_measures(rng, X, 6)
+        assert np.all(np.diag(w1_table(A, A)) == 0.0)
 
     def test_non_cyclic_spaces_keep_the_simplex(self, rng):
         planar = random_space(rng, 7)
@@ -405,6 +428,17 @@ class TestW1Table:
             assert _cycle_arcs(X.dist) is None
             A, B = mixed_measures(rng, X, 5), mixed_measures(rng, X, 4)
             assert np.array_equal(w1_table(A, B), simplex_table(A, B))
+
+    def test_point_masses_off_one_by_rounding(self, rng):
+        # a point mass whose one weight is within TOL.weight_atol of 1 but
+        # not 1 ships the lesser weight, as the simplex does
+        X = random_space(rng, 5)
+        A = [Measure(X, np.eye(5)[k] * (1.0 - 1e-13 * k)) for k in range(5)]
+        B = [Measure(X, np.eye(5)[k] * (1.0 - 2e-13 * k)) for k in (4, 2, 0)]
+        table = w1_table(A, B)
+        assert np.array_equal(table, simplex_table(A, B))
+        assert table[3, 0] == B[0].weights[4] * X.dist[3, 4]       # B's weight is the lesser
+        assert table[4, 2] == A[4].weights[4] * X.dist[4, 0]       # A's weight is the lesser
 
     def test_dq_upper_reads_the_simplex_table(self):
         SX, SY = simplex_net(interval_net(3, 1.0), 2), simplex_net(interval_net(3, 1.2), 2)
