@@ -19,8 +19,7 @@ from .distances import (AlmostIsometryReport, GapResult, SearchBudget, dq_upper,
 from .dynamics import (BirkhoffReport, DynMap, InvariantSimplex, birkhoff_rate,
                        crossed_product_seminorm, deform, egh_distance, identity_map,
                        invariant_measures, invariant_simplex_hausdorff,
-                       measure_mixtures, project_circle_map, rotation, sine_pluck,
-                       sine_pluck_map)
+                       project_circle_map, rotation, sine_pluck, sine_pluck_map)
 from .markov import (LdpReport, MarkovKernel, RandomMapFamily, kernel_from_maps,
                      ldp_experiment, stationary_measures)
 from .fields import (ContinuityReport, EnvelopeReport, MetricField, WaveProfile,

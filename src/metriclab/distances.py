@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import TOL, DomainError
 from .spaces import FiniteMetricSpace, _check_map, _map_distortion, bridge_metric
-from .transport import Measure, SimplexNet, _w1_fill, prob_net, w1_hausdorff
+from .transport import SimplexNet, _w1_fill, prob_net, w1_hausdorff
 
 
 @dataclass(frozen=True)
@@ -366,16 +366,10 @@ def _surj_defect(a: _Side, b: _Side, maps: np.ndarray) -> np.ndarray:
 
 def _inv_defect(a: _Side, comps: np.ndarray) -> np.ndarray:
     """Per self-map c of a's boundary (last axis of comps): max over a's net
-    measures nu of W1(c_* nu, nu). Each distinct map is pushed once."""
-    n = comps.shape[-1]
-    flat = comps.reshape(-1, n)
-    if n < 16:      # base-n codes of self-maps fit in int64
-        _, first, back = np.unique(flat @ n ** np.arange(n), return_index=True,
-                                   return_inverse=True)
-    else:
-        first = back = np.arange(len(flat))
-    worst = a.table.dist(_push(a, flat[first], a.table), a.slots).max(axis=1, initial=0.0)
-    return worst[back].reshape(comps.shape[:-1])
+    measures nu of W1(c_* nu, nu)."""
+    flat = comps.reshape(-1, comps.shape[-1])
+    worst = a.table.dist(_push(a, flat, a.table), a.slots).max(axis=1, initial=0.0)
+    return worst.reshape(comps.shape[:-1])
 
 
 def _one_map_report(f: tuple, x: _Side, y: _Side,
@@ -522,5 +516,4 @@ def dq_upper(SX: SimplexNet, SY: SimplexNet, f, delta: float | None = None) -> f
     W = np.zeros((kx + len(SY.counts), bridge.size))
     W[:kx, :nx] = SX.counts / SX.resolution
     W[kx:, nx:] = SY.counts / SY.resolution
-    lifted = [Measure(bridge, w) for w in W]
-    return w1_hausdorff(lifted[:kx], lifted[kx:])
+    return w1_hausdorff(bridge, W[:kx], W[kx:])

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .config import TOL, DomainError
+from .config import TOL, DomainError, SpaceMismatchError
 from .distances import MapCost, SearchBudget, profile_seed, search_maps
 from .lipgeom import Nucleus, Observable, lipschitz_seminorm
 from .spaces import FiniteMetricSpace, _check_map
-from .transport import (convex_grid, mix, pushforward, uniform_measure, w1_hausdorff,
-                        wasserstein1)
+from .transport import (_w1_fill, convex_grid, mixture_rows, pushforward, uniform_measure,
+                        w1_hausdorff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +43,9 @@ class DynMap:
         return int(self.idx[i])
 
     def compose(self, other: "DynMap") -> "DynMap":
-        """self after other (self o other)."""
+        """self after other (self o other); both must be maps of one space."""
+        if other.space is not self.space:
+            raise SpaceMismatchError("maps live on different spaces")
         return DynMap(self.space, self.idx[other.idx],
                       self.projection_error + other.projection_error,
                       label=f"{self.label}o{other.label}")
@@ -175,9 +176,10 @@ def invariant_measures(h: DynMap) -> InvariantSimplex:
     return InvariantSimplex(extremes, h)
 
 
-def measure_mixtures(measures, m: int):
-    """All 1/m-grid convex combinations of the given measures."""
-    return [mix(measures, lam) for lam in convex_grid(len(measures), m)]
+def _mixture_net(extremes, m: int) -> np.ndarray:
+    """Weight rows of all 1/m-grid convex combinations of the extremes."""
+    return mixture_rows(np.array([mu.weights for mu in extremes]),
+                        convex_grid(len(extremes), m))
 
 
 def invariant_simplex_hausdorff(h1: DynMap, h2: DynMap, m: int = 2) -> float:
@@ -185,9 +187,9 @@ def invariant_simplex_hausdorff(h1: DynMap, h2: DynMap, m: int = 2) -> float:
     two invariant simplices."""
     if h1.space is not h2.space:
         raise DomainError("dynamics live on different spaces")
-    A = measure_mixtures(invariant_measures(h1).extremes, m)
-    B = measure_mixtures(invariant_measures(h2).extremes, m)
-    return w1_hausdorff(A, B)
+    A = _mixture_net(invariant_measures(h1).extremes, m)
+    B = _mixture_net(invariant_measures(h2).extremes, m)
+    return w1_hausdorff(h1.space, A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +267,12 @@ def z_action_window(h: DynMap, N: int | None = None) -> list[DynMap]:
 
     Bijective generators give the two-sided window -N..N (default N = 2|X|);
     non-bijective ones only the forward powers 1..N. For periodic dynamics,
-    pass N = period to compare on the full group.
+    pass N = period to compare on the full group; N must be an integer >= 1.
     """
     if N is None:
         N = 2 * h.space.size
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise DomainError(f"window needs an integer N >= 1, not {N!r}")
     powers = [h]
     for _ in range(N - 1):
         powers.append(h.compose(powers[-1]))
@@ -369,19 +373,18 @@ def crossed_product_seminorm(a0: Observable, h: DynMap, resolution: int = 4) -> 
 
     That value is the largest ratio over the 1/m mixture net alone, so it is
     a lower value for the seminorm over the whole invariant simplex and can
-    rise with `resolution`; it carries no flag.
+    rise with `resolution`; it carries no flag. The net is a set of weight
+    rows, and the W1 values of all its pairs come from one `_w1_fill` call.
     """
     if a0.space is not h.space:
         raise DomainError("observable and dynamics live on different spaces")
     simplex = invariant_measures(h)
     # built first, so that a resolution below 1 raises on either branch
-    net = measure_mixtures(simplex.extremes, resolution)
+    W = _mixture_net(simplex.extremes, resolution)
     if simplex.uniquely_ergodic:
         return lipschitz_seminorm(a0)
-    vals = np.asarray([mu.integrate(a0.values) for mu in net])
-    best = 0.0
-    for i, j in combinations(range(len(net)), 2):
-        d = wasserstein1(net[i], net[j])[0]
-        if d > TOL.metric_atol:
-            best = max(best, abs(vals[i] - vals[j]) / d)
-    return float(best)
+    vals = np.array([np.dot(w, a0.values) for w in W])
+    i, j = np.triu_indices(len(W), 1)
+    d = _w1_fill(W[i], W[j], h.space.dist)
+    far = d > TOL.metric_atol
+    return float(np.max(np.abs(vals[i] - vals[j])[far] / d[far], initial=0.0))

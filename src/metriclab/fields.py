@@ -18,7 +18,7 @@ from .dynamics import DynMap, birkhoff_rate, invariant_measures, rotation, sine_
 from .lipgeom import (Observable, _directed_sup_hausdorff, _lipschitz_excess,
                       lipschitz_seminorm, nucleus_net)
 from .spaces import FiniteMetricSpace, circle_net, validate_metric
-from .transport import Measure, _circle_w1, convex_grid, mix, w1_hausdorff
+from .transport import Measure, _circle_w1, convex_grid, mixture_rows, w1_hausdorff
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +367,12 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
     two net neighbours, so pushforwards vary continuously with t; an image
     within TOL.mesh_snap mesh lengths of a net point stays a point mass
     there. Both tables are closed-form W1 on the circle: the net is a
-    cycle metric, so each dhat entry is one `w1_hausdorff` over a
-    `w1_table`. Gamma reads the moved net g_t(X) itself: its arcs, with a
-    table of cumulative mixture masses that the whole field shares, give
-    each fibre's W1 between all mixture pairs in one weighted-median pass.
+    cycle metric, so each dhat entry is one `w1_hausdorff` between two
+    fibres' mixture nets, the weight rows that `mixture_rows` builds from
+    the extremes in the report. Gamma reads the moved net g_t(X) itself:
+    its arcs, with a table of cumulative mixture masses that the whole
+    field shares, give each fibre's W1 between all mixture pairs in one
+    weighted-median pass.
     """
     if q <= 0 or math.gcd(p, q) != 1:
         raise DomainError("theta must be given as a reduced fraction p/q")
@@ -409,7 +411,7 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
         tab = np.zeros((len(lam_grid), len(lam_grid)))
         tab[iu] = tab[iu[::-1]] = _circle_w1(G, np.diff(np.append(images, math.pi)))
         atom_tables.append(tab)
-    nets = [[mix(ex, lam) for lam in lam_grid] for ex in extreme_sets]
+    nets = [mixture_rows(np.array([mu.weights for mu in ex]), lam_grid) for ex in extreme_sets]
 
     dhat = np.zeros((T, T))
     gamma = np.zeros((T, T))
@@ -420,7 +422,7 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
     # evaluated on the exact (continuum) fibre atoms.
     for s in range(T):
         for t in range(s + 1, T):
-            dhat[s, t] = dhat[t, s] = w1_hausdorff(nets[s], nets[t])
+            dhat[s, t] = dhat[t, s] = w1_hausdorff(X, nets[s], nets[t])
             gamma[s, t] = gamma[t, s] = float(np.abs(atom_tables[s] - atom_tables[t]).max())
     return RotationFieldReport(t_grid, (p, q), net_size,
                                tuple(len(ex) for ex in extreme_sets),

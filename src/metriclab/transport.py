@@ -19,7 +19,7 @@ simplex's dual objective and W1, and the mandatory duality-gap check
 certifies both the plan and the potential. With one source or one target
 point the least-cost start is the one feasible plan and needs no tree.
 
-Tables of W1 values between two lists of measures (`w1_table`, behind
+Tables of W1 values between two arrays of weight rows (`w1_table`, behind
 `w1_hausdorff`) take a closed form when the distance matrix is, within
 TOL.metric_atol, the arc metric of the cycle 0 -> 1 -> ... -> n-1 -> 0:
 circle nets, interval nets (as half-circles) and every space of two or three
@@ -421,24 +421,24 @@ def _circle_w1(G: np.ndarray, arcs: np.ndarray) -> np.ndarray:
     return (arcs * np.abs(G - alpha)).sum(axis=-1)
 
 
-def w1_table(A, B) -> np.ndarray:
-    """W1 between every measure of A and every measure of B, all on one space,
-    as a (len(A), len(B)) array.
+def w1_table(X: FiniteMetricSpace, WA, WB) -> np.ndarray:
+    """W1 on X between every row of weights WA and every row of WB, as a
+    (len(WA), len(WB)) array; each row is one measure's weights in X's point
+    order. DomainError unless both are 2-D and X.size wide.
 
-    When the space's distance matrix passes the cycle test (within
-    TOL.metric_atol of the arc metric of its point order) the whole table is
-    the weighted-median closed form in one numpy pass; a plan's cost moves by
-    at most that tolerance between the two matrices, so each entry is within
+    When X's distance matrix passes the cycle test (within TOL.metric_atol
+    of the arc metric of its point order) the whole table is the
+    weighted-median closed form in one numpy pass; a plan's cost moves by at
+    most that tolerance between the two matrices, so each entry is within
     TOL.metric_atol of the network simplex value, up to rounding. Identical
-    measures give exactly 0.0. Any other space gets `_w1_fill`.
+    rows give exactly 0.0. Any other space gets `_w1_fill`.
     """
-    A, B = list(A), list(B)
-    if not A or not B:
-        return np.zeros((len(A), len(B)))
-    for mu in A + B:
-        X = _same_space(A[0], mu)
-    WA = np.array([mu.weights for mu in A])
-    WB = np.array([nu.weights for nu in B])
+    WA, WB = np.asarray(WA, dtype=float), np.asarray(WB, dtype=float)
+    for W in (WA, WB):
+        if W.ndim != 2 or W.shape[1] != X.size:
+            raise DomainError(f"weights must be a (measures, {X.size}) array, not shape {W.shape}")
+    if not len(WA) or not len(WB):
+        return np.zeros((len(WA), len(WB)))
     FB = np.cumsum(WB, axis=1)
     arcs = _cycle_arcs(X.dist)
 
@@ -447,14 +447,14 @@ def w1_table(A, B) -> np.ndarray:
             return _w1_fill(WA[:, None, :], WB, X.dist)
         return _circle_w1(np.cumsum(WA, axis=1)[:, None, :] - FB, arcs)
 
-    rows = max(1, 250_000 // (len(B) * X.size))     # bounds the (rows, len(B), n) temporaries
-    return np.concatenate([block(WA[lo:lo + rows]) for lo in range(0, len(A), rows)])
+    rows = max(1, 250_000 // (len(WB) * X.size))    # bounds the (rows, len(WB), n) temporaries
+    return np.concatenate([block(WA[lo:lo + rows]) for lo in range(0, len(WA), rows)])
 
 
-def w1_hausdorff(A, B) -> float:
-    """Hausdorff distance in (Prob(X), W1) between two finite sets of measures,
-    read off one `w1_table`."""
-    table = w1_table(A, B)
+def w1_hausdorff(X: FiniteMetricSpace, WA, WB) -> float:
+    """Hausdorff distance in (Prob(X), W1) between two finite sets of measures
+    given as weight rows, read off one `w1_table`."""
+    table = w1_table(X, WA, WB)
     return float(max(table.min(axis=1).max(), table.min(axis=0).max()))
 
 
@@ -545,8 +545,7 @@ class SimplexNet:
 
     Each row of `counts` is one measure's integer weights resolution * mu,
     so a row is nonnegative and sums to `resolution`. Every point mass is a
-    row, so the net spans the whole simplex. `counts` is stored read-only;
-    `measures` decodes the rows as `Measure`s on demand.
+    row, so the net spans the whole simplex. `counts` is stored read-only.
     """
 
     boundary: FiniteMetricSpace
@@ -569,10 +568,6 @@ class SimplexNet:
         c = c.astype(np.int64)      # a copy, so the caller's array cannot change it
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
-
-    @property
-    def measures(self) -> tuple:
-        return tuple(Measure(self.boundary, w) for w in self.counts / self.resolution)
 
 
 # most weight vectors convex_grid builds
@@ -605,6 +600,15 @@ def prob_net(X: FiniteMetricSpace, m: int) -> SimplexNet:
     return SimplexNet(X, m, counts, X.diameter * min(1.0, X.size / (2.0 * m)))
 
 
+def mixture_rows(E: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The mixtures sum_k lam[:, k] * E[k] of the weight rows of E, one row
+    per row of lam, each sum added in k order."""
+    W = np.zeros((len(lam), E.shape[1]))
+    for k, w in enumerate(E):
+        W += lam[:, k, None] * w
+    return W
+
+
 def mix(measures, lambdas) -> Measure:
     """Pointwise convex combination of measures on one space."""
     lam = np.asarray(list(lambdas), dtype=float)
@@ -612,12 +616,10 @@ def mix(measures, lambdas) -> Measure:
         raise DomainError("need one weight per measure")
     if lam.min() < -TOL.weight_atol or abs(lam.sum() - 1.0) > TOL.weight_atol:
         raise DomainError("weights are not convex")
-    space = measures[0].space
     for mu in measures[1:]:
-        if mu.space is not space:
-            raise SpaceMismatchError("measures live on different spaces")
-    w = sum(l * mu.weights for l, mu in zip(lam, measures))
-    return Measure(space, w)
+        _same_space(measures[0], mu)
+    w = mixture_rows(np.array([mu.weights for mu in measures]), lam[None])[0]
+    return Measure(measures[0].space, w)
 
 
 def measure_from_json(space: FiniteMetricSpace, doc) -> Measure:

@@ -741,3 +741,75 @@ def project_circle_map_loop(X, fn):
         idx[i] = j
         err = max(err, wrap)
     return idx, err
+
+
+def net_measures(S):
+    """A `SimplexNet`'s rows decoded as `Measure`s, counts / resolution: the
+    package's earlier `SimplexNet.measures`."""
+    from metriclab.transport import Measure
+    return tuple(Measure(S.boundary, w) for w in S.counts / S.resolution)
+
+
+def measure_mixtures_loop(measures, m: int):
+    """All 1/m-grid convex combinations of the given measures, each summed
+    term by term in order: the package's earlier `dynamics.measure_mixtures`
+    over its earlier `transport.mix`."""
+    from metriclab.transport import Measure, convex_grid
+    return [Measure(measures[0].space, sum(l * mu.weights for l, mu in zip(lam, measures)))
+            for lam in convex_grid(len(measures), m)]
+
+
+def w1_table_measures(A, B) -> np.ndarray:
+    """The package's earlier `transport.w1_table` over two lists of measures
+    on one space: the closed form on cycle metrics, `_w1_fill` elsewhere."""
+    from metriclab.transport import _circle_w1, _cycle_arcs, _same_space, _w1_fill
+    A, B = list(A), list(B)
+    if not A or not B:
+        return np.zeros((len(A), len(B)))
+    for mu in A + B:
+        X = _same_space(A[0], mu)
+    WA = np.array([mu.weights for mu in A])
+    WB = np.array([nu.weights for nu in B])
+    FB = np.cumsum(WB, axis=1)
+    arcs = _cycle_arcs(X.dist)
+
+    def block(WA):
+        if arcs is None:
+            return _w1_fill(WA[:, None, :], WB, X.dist)
+        return _circle_w1(np.cumsum(WA, axis=1)[:, None, :] - FB, arcs)
+
+    rows = max(1, 250_000 // (len(B) * X.size))     # bounds the (rows, len(B), n) temporaries
+    return np.concatenate([block(WA[lo:lo + rows]) for lo in range(0, len(A), rows)])
+
+
+def w1_hausdorff_measures(A, B) -> float:
+    """The package's earlier `transport.w1_hausdorff`, over `w1_table_measures`."""
+    table = w1_table_measures(A, B)
+    return float(max(table.min(axis=1).max(), table.min(axis=0).max()))
+
+
+def invariant_simplex_hausdorff_loop(h1, h2, m: int = 2) -> float:
+    """The package's earlier `dynamics.invariant_simplex_hausdorff`: Measure
+    lists of mixtures and `w1_hausdorff_measures`."""
+    from metriclab import invariant_measures
+    A = measure_mixtures_loop(invariant_measures(h1).extremes, m)
+    B = measure_mixtures_loop(invariant_measures(h2).extremes, m)
+    return w1_hausdorff_measures(A, B)
+
+
+def crossed_product_seminorm_loop(a0, h, resolution: int = 4) -> float:
+    """The package's earlier `dynamics.crossed_product_seminorm`: one
+    `wasserstein1` call per pair of mixtures."""
+    from metriclab import invariant_measures, lipschitz_seminorm, wasserstein1
+    from metriclab.config import TOL
+    simplex = invariant_measures(h)
+    net = measure_mixtures_loop(simplex.extremes, resolution)
+    if simplex.uniquely_ergodic:
+        return lipschitz_seminorm(a0)
+    vals = np.asarray([mu.integrate(a0.values) for mu in net])
+    best = 0.0
+    for i, j in itertools.combinations(range(len(net)), 2):
+        d = wasserstein1(net[i], net[j])[0]
+        if d > TOL.metric_atol:
+            best = max(best, abs(vals[i] - vals[j]) / d)
+    return float(best)

@@ -3,21 +3,40 @@ import math
 import numpy as np
 import pytest
 
-from metriclab import (DomainError, DynMap, Observable, birkhoff_rate, circle_net,
-                       crossed_product_seminorm, deform, egh_distance, identity_map,
-                       interval_net, invariant_measures, invariant_simplex_hausdorff,
-                       lipschitz_seminorm, measure_mixtures, mix, nucleus_net,
+from metriclab import (DomainError, DynMap, Observable, SpaceMismatchError, birkhoff_rate,
+                       circle_net, crossed_product_seminorm, deform, egh_distance,
+                       identity_map, interval_net, invariant_measures,
+                       invariant_simplex_hausdorff, lipschitz_seminorm, mix, nucleus_net,
                        point_mass, project_circle_map, rotation, sine_pluck_map,
-                       validate_metric,
-                       wasserstein1)
+                       validate_metric, wasserstein1)
 from metriclab import distances, dynamics
 from metriclab.distances import MapCost
 from metriclab.dynamics import z_action_window
 from metriclab.spaces import _map_distortion
 
-from oracles import (birkhoff_curve_brute, egh_cost_direct, enumerate_maps_loop,
-                     lipnorm_from_state_metric, permutation_invariant_measures,
-                     project_circle_map_loop)
+from oracles import (birkhoff_curve_brute, crossed_product_seminorm_loop, egh_cost_direct,
+                     enumerate_maps_loop, invariant_simplex_hausdorff_loop,
+                     lipnorm_from_state_metric, measure_mixtures_loop,
+                     permutation_invariant_measures, project_circle_map_loop)
+
+
+def _random_dynamics(rng, extremes: int = 2):
+    """A random self-map with at least `extremes` extreme invariant measures
+    on a random circle net, interval net or planar space."""
+    while True:
+        n = int(rng.integers(2, 8))
+        kind = int(rng.integers(3))
+        if kind == 0:
+            X = circle_net(n, float(rng.uniform(0.5, 8.0)))
+        elif kind == 1:
+            X = interval_net(n, float(rng.uniform(0.5, 8.0)))
+        else:
+            pts = rng.uniform(0.0, 5.0, size=(n, 2))
+            X = validate_metric(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2)))
+        idx = rng.permutation(n) if rng.uniform() < 0.6 else rng.integers(0, n, size=n)
+        h = DynMap(X, idx)
+        if len(invariant_measures(h).extremes) >= extremes:
+            return h
 
 
 class TestMaps:
@@ -31,6 +50,15 @@ class TestMaps:
     def test_rotation_needs_circle(self):
         with pytest.raises(DomainError):
             rotation(interval_net(4, 1.0), 1)
+
+    def test_compose_needs_one_space(self):
+        # a map on another space of the same size is no map of this one
+        h, g = rotation(circle_net(5, 2 * math.pi), 1), rotation(circle_net(5, 7.0), 2)
+        with pytest.raises(SpaceMismatchError):
+            h.compose(g)
+        with pytest.raises(SpaceMismatchError):
+            g.compose(h)
+        assert np.array_equal(h.compose(h).idx, rotation(h.space, 2).idx)
 
     def test_sine_pluck_projection(self):
         X = circle_net(16, math.pi)
@@ -168,6 +196,14 @@ class TestSimplexHausdorff:
         mu1 = invariant_measures(h1).extremes[0]
         mu2 = invariant_measures(h2).extremes[0]
         assert v == pytest.approx(wasserstein1(mu1, mu2)[0])
+
+    def test_equal_to_measure_list_route(self, rng):
+        for _ in range(60):
+            h1 = _random_dynamics(rng, 1)
+            h2 = DynMap(h1.space, rng.integers(0, h1.space.size, size=h1.space.size))
+            m = int(rng.integers(1, 4))
+            assert invariant_simplex_hausdorff(h1, h2, m) == \
+                invariant_simplex_hausdorff_loop(h1, h2, m)
 
 
 class TestBirkhoff:
@@ -413,6 +449,15 @@ class TestEgh:
         default = z_action_window(h)
         assert len(default) == 2 * (2 * X.size) + 1
 
+    def test_z_action_window_needs_n_at_least_one(self):
+        h = rotation(circle_net(4, 2.0), 1)
+        for N in (0, -2, 1.0, True):
+            with pytest.raises(DomainError, match="N >= 1"):
+                z_action_window(h, N)
+        # the smallest window, the one the benchmark's rotation actions use
+        window = z_action_window(h, 1)
+        assert [w.idx.tolist() for w in window] == [[3, 0, 1, 2], [0, 1, 2, 3], [1, 2, 3, 0]]
+
 
 class TestCrossedProduct:
     def test_identity_matches_full_seminorm(self):
@@ -499,8 +544,8 @@ class TestCrossedProduct:
         h = rotation(X, 2)   # two 3-cycles
         a0 = Observable(X, [0.9, 0.2, 0.4, 0.1, 0.7, 0.3])
         sim = invariant_measures(h)
-        full_net = measure_mixtures(list(sim.extremes), 4)
-        sub_net = measure_mixtures([sim.extremes[0]], 4)
+        full_net = measure_mixtures_loop(list(sim.extremes), 4)
+        sub_net = measure_mixtures_loop([sim.extremes[0]], 4)
 
         def seminorm(net):
             vals = [mu.integrate(a0.values) for mu in net]
@@ -513,3 +558,13 @@ class TestCrossedProduct:
                 return 0.0
 
         assert seminorm(sub_net) <= seminorm(full_net) + 1e-9
+
+    def test_equal_to_pairwise_loop(self, rng):
+        # one batched fill over the pairs gives the value of one
+        # `wasserstein1` call per pair
+        for k in range(120):
+            h = _random_dynamics(rng)
+            a0 = Observable(h.space, rng.uniform(-1.0, 1.0, size=h.space.size))
+            resolution = 1 + k % 4
+            assert crossed_product_seminorm(a0, h, resolution) == \
+                crossed_product_seminorm_loop(a0, h, resolution)

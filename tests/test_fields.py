@@ -6,13 +6,13 @@ import pytest
 from metriclab import (DomainError, MetricField, WaveProfile, birkhoff_field,
                        circle_net, circle_wave_metric, field_continuity_check,
                        interval_net, invariant_measures, lipschitz_envelope,
-                       measure_mixtures, nucleus_field, rotation, rotation_field,
-                       sine_pluck, validate_metric, wave_metric_field, Measure, wasserstein1)
+                       nucleus_field, rotation, rotation_field, sine_pluck,
+                       validate_metric, wave_metric_field, Measure, wasserstein1)
 from metriclab.fields import adaptive_simpson, circle_w1_atoms, retract_between_fibres
-from metriclab.transport import w1_hausdorff
 
 from oracles import (barycentric_circle_kernel_loop, circle_w1_atoms_loop,
-                     riemann_arc_length, rotation_gamma_atoms)
+                     measure_mixtures_loop, riemann_arc_length, rotation_gamma_atoms,
+                     w1_hausdorff_measures)
 
 
 def scaled_field(base, thetas, scale):
@@ -221,7 +221,7 @@ class TestRotationField:
 
     def test_resolution_two_dhat_against_simplex(self):
         rep = rotation_field(1, 4, [-0.8, -0.1, 0.5, 1.0], 16, resolution=2)
-        nets = [measure_mixtures(ex, 2) for ex in rep.extremes]
+        nets = [measure_mixtures_loop(ex, 2) for ex in rep.extremes]
         assert [len(net) for net in nets] == [10] * 4
         for s in range(4):
             for t in range(s + 1, 4):
@@ -250,11 +250,11 @@ class TestRotationFieldPerPointRoutes:
             want = [Measure(X, mu.weights @ K) for mu in base]
             assert len(got) == len(want)
             assert all(np.array_equal(a.weights, b.weights) for a, b in zip(got, want))
-            nets.append(measure_mixtures(want, m))
+            nets.append(measure_mixtures_loop(want, m))
         dhat = np.zeros((len(t_grid),) * 2)
         for s in range(len(t_grid)):
             for t in range(s + 1, len(t_grid)):
-                dhat[s, t] = dhat[t, s] = w1_hausdorff(nets[s], nets[t])
+                dhat[s, t] = dhat[t, s] = w1_hausdorff_measures(nets[s], nets[t])
         assert np.array_equal(rep.dhat, dhat)
         assert np.array_equal(rep.gamma, rotation_gamma_atoms(p, q, t_grid, n, m))
         if q == 1:

@@ -22,7 +22,8 @@ from metriclab.spaces import check_metric, space_from_json
 
 from oracles import (density_per_probe, grid_dead_prefixes, grid_members_dfs,
                      lipnorm_from_state_metric, lipschitz_excess_full, mcshane_project_rows,
-                     mcshane_project_scalar, sup_hausdorff_chunked, unique_rows_np)
+                     mcshane_project_scalar, net_measures, sup_hausdorff_chunked,
+                     unique_rows_np)
 
 
 def random_hermitian_field(rng, X, n):
@@ -462,7 +463,7 @@ class TestExtension:
     def test_extension_is_isometric_for_seminorms(self):
         X = interval_net(3, 2.0)
         f = Observable(X, [0.3, -0.1, 0.9])
-        net = prob_net(X, 3).measures
+        net = net_measures(prob_net(X, 3))
         vals = np.array([mu.integrate(f.values) for mu in net])
         assert np.abs(vals).max() <= f.sup_norm + 1e-12
         W = np.array([[wasserstein1(a, b)[0] for b in net] for a in net])

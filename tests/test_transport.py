@@ -15,8 +15,8 @@ from metriclab.config import TOL
 from metriclab.transport import (_SimplexStall, _cycle_arcs, _least_cost_basis,
                                  _transport_simplex, convex_grid, w1_hausdorff, w1_table)
 
-from oracles import (northwest_corner, transport_simplex_rebuild, w1_dual_lp, w1_exhaustive,
-                     w1_line, winf_cold_search, winf_exhaustive, winf_hall)
+from oracles import (net_measures, northwest_corner, transport_simplex_rebuild, w1_dual_lp,
+                     w1_exhaustive, w1_line, winf_cold_search, winf_exhaustive, winf_hall)
 
 
 def random_space(rng, n):
@@ -366,6 +366,10 @@ def simplex_table(A, B):
     return np.array([[wasserstein1(mu, nu)[0] for nu in B] for mu in A])
 
 
+def rows(measures):
+    return np.array([mu.weights for mu in measures])
+
+
 def mixed_measures(rng, X, count):
     """Random measures on X, cycling through full supports, partial supports
     and point masses."""
@@ -387,7 +391,7 @@ class TestW1Table:
     def check_closed_form(self, rng, X):
         assert _cycle_arcs(X.dist) is not None
         A, B = mixed_measures(rng, X, 5), mixed_measures(rng, X, 4)
-        got = w1_table(A, B)
+        got = w1_table(X, rows(A), rows(B))
         assert got.shape == (5, 4)
         assert np.abs(got - simplex_table(A, B)).max() <= 1e-12
 
@@ -410,15 +414,15 @@ class TestW1Table:
     def test_identical_measures_give_exact_zero(self, rng):
         X = circle_net(12, 5.0)
         A = mixed_measures(rng, X, 6)
-        assert np.all(np.diag(w1_table(A, A)) == 0.0)
-        assert w1_hausdorff(A, A) == 0.0
+        assert np.all(np.diag(w1_table(X, rows(A), rows(A))) == 0.0)
+        assert w1_hausdorff(X, rows(A), rows(A)) == 0.0
         h = rotation(X, 4)
         assert invariant_simplex_hausdorff(h, h, 2) == 0.0
         # off the cycle too, where a diagonal within TOL.metric_atol of 0
         # would give the simplex a positive cost
         X = validate_metric(random_space(rng, 6).dist + 1e-12 * np.eye(6))
         A = mixed_measures(rng, X, 6)
-        assert np.all(np.diag(w1_table(A, A)) == 0.0)
+        assert np.all(np.diag(w1_table(X, rows(A), rows(A))) == 0.0)
 
     def test_non_cyclic_spaces_keep_the_simplex(self, rng):
         planar = random_space(rng, 7)
@@ -427,7 +431,7 @@ class TestW1Table:
         for X in (planar, discrete, bridge):
             assert _cycle_arcs(X.dist) is None
             A, B = mixed_measures(rng, X, 5), mixed_measures(rng, X, 4)
-            assert np.array_equal(w1_table(A, B), simplex_table(A, B))
+            assert np.array_equal(w1_table(X, rows(A), rows(B)), simplex_table(A, B))
 
     def test_point_masses_off_one_by_rounding(self, rng):
         # a point mass whose one weight is within TOL.weight_atol of 1 but
@@ -435,7 +439,7 @@ class TestW1Table:
         X = random_space(rng, 5)
         A = [Measure(X, np.eye(5)[k] * (1.0 - 1e-13 * k)) for k in range(5)]
         B = [Measure(X, np.eye(5)[k] * (1.0 - 2e-13 * k)) for k in (4, 2, 0)]
-        table = w1_table(A, B)
+        table = w1_table(X, rows(A), rows(B))
         assert np.array_equal(table, simplex_table(A, B))
         assert table[3, 0] == B[0].weights[4] * X.dist[3, 4]       # B's weight is the lesser
         assert table[4, 2] == A[4].weights[4] * X.dist[4, 0]       # A's weight is the lesser
@@ -446,15 +450,27 @@ class TestW1Table:
         bridge = bridge_metric(SX.boundary, SY.boundary, f, 0.2)
         assert _cycle_arcs(bridge.dist) is None
         lift = lambda mu, at: Measure(bridge, np.insert(np.zeros(3), at, mu.weights))
-        A = [lift(mu, 0) for mu in SX.measures]
-        B = [lift(nu, 3) for nu in SY.measures]
+        A = [lift(mu, 0) for mu in net_measures(SX)]
+        B = [lift(nu, 3) for nu in net_measures(SY)]
         W = simplex_table(A, B)
         assert dq_upper(SX, SY, f, 0.2) == max(W.min(axis=1).max(), W.min(axis=0).max())
 
-    def test_mismatched_spaces(self):
-        X, Y = circle_net(4, 1.0), circle_net(4, 1.0)
-        with pytest.raises(SpaceMismatchError):
-            w1_table([point_mass(X, 0)], [point_mass(Y, 1)])
+    def test_weights_not_rows_of_the_space_rejected(self):
+        X = circle_net(4, 1.0)
+        for WA, WB in ((np.eye(4)[0], np.eye(4)),           # one row, not a 2-D array
+                       (np.eye(4), np.eye(4)[None]),        # a stack of tables, not rows
+                       (np.eye(4)[:, :3], np.eye(4)),       # a column short
+                       (np.eye(4), np.eye(5)),              # a column too many
+                       (np.zeros((0, 3)), np.eye(4))):      # empty, but not X.size wide
+            with pytest.raises(DomainError, match="weights must be"):
+                w1_table(X, WA, WB)
+            with pytest.raises(DomainError, match="weights must be"):
+                w1_hausdorff(X, WB, WA)
+
+    def test_empty_rows_give_an_empty_table(self):
+        X = circle_net(4, 1.0)
+        assert w1_table(X, np.zeros((0, 4)), np.eye(4)).shape == (0, 4)
+        assert w1_table(X, np.eye(4), np.zeros((0, 4))).shape == (4, 0)
 
 
 class TestWinf:
@@ -596,15 +612,15 @@ class TestProbNetMix:
     def test_singleton_and_small(self):
         X1 = validate_metric([[0.0]])
         net = prob_net(X1, 3)
-        assert len(net.measures) == 1 and net.measures[0].weights[0] == 1.0
+        assert len(net_measures(net)) == 1 and net_measures(net)[0].weights[0] == 1.0
         X2 = validate_metric([[0, 1], [1, 0]])
         net2 = prob_net(X2, 2)
-        got = sorted(tuple(m.weights) for m in net2.measures)
+        got = sorted(tuple(m.weights) for m in net_measures(net2))
         assert got == [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
         X3 = interval_net(3, 1.0)
         net3 = prob_net(X3, 1)
-        assert len(net3.measures) == 3
-        assert all(m.weights.max() == 1.0 for m in net3.measures)
+        assert len(net_measures(net3)) == 3
+        assert all(m.weights.max() == 1.0 for m in net_measures(net3))
 
     def test_convex_grid_lexicographic(self):
         for k in range(1, 7):
@@ -631,7 +647,7 @@ class TestProbNetMix:
         net = prob_net(X, 3)
         for _ in range(10):
             mu = random_measure(rng, X)
-            best = min(wasserstein1(mu, nu)[0] for nu in net.measures)
+            best = min(wasserstein1(mu, nu)[0] for nu in net_measures(net))
             assert best <= net.density + 1e-9
 
     def test_mix(self):
