@@ -813,3 +813,39 @@ def crossed_product_seminorm_loop(a0, h, resolution: int = 4) -> float:
         if d > TOL.metric_atol:
             best = max(best, abs(vals[i] - vals[j]) / d)
     return float(best)
+
+
+def wasserstein1_full_support(mu, nu):
+    """The package's earlier `transport.wasserstein1`: the simplex from the
+    whole support of mu to the whole support of nu."""
+    from metriclab.transport import Coupling, _same_space, _transport_simplex
+    X = _same_space(mu, nu)
+    if np.array_equal(mu.weights, nu.weights):
+        return 0.0, Coupling(mu, nu, np.diag(mu.weights))
+    sa, sb = mu.support, nu.support
+    cost, P, _, _ = _transport_simplex(mu.weights[sa], nu.weights[sb], X.dist[sa[:, None], sb])
+    full = np.zeros((X.size, X.size))
+    full[sa[:, None], sb] = P
+    return cost, Coupling(mu, nu, full)
+
+
+def wasserstein1_dual_full_support(mu, nu):
+    """The package's earlier `transport.wasserstein1_dual`: the c-transform of
+    the column potentials of the simplex from the whole support of mu to the
+    whole support of nu, with its duality-gap check."""
+    from metriclab.config import TOL, DomainError
+    from metriclab.transport import Potential, _same_space, _transport_simplex
+    X = _same_space(mu, nu)
+    if np.array_equal(mu.weights, nu.weights):
+        return 0.0, Potential(X, np.zeros(X.size))
+    sa, sb = mu.support, nu.support
+    cost, _, _, v = _transport_simplex(mu.weights[sa], nu.weights[sb],
+                                       X.dist[np.ix_(sa, sb)])
+    f = (X.dist[:, sb] - v).min(axis=1)
+    pot = Potential(X, f - f[0])
+    value = pot.pairing(mu, nu)
+    gap = abs(cost - value)
+    if not gap <= TOL.duality_gap:    # negated, so a NaN gap fails too
+        raise DomainError("duality gap is not a number" if math.isnan(gap)
+                          else f"duality gap {gap:.3e} exceeds {TOL.duality_gap:.1e}")
+    return value, pot

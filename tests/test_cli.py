@@ -12,7 +12,7 @@ import pytest
 
 import metriclab
 from metriclab.cli import Scenario, _write_csv, load_scenario, main, run
-from metriclab.selfcheck import run_checks
+from metriclab.selfcheck import _max_detail, run_checks
 from metriclab.svg import emit_plot
 
 
@@ -34,7 +34,7 @@ SHIPPED_ARTIFACTS = {
     "birkhoff/deviation.csv": "cc33d53995efa6c4e596f7e02221d226af2e7cadaff80e643f5aa2e2b8e7799a",
     "birkhoff/deviation.svg": "566c5816cb70257e707258ac7358179fdf64cda9bf990d6cf45275ebcb0efd1c",
     "birkhoff/report.json": "738ddc2b85f0cb71f1550875d0eb88fb7f42c18ab2eeb1ce64129fa3327fbd30",
-    "check/report.json": "246266a462bce71a6fbdeaa90c5e1aab50dca17d29235fa565b2807e03642a73",
+    "check/report.json": "221180a58cdfb17d11e895e0fa59fa66dd56d88b91a16b2f91e4e1718b8cfacc",
     "gap/report.json": "479b593f02126db6a0c1b0eb79a3edef2449919ea490cc3f634eab542352af45",
     "ldp/ldp.csv": "a5dcd1ed365695045612593092ef2361352a3e90674e6ff2e526b2a4d0d9cfea",
     "ldp/ldp.svg": "3a55215f275e3e708df925e731089b9583783fd965c3a0752a9b1971615a7887",
@@ -519,6 +519,14 @@ class TestSelfCheck:
     def test_all_pass(self):
         results = run_checks(seed=0)
         assert results and all(r.ok for r in results)
+        maxima = [r.detail for r in results if r.detail.startswith("max ")]
+        assert len(maxima) == 4 and all(d.endswith(" <= 1e-12") for d in maxima)
+
+    def test_max_details_print_rounding_noise_as_the_floor(self):
+        assert _max_detail("gap", 4.44e-16) == "max gap <= 1e-12"
+        assert _max_detail("gap", 1e-12) == "max gap <= 1e-12"
+        assert _max_detail("excess", 2.5e-12) == "max excess 2.50e-12"
+        assert _max_detail("excess", math.nan) == "max excess nan"
 
 
 NO_SCIPY_PROGRAM = """

@@ -13,10 +13,12 @@ from metriclab import (Coupling, DomainError, Measure, SpaceMismatchError, WaveP
                        wave_metric_field)
 from metriclab.config import TOL
 from metriclab.transport import (_SimplexStall, _cycle_arcs, _least_cost_basis,
-                                 _transport_simplex, convex_grid, w1_hausdorff, w1_table)
+                                 _transport_simplex, _w1_fill, convex_grid, w1_hausdorff,
+                                 w1_table)
 
 from oracles import (net_measures, northwest_corner, transport_simplex_rebuild, w1_dual_lp,
-                     w1_exhaustive, w1_line, winf_cold_search, winf_exhaustive, winf_hall)
+                     w1_exhaustive, w1_line, wasserstein1_dual_full_support,
+                     wasserstein1_full_support, winf_cold_search, winf_exhaustive, winf_hall)
 
 
 def random_space(rng, n):
@@ -362,6 +364,112 @@ class TestDual:
         assert partial >= 100
 
 
+MOVED_MASS_KINDS = ("full", "partial", "shared", "disjoint", "net", "counts")
+
+
+def moved_mass_pairs(count, seed=11):
+    """Seeded (kind, mu, nu) on random planar spaces of 3-64 points, cycling
+    through MOVED_MASS_KINDS: full supports, independent partial supports,
+    one partial support shared by both, disjoint supports, two rows of a
+    `prob_net` (3-8 points, resolution 1-3) and integer counts over a
+    resolution (many points where the two measures agree exactly)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        kind = MOVED_MASS_KINDS[k % len(MOVED_MASS_KINDS)]
+        n = int(rng.integers(3, 9 if kind == "net" else 65))
+        X = random_space(rng, n)
+        wa, wb = rng.uniform(0.01, 1.0, size=(2, n))
+        if kind == "partial":
+            wa[rng.uniform(size=n) < 0.5] = 0.0
+            wb[rng.uniform(size=n) < 0.5] = 0.0
+            wa[rng.integers(n)] = wb[rng.integers(n)] = 1.0
+        elif kind == "shared":
+            off = rng.uniform(size=n) < 0.5
+            off[rng.integers(n)] = False
+            wa[off] = wb[off] = 0.0
+        elif kind == "disjoint":
+            side = rng.permutation(n) < int(rng.integers(1, n))
+            wa[~side] = wb[side] = 0.0
+        elif kind == "net":
+            S = prob_net(X, int(rng.integers(1, 4)))
+            i, j = rng.choice(len(S.counts), size=2, replace=False)
+            wa, wb = S.counts[i] / S.resolution, S.counts[j] / S.resolution
+        elif kind == "counts":
+            m = int(rng.integers(2, 2 * n))
+            wa, wb = (rng.multinomial(m, np.ones(n) / n) / m for _ in range(2))
+        out.append((kind, Measure(X, wa / wa.sum()), Measure(X, wb / wb.sum())))
+    return out
+
+
+class TestMovedMass:
+    """The simplex moves only (mu - nu)+ to (mu - nu)-; the earlier solvers
+    from the whole supports are `wasserstein1_full_support` and
+    `wasserstein1_dual_full_support` in oracles.py."""
+
+    def test_matches_full_support_solves(self):
+        kinds = set()
+        for kind, mu, nu in moved_mass_pairs(180):
+            X = mu.space
+            value, plan = wasserstein1(mu, nu)
+            dual, pot = wasserstein1_dual(mu, nu)
+            want, want_plan = wasserstein1_full_support(mu, nu)
+            want_dual, want_pot = wasserstein1_dual_full_support(mu, nu)
+            if kind == "disjoint":
+                # (mu - nu)+ is mu and (mu - nu)- is nu: the same solve
+                assert value == want and dual == want_dual
+                assert np.array_equal(plan.matrix, want_plan.matrix)
+                assert np.array_equal(pot.values, want_pot.values)
+            else:
+                assert abs(value - want) <= 1e-12 * want
+                assert abs(dual - want_dual) <= 1e-12 * want_dual
+            # the shared mass stays in place, and the plan is optimal
+            assert np.array_equal(np.diag(plan.matrix), np.minimum(mu.weights, nu.weights))
+            assert abs(plan.cost() - value) <= 1e-12 * value
+            assert _w1_fill(mu.weights, nu.weights, X.dist) == value
+            f = pot.values
+            assert (np.abs(f[:, None] - f[None, :]) - X.dist).max() <= TOL.lipschitz_atol
+            assert abs(dual - value) <= TOL.duality_gap
+            kinds.add(kind)
+        assert kinds == set(MOVED_MASS_KINDS)
+
+    def test_cost_within_metric_atol_on_a_small_diagonal(self, rng):
+        # the value leaves the shared mass's diagonal cost out; a validated
+        # diagonal is within TOL.metric_atol of 0, and so is that cost
+        for n in (3, 9, 24):
+            X = validate_metric(random_space(rng, n).dist + 1e-12 * np.eye(n))
+            for _ in range(4):
+                mu, nu = random_measure(rng, X), random_measure(rng, X)
+                value, plan = wasserstein1(mu, nu)
+                assert abs(plan.cost() - value) <= TOL.metric_atol
+                assert abs(value - wasserstein1_full_support(mu, nu)[0]) <= TOL.metric_atol
+
+    def test_measures_equal_up_to_rounding_move_nothing(self, rng):
+        # mu - nu of one sign: no sources or no sinks, so no solve
+        X = random_space(rng, 6)
+        w = rng.uniform(0.1, 1.0, size=6)
+        w /= w.sum()
+        bumped = w.copy()
+        bumped[2] += 1e-13
+        for a, b in ((w, bumped), (bumped, w)):
+            mu, nu = Measure(X, a), Measure(X, b)
+            value, plan = wasserstein1(mu, nu)
+            assert value == 0.0
+            assert np.array_equal(plan.matrix, np.diag(np.minimum(a, b)))
+            dual, pot = wasserstein1_dual(mu, nu)
+            assert dual == 0.0 and not pot.values.any()
+            assert _w1_fill(a, b, X.dist) == 0.0
+            assert w1_table(X, [a], [b]).tolist() == [[0.0]]
+
+    def test_winf_is_not_reduced(self):
+        # W-inf is no function of mu - nu: the moved mass alone would give 2
+        X = interval_net(3, 2.0)
+        mu, nu = Measure(X, [0.5, 0.5, 0.0]), Measure(X, [0.0, 0.5, 0.5])
+        assert wasserstein_inf(mu, nu) == 1.0
+        assert wasserstein_inf(point_mass(X, 0), point_mass(X, 2)) == 2.0
+        assert wasserstein1(mu, nu)[0] == 1.0
+
+
 def simplex_table(A, B):
     return np.array([[wasserstein1(mu, nu)[0] for nu in B] for mu in A])
 
@@ -466,6 +574,20 @@ class TestW1Table:
                 w1_table(X, WA, WB)
             with pytest.raises(DomainError, match="weights must be"):
                 w1_hausdorff(X, WB, WA)
+
+    @pytest.mark.parametrize("row, match", [
+        ([1.0, 1.0, 0.0, 0.0], "sum to"),
+        ([-0.5, 1.5, 0.0, 0.0], "negative weight"),
+        ([math.nan, 1.0, 0.0, 0.0], "not a number")])
+    def test_rows_that_are_not_measures_rejected(self, row, match):
+        # on the cycle metric and off it, as either argument
+        for X in (circle_net(4, 4.0), validate_metric(1.0 - np.eye(4))):
+            good = np.eye(4)[:1]
+            for WA, WB in (([row], good), (good, [row])):
+                with pytest.raises(DomainError, match=match):
+                    w1_table(X, WA, WB)
+                with pytest.raises(DomainError, match=match):
+                    w1_hausdorff(X, WA, WB)
 
     def test_empty_rows_give_an_empty_table(self):
         X = circle_net(4, 1.0)
