@@ -18,7 +18,8 @@ from .dynamics import DynMap, birkhoff_rate, invariant_measures, rotation, sine_
 from .lipgeom import (Observable, _directed_sup_hausdorff, _lipschitz_excess,
                       lipschitz_seminorm, nucleus_net)
 from .spaces import FiniteMetricSpace, circle_net, validate_metric
-from .transport import Measure, _circle_w1, convex_grid, mixture_rows, w1_hausdorff
+from .transport import (Measure, _circle_w1, _table_hausdorff, convex_grid, mixture_rows,
+                        w1_table)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +368,13 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
     two net neighbours, so pushforwards vary continuously with t; an image
     within TOL.mesh_snap mesh lengths of a net point stays a point mass
     there. Both tables are closed-form W1 on the circle: the net is a
-    cycle metric, so each dhat entry is one `w1_hausdorff` between two
-    fibres' mixture nets, the weight rows that `mixture_rows` builds from
-    the extremes in the report. Gamma reads the moved net g_t(X) itself:
-    its arcs, with a table of cumulative mixture masses that the whole
-    field shares, give each fibre's W1 between all mixture pairs in one
-    weighted-median pass.
+    cycle metric, so one `w1_table` per fibre s, from its mixture net to the
+    nets of every later fibre (the weight rows that `mixture_rows` builds
+    from the extremes in the report), holds a block per fibre t, and
+    dhat[s, t] is that block's Hausdorff distance. Gamma reads the moved
+    net g_t(X) itself: its arcs, with a table of cumulative mixture masses
+    that the whole field shares, give each fibre's W1 between all mixture
+    pairs in one weighted-median pass.
     """
     if q <= 0 or math.gcd(p, q) != 1:
         raise DomainError("theta must be given as a reduced fraction p/q")
@@ -420,9 +422,10 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
     # with equal weights: the inversion defect vanishes exactly and the
     # intertwining defect is the worst change of W1 between matched mixtures,
     # evaluated on the exact (continuum) fibre atoms.
-    for s in range(T):
-        for t in range(s + 1, T):
-            dhat[s, t] = dhat[t, s] = w1_hausdorff(X, nets[s], nets[t])
+    for s in range(T - 1):
+        table = w1_table(X, nets[s], np.concatenate(nets[s + 1:]))
+        for t, block in enumerate(np.split(table, T - 1 - s, axis=1), start=s + 1):
+            dhat[s, t] = dhat[t, s] = _table_hausdorff(block)
             gamma[s, t] = gamma[t, s] = float(np.abs(atom_tables[s] - atom_tables[t]).max())
     return RotationFieldReport(t_grid, (p, q), net_size,
                                tuple(len(ex) for ex in extreme_sets),

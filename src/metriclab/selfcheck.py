@@ -128,7 +128,7 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
         h = np.array([rng.randint(X.size) for _ in range(X.size)])
         a = pushforward(mix(ms, lam), h)
         b = mix([pushforward(m, h) for m in ms], lam)
-        if np.abs(a.weights - b.weights).max() > 1e-12:
+        if np.abs(a.weights - b.weights).max() > TOL.weight_atol:
             ok = False
     out.append(CheckResult("mix-pushforward-commute", ok, "ok" if ok else "failed"))
 

@@ -11,10 +11,15 @@ no function of mu - nu and keeps the whole supports. A solve starts from the
 least-cost ("matrix minimum") basis, which ships along the cheapest cells
 first, ties in row-major order, and leaves few pivots to make (Glover,
 Karney, Klingman & Napier, Management Sci. 1974). The same simplex decides
-the thresholds of the infinity-Wasserstein search: the first starts from the
-least-cost basis of the distances, each later one from the previous one's
-optimal basis (a basis depends only on the marginals), and the values are
-those of a search that starts every threshold afresh, in fewer pivots. Its
+the thresholds of the infinity-Wasserstein search. The search is bracketed
+before any solve: single points that cannot place their mass within a
+threshold give a floor (Hall's condition), and the least-cost plan of the
+distances gives a feasible ceiling. Probes gallop up from the floor and then
+bisect; the first starts from the least-cost basis of the distances, each
+later one from the previous one's optimal basis (a basis depends only on
+the marginals), and the value is the least candidate distance that the
+feasibility rule passes, as in a bisection over every candidate that
+starts each threshold afresh, in fewer solves and pivots. The simplex
 basis is a spanning tree rooted at the first source point and updated in
 place: each pivot finds its cycle by climbing parent pointers to the lowest
 common ancestor of the entering arc's ends, and recomputes potentials only
@@ -493,11 +498,16 @@ def w1_table(X: FiniteMetricSpace, WA, WB) -> np.ndarray:
     return np.concatenate([block(WA[lo:lo + rows]) for lo in range(0, len(WA), rows)])
 
 
+def _table_hausdorff(table: np.ndarray) -> float:
+    """Hausdorff distance between the row set and the column set of a
+    nonempty table of distances between them."""
+    return float(max(table.min(axis=1).max(), table.min(axis=0).max()))
+
+
 def w1_hausdorff(X: FiniteMetricSpace, WA, WB) -> float:
     """Hausdorff distance in (Prob(X), W1) between two finite sets of measures
     given as weight rows, read off one `w1_table`."""
-    table = w1_table(X, WA, WB)
-    return float(max(table.min(axis=1).max(), table.min(axis=0).max()))
+    return _table_hausdorff(w1_table(X, WA, WB))
 
 
 def wasserstein1_dual(mu: Measure, nu: Measure) -> tuple[float, Potential]:
@@ -531,19 +541,62 @@ def wasserstein1_dual(mu: Measure, nu: Measure) -> tuple[float, Potential]:
 # ---------------------------------------------------------------------------
 # infinity-Wasserstein by threshold search on the network simplex
 
+def _winf_bracket(a, b, D, cands, basis) -> tuple[int, int]:
+    """Indices (lo, hi) into the sorted candidates `cands` that bracket the
+    W-infinity threshold of weights a to weights b under D, found without a
+    solve: every candidate below lo fails the feasibility rule of
+    `wasserstein_inf`, and cands[hi] passes it.
+
+    Ceiling: `basis`, the least-cost basis of (a, b) under D, is a plan (or
+    DomainError: marginals inconsistent), so the largest distance on which it
+    ships mass is feasible, and hi is the first candidate c with
+    c + TOL.threshold_slack at or above it. Floor: at threshold c each source
+    point must reach its mass, within TOL.feasibility_atol, in the columns
+    within c + TOL.threshold_slack, and each sink point in the rows (Hall's
+    condition on single points; Gale, Pacific J. Math. 1957). Ordering each
+    row and each column of D by distance (stable) and summing the weights
+    along it gives, per point, the least distance at which that holds; lo is
+    the first candidate c with c + TOL.threshold_slack at or above the
+    largest of these, and never above hi."""
+    P = _plan(basis, len(a), len(b))
+    try:
+        _check_plan(P, a, b)
+    except DomainError:
+        raise DomainError("no feasible coupling: the least-cost start is no plan; "
+                          "marginals inconsistent") from None
+    reach = cands + TOL.threshold_slack
+    hi = int(np.searchsorted(reach, D[P > 0].max()))
+    need = 0.0
+    for src, dst, M in ((a, b, D), (b, a, D.T)):
+        order = np.argsort(M, axis=1, kind="stable")
+        held = np.cumsum(dst[order], axis=1)
+        k = np.minimum((held < src[:, None] - TOL.feasibility_atol).sum(axis=1), len(dst) - 1)
+        need = max(need, np.take_along_axis(M, order, 1)[np.arange(len(src)), k].max())
+    return min(int(np.searchsorted(reach, need)), hi), hi
+
+
 def wasserstein_inf(mu: Measure, nu: Measure) -> float:
     """Bottleneck transport distance: least threshold t such that a coupling
-    supported on pairs with d <= t exists. Binary search over the sorted
-    distance values; at each candidate the network simplex finds the least
-    mass a coupling must move farther than t, and t is feasible when that
+    supported on pairs with d <= t exists, among the distinct distances. At
+    a candidate t the network simplex finds the least mass a coupling must
+    move farther than t + TOL.threshold_slack, and t is feasible when that
     mass is at most TOL.feasibility_atol.
 
+    The search starts from the bracket of `_winf_bracket`, which costs no
+    solve: a floor below which a single point cannot place its mass, and a
+    ceiling where the least-cost plan already ships everything. It probes
+    the floor and then gallops up from it (floor + 1, + 3, + 7, ...), each
+    probe capped at the midpoint of the bracket, and bisects once a probe is
+    feasible, so a floor at or just below the value costs few solves. The
+    value is the least candidate that the rule calls feasible, as in a
+    bisection over every candidate.
+
     Every threshold has the same marginals, so one basis is carried through
-    the search: each solve starts from the optimal basis of the one before
-    (the parametric reuse of Garfinkel & Rao, Naval Res. Logist. Q. 1971),
-    and only the first starts from the least-cost basis of the distances
-    themselves (cheapest pairs first, ties in row-major order). Each solve
-    still reaches an optimum, whose mass agrees with a fresh start's up to
+    the search: the first solve starts from the least-cost basis of the
+    distances themselves (cheapest pairs first, ties in row-major order), and
+    each later one from the optimal basis of the one before (the parametric
+    reuse of Garfinkel & Rao, Naval Res. Logist. Q. 1971). Each solve still
+    reaches an optimum, whose mass agrees with a fresh start's up to
     rounding, so the decisions and the value are those of a search that
     starts every threshold afresh."""
     X = _same_space(mu, nu)
@@ -559,15 +612,15 @@ def wasserstein_inf(mu: Measure, nu: Measure) -> float:
         beyond = (D > t + TOL.threshold_slack).astype(float)
         return _transport_simplex(a, b, beyond, basis=basis)[0] <= TOL.feasibility_atol
 
-    lo, hi = 0, len(cands) - 1
-    if not feasible(cands[hi]):
-        raise DomainError("no feasible coupling at the maximal distance; marginals inconsistent")
+    lo, hi = _winf_bracket(a, b, D, cands, basis)
+    floor, step = lo, 1
     while lo < hi:
-        mid = (lo + hi) // 2
+        mid = min(floor + step - 1, (lo + hi) // 2)
         if feasible(cands[mid]):
             hi = mid
         else:
             lo = mid + 1
+            step *= 2
     return float(cands[lo])
 
 

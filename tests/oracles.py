@@ -513,9 +513,13 @@ def transport_simplex_rebuild(a, b, C, opt_tol=1e-11, max_pivots=None):
 
 
 def winf_cold_search(mu, nu) -> float:
-    """W-infinity by the threshold search of `transport.wasserstein_inf` with
-    a fresh northwest-corner start at every threshold: the reference for the
-    search that carries one basis from threshold to threshold."""
+    """W-infinity by the plain threshold search: a bisection over every
+    distinct distance, first checking that the largest is feasible, with a
+    fresh northwest-corner start at every threshold and the feasibility rule
+    of `transport.wasserstein_inf`. The reference for that search, which
+    brackets the candidates before it solves (a single-point floor, the
+    least-cost plan as ceiling), gallops up from the floor and carries one
+    basis from threshold to threshold."""
     from metriclab.config import TOL
     from metriclab.transport import _transport_simplex
 

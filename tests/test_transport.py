@@ -13,8 +13,8 @@ from metriclab import (Coupling, DomainError, Measure, SpaceMismatchError, WaveP
                        wave_metric_field)
 from metriclab.config import TOL
 from metriclab.transport import (_SimplexStall, _cycle_arcs, _least_cost_basis,
-                                 _transport_simplex, _w1_fill, convex_grid, w1_hausdorff,
-                                 w1_table)
+                                 _transport_simplex, _w1_fill, _winf_bracket, convex_grid,
+                                 w1_hausdorff, w1_table)
 
 from oracles import (net_measures, northwest_corner, transport_simplex_rebuild, w1_dual_lp,
                      w1_exhaustive, w1_line, wasserstein1_dual_full_support,
@@ -672,6 +672,76 @@ class TestWinf:
         nu = Measure(X, [0.0, 0.5, 0.5])
         assert wasserstein_inf(mu, nu) == 1.0
 
+
+    def test_bracket_holds_the_cold_search_value(self):
+        # the floor and ceiling, found without a solve, hold the value of a
+        # bisection over every candidate
+        rng = np.random.default_rng(29)
+        pairs = []
+        for _ in range(150):
+            # planar spaces of 2-24 points, sparse supports
+            X = random_space(rng, int(rng.integers(2, 25)))
+            w = rng.uniform(0.01, 1.0, size=(2, X.size)) * (rng.uniform(size=(2, X.size)) < 0.5)
+            w[:, 0] += w.sum(axis=1) == 0
+            pairs.append((Measure(X, w[0] / w[0].sum()), Measure(X, w[1] / w[1].sum())))
+        for _ in range(100):
+            # full supports on planar spaces of 2-40 points
+            X = random_space(rng, int(rng.integers(2, 41)))
+            pairs.append((random_measure(rng, X), random_measure(rng, X)))
+        # tie-heavy circle grid
+        X = circle_net(6, 2 * math.pi)
+        pairs += list(itertools.combinations([Measure(X, w) for w in convex_grid(6, 2)], 2))[::3]
+        for _ in range(50):
+            # integer masses on interval nets
+            n = int(rng.integers(2, 13))
+            X = interval_net(n, float(rng.uniform(0.5, 3.0)))
+            total = int(rng.integers(2, 3 * n))
+            pairs.append(tuple(Measure(X, rng.multinomial(total, np.ones(n) / n) / total)
+                               for _ in range(2)))
+        exact_floors = 0
+        for mu, nu in pairs:
+            if np.array_equal(mu.weights, nu.weights):
+                continue
+            sa, sb = mu.support, nu.support
+            a, b = mu.weights[sa], nu.weights[sb]
+            D = mu.space.dist[np.ix_(sa, sb)]
+            cands = np.unique(D)
+            lo, hi = _winf_bracket(a, b, D, cands, _least_cost_basis(a, b, D))
+            value = winf_cold_search(mu, nu)
+            assert cands[lo] <= value <= cands[hi]
+            exact_floors += cands[lo] == value
+        # in most pairs the floor is the value itself
+        assert exact_floors >= len(pairs) // 2
+
+    def test_bracket_rejects_inconsistent_marginals(self):
+        a, b = np.array([0.5, 0.5]), np.array([0.5, 0.25])
+        D = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(DomainError, match="marginals inconsistent"):
+            _winf_bracket(a, b, D, np.unique(D), _least_cost_basis(a, b, D))
+
+    def test_bracket_saves_solves(self, monkeypatch):
+        # on full-support 24-point planar pairs the bracketed search makes
+        # fewer threshold solves than a bisection over every candidate
+        from metriclab import transport
+        real = transport._transport_simplex
+        solves = [0]
+
+        def counted(*args, **kwargs):
+            solves[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "_transport_simplex", counted)
+        rng = np.random.default_rng(24)
+        pairs = []
+        for _ in range(20):
+            X = random_space(rng, 24)
+            pairs.append((random_measure(rng, X), random_measure(rng, X)))
+        for mu, nu in pairs:
+            wasserstein_inf(mu, nu)
+        bracketed, solves[0] = solves[0], 0
+        for mu, nu in pairs:
+            winf_cold_search(mu, nu)
+        assert bracketed < solves[0]
 
 class TestPushforward:
     def test_identity_and_delta(self):
