@@ -47,6 +47,19 @@ def as_integer(v) -> int:
     return int(v)
 
 
+def as_positive_integer(v, what: str) -> int:
+    """v by the integer rule of `as_integer`, and at least 1: the one rule
+    for counts, resolutions, trials and horizons. DomainError naming `what`
+    otherwise, so 2.0 passes as 2 and 2.5, 0, "2" and True do not."""
+    try:
+        n = as_integer(v)
+    except (TypeError, ValueError, OverflowError):
+        n = 0
+    if n < 1:
+        raise DomainError(f"{what} must be a positive integer, not {v!r}")
+    return n
+
+
 class DomainError(Exception):
     """Base class for all domain-level failures (CLI exit code 1)."""
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL, DomainError, SpaceMismatchError
+from .config import TOL, DomainError
 from .distances import MapCost, SearchBudget, profile_seed, search_maps
 from .lipgeom import Nucleus, Observable, lipschitz_seminorm
-from .spaces import FiniteMetricSpace, _check_map
+from .spaces import FiniteMetricSpace, _check_map, _same_space
 from .transport import (_w1_fill, convex_grid, mixture_rows, pushforward, uniform_measure,
                         w1_hausdorff)
 
@@ -44,9 +44,7 @@ class DynMap:
 
     def compose(self, other: "DynMap") -> "DynMap":
         """self after other (self o other); both must be maps of one space."""
-        if other.space is not self.space:
-            raise SpaceMismatchError("maps live on different spaces")
-        return DynMap(self.space, self.idx[other.idx],
+        return DynMap(_same_space(self, other), self.idx[other.idx],
                       self.projection_error + other.projection_error,
                       label=f"{self.label}o{other.label}")
 
@@ -125,8 +123,7 @@ def deform(g: DynMap, h: DynMap) -> DynMap:
     """Conjugated dynamics g o h o g^-1 for a net bijection g. A homeomorphism
     whose slope is not 1 projects to no bijection of a net; deformed rotations
     live in `fields.rotation_field`, which moves their invariant measures."""
-    if g.space is not h.space:
-        raise DomainError("deformation and dynamics live on different spaces")
+    _same_space(g, h)
     if not g.is_bijective:
         raise DomainError("deformation map does not project to a bijection of the net")
     return g.compose(h).compose(g.inverse())
@@ -185,11 +182,10 @@ def _mixture_net(extremes, m: int) -> np.ndarray:
 def invariant_simplex_hausdorff(h1: DynMap, h2: DynMap, m: int = 2) -> float:
     """Hausdorff distance in (Prob(X), W1) between 1/m-mixture nets of the
     two invariant simplices."""
-    if h1.space is not h2.space:
-        raise DomainError("dynamics live on different spaces")
+    X = _same_space(h1, h2)
     A = _mixture_net(invariant_measures(h1).extremes, m)
     B = _mixture_net(invariant_measures(h2).extremes, m)
-    return w1_hausdorff(h1.space, A, B)
+    return w1_hausdorff(X, A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +227,7 @@ def birkhoff_rate(h: DynMap, nucleus: Nucleus, eps: float, n_max: int) -> Birkho
     """
     if not (eps > 0 and n_max >= 1):
         raise DomainError("need eps > 0 and n_max >= 1")
-    if nucleus.space is not h.space:
-        raise DomainError("nucleus lives on a different space")
+    _same_space(h, nucleus)
     if nucleus.r < h.space.radius - TOL.metric_atol:
         raise DomainError("nucleus level r must be at least the space radius")
     simplex = invariant_measures(h)
@@ -376,8 +371,7 @@ def crossed_product_seminorm(a0: Observable, h: DynMap, resolution: int = 4) -> 
     rise with `resolution`; it carries no flag. The net is a set of weight
     rows, and the W1 values of all its pairs come from one `_w1_fill` call.
     """
-    if a0.space is not h.space:
-        raise DomainError("observable and dynamics live on different spaces")
+    _same_space(h, a0)
     simplex = invariant_measures(h)
     # built first, so that a resolution below 1 raises on either branch
     W = _mixture_net(simplex.extremes, resolution)

@@ -101,7 +101,14 @@ class WaveProfile:
 
 @dataclass(frozen=True, eq=False)
 class MetricField:
-    """Family of validated metrics over a fixed label set, one per parameter."""
+    """Family of validated metrics over a fixed label set, one per parameter.
+
+    Each fibre is validated once, when the field is built: a matrix that is
+    no metric on the labels raises MetricValidationError (a DomainError)
+    there. `fibre_space(k)` returns the space kept from that validation, its
+    meta the field's plus "theta", and `fibres` holds those spaces' read-only
+    distance matrices.
+    """
 
     labels: tuple
     thetas: tuple
@@ -111,15 +118,16 @@ class MetricField:
     def __post_init__(self):
         if len(self.thetas) != len(self.fibres):
             raise DomainError("one fibre per parameter required")
-        object.__setattr__(self, "fibres", tuple(np.asarray(F, dtype=float) for F in self.fibres))
+        spaces = tuple(validate_metric(F, labels=self.labels, meta={**self.meta, "theta": t})
+                       for t, F in zip(self.thetas, self.fibres))
+        object.__setattr__(self, "_spaces", spaces)
+        object.__setattr__(self, "fibres", tuple(sp.dist for sp in spaces))
 
     def __len__(self):
         return len(self.thetas)
 
     def fibre_space(self, k: int) -> FiniteMetricSpace:
-        meta = dict(self.meta)
-        meta["theta"] = self.thetas[k]
-        return validate_metric(self.fibres[k], labels=self.labels, meta=meta)
+        return self._spaces[k]
 
 
 def wave_metric_field(profile: WaveProfile, t_grid, n_points: int = 17) -> MetricField:
@@ -149,12 +157,9 @@ def wave_metric_field(profile: WaveProfile, t_grid, n_points: int = 17) -> Metri
         fibres.append(np.abs(S[:, None] - S[None, :]))
         worst_err = max(worst_err, err_total)
     labels = tuple(f"x{i}" for i in range(n_points))
-    fld = MetricField(labels, t_grid, tuple(fibres),
-                      meta={"generator": "wave", "coords": tuple(map(float, xs)),
-                            "length": profile.length, "quadrature_error": worst_err})
-    for k in range(len(fld)):
-        fld.fibre_space(k)      # every fibre must validate
-    return fld
+    return MetricField(labels, t_grid, tuple(fibres),
+                       meta={"generator": "wave", "coords": tuple(map(float, xs)),
+                             "length": profile.length, "quadrature_error": worst_err})
 
 
 def circle_wave_metric(fld: MetricField) -> MetricField:
@@ -178,13 +183,10 @@ def circle_wave_metric(fld: MetricField) -> MetricField:
         out.append(Q)
     labels = fld.labels[:-1]
     coords = fld.meta.get("coords", ())[: n - 1]
-    circ = MetricField(labels, fld.thetas, tuple(out),
+    return MetricField(labels, fld.thetas, tuple(out),
                        meta={"generator": "wave-circle", "coords": coords,
                              "circumference": fld.meta.get("length"),
                              "quadrature_error": fld.meta.get("quadrature_error", 0.0)})
-    for k in range(len(circ)):
-        circ.fibre_space(k)
-    return circ
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +214,8 @@ def lipschitz_envelope(fld: MetricField) -> EnvelopeReport:
         raise DomainError("need at least two fibres")
     n = len(fld.labels)
     iu = np.triu_indices(n, k=1)
+    # validated fibres: every off-diagonal distance exceeds TOL.metric_atol
     flat = np.stack([F[iu] for F in fld.fibres])
-    if flat.min() <= 0:
-        raise DomainError("zero distance off the diagonal in some fibre")
     k = np.empty((T, T))
     K = np.empty((T, T))
     for s in range(T):

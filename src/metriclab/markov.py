@@ -13,16 +13,17 @@ from functools import partial
 
 import numpy as np
 
-from .config import TOL, DomainError, as_integer
+from .config import TOL, DomainError, as_positive_integer
 from .lipgeom import Nucleus
 from .rng import RNG_VERSION, derive_seeds, uniform_block
-from .spaces import FiniteMetricSpace, epsilon_net
-from .transport import Measure
+from .spaces import FiniteMetricSpace, _same_space, epsilon_net
+from .transport import Measure, _check_weights
 
 
 @dataclass(frozen=True, eq=False)
 class MarkovKernel:
-    """Row-stochastic transition matrix; row x is the law of the next state."""
+    """Row-stochastic transition matrix; row x is the law of the next state,
+    a probability vector by `transport._check_weights`."""
 
     space: FiniteMetricSpace
     P: np.ndarray
@@ -32,13 +33,7 @@ class MarkovKernel:
         n = self.space.size
         if P.shape != (n, n):
             raise DomainError("kernel shape does not match the space")
-        # negated tests: a NaN fails them, at no extra pass
-        low = P.min()
-        if not low >= -TOL.weight_atol:
-            raise DomainError("kernel has an entry that is not a number" if np.isnan(low)
-                              else "kernel has a negative entry")
-        if not np.abs(P.sum(axis=1) - 1.0).max() <= TOL.weight_atol:
-            raise DomainError("kernel rows must sum to 1")
+        _check_weights(P)
         P = np.clip(P, 0.0, None)
         P.flags.writeable = False
         object.__setattr__(self, "P", P)
@@ -57,14 +52,8 @@ class RandomMapFamily:
         p = np.asarray(self.probabilities, dtype=float)
         if len(maps) == 0 or p.shape != (len(maps),):
             raise DomainError("need one probability per map")
-        low = p.min()
-        if not (low >= -TOL.weight_atol and abs(p.sum() - 1.0) <= TOL.weight_atol):
-            raise DomainError("a probability is not a number" if np.isnan(low)
-                              else "probabilities are not convex")
-        space = maps[0].space
-        for m in maps:
-            if m.space is not space:
-                raise DomainError("family maps live on different spaces")
+        _check_weights(p)
+        _same_space(*maps)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "probabilities", np.clip(p, 0.0, None))
 
@@ -272,17 +261,6 @@ def _exceed_flags(flat_maps, size, starts, values, mean, eps, horizons, choices)
     return out
 
 
-def _positive_int(v, what: str) -> int:
-    """v by the CLI's integer rule (config.as_integer), and at least 1."""
-    try:
-        n = as_integer(v)
-    except (TypeError, ValueError, OverflowError):
-        n = 0
-    if n < 1:
-        raise DomainError(f"{what} must be a positive integer, not {v!r}")
-    return n
-
-
 def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
                    n_values, trials: int = 10_000, seed: int = 0) -> LdpReport:
     """Empirical finite-time large-deviation curve for the random system.
@@ -312,13 +290,11 @@ def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
     """
     if not eps > 0:
         raise DomainError("eps must be positive")
-    trials = _positive_int(trials, "trials")
-    n_values = sorted(_positive_int(n, "a horizon") for n in n_values)
+    trials = as_positive_integer(trials, "trials")
+    n_values = sorted(as_positive_integer(n, "a horizon") for n in n_values)
     if not n_values:
         raise DomainError("n_values must not be empty")
-    X = F.space
-    if nucleus.space is not X:
-        raise DomainError("nucleus lives on a different space")
+    X = _same_space(F, nucleus)
     kern = kernel_from_maps(F)
     stat = stationary_measures(kern)
     if len(stat) != 1:

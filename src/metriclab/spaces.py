@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import TOL, DomainError, as_integer
+from .config import TOL, DomainError, SpaceMismatchError, as_integer
 
 
 class MetricValidationError(DomainError):
@@ -248,6 +248,18 @@ def _check_map(f, X: FiniteMetricSpace, Y: FiniteMetricSpace) -> np.ndarray:
         raise DomainError(f"map must send each of the {X.size} points to an integer "
                           f"index in [0, {Y.size})")
     return fm.astype(np.int64, copy=False)
+
+
+def _same_space(*items) -> FiniteMetricSpace:
+    """The one space that every item (a measure, map, nucleus, observable...)
+    lives on, by identity; SpaceMismatchError naming the kinds of the first
+    item and of the first that lives elsewhere."""
+    space = items[0].space
+    for x in items:
+        if x.space is not space:
+            raise SpaceMismatchError(f"{type(items[0]).__name__} and {type(x).__name__} "
+                                     "live on different spaces")
+    return space
 
 
 def _map_distortion(f, X: FiniteMetricSpace, Y: FiniteMetricSpace) -> float:

@@ -50,14 +50,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL, DomainError, SpaceMismatchError
-from .spaces import FiniteMetricSpace, _check_map
+from .config import TOL, DomainError, as_positive_integer
+from .spaces import FiniteMetricSpace, _check_map, _same_space
 
 
 def _check_weights(W: np.ndarray) -> None:
     """Raise DomainError unless each row of W (along its last axis) is a
     probability vector: no NaN, no weight below -TOL.weight_atol, and a sum
-    within TOL.weight_atol of 1."""
+    within TOL.weight_atol of 1. The one rule for measures, weight tables,
+    Markov kernel rows, map-family probabilities and mixing weights."""
     # negated tests: a NaN fails them, at no extra pass
     low = W.min(initial=0.0)
     if not low >= -TOL.weight_atol:
@@ -161,12 +162,6 @@ class Potential:
 
     def pairing(self, mu: Measure, nu: Measure) -> float:
         return float(np.dot(mu.weights - nu.weights, self.values))
-
-
-def _same_space(mu: Measure, nu: Measure) -> FiniteMetricSpace:
-    if mu.space is not nu.space:
-        raise SpaceMismatchError("measures live on different spaces")
-    return mu.space
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +457,9 @@ def _circle_w1(G: np.ndarray, arcs: np.ndarray) -> np.ndarray:
     cum = np.cumsum(np.take_along_axis(np.broadcast_to(arcs, G.shape), order, -1), axis=-1)
     median = (cum < 0.5 * cum[..., -1:]).sum(axis=-1, keepdims=True)
     alpha = np.take_along_axis(G, np.take_along_axis(order, median, -1), -1)
-    return (arcs * np.abs(G - alpha)).sum(axis=-1)
+    # an accumulate adds left to right under every SIMD kernel; numpy's
+    # pairwise .sum() groups its terms by the kernel's width
+    return np.cumsum(arcs * np.abs(G - alpha), axis=-1)[..., -1]
 
 
 def w1_table(X: FiniteMetricSpace, WA, WB) -> np.ndarray:
@@ -642,7 +639,8 @@ class SimplexNet:
 
     Each row of `counts` is one measure's integer weights resolution * mu,
     so a row is nonnegative and sums to `resolution`. Every point mass is a
-    row, so the net spans the whole simplex. `counts` is stored read-only.
+    row, so the net spans the whole simplex. `counts` is stored read-only,
+    and `resolution` as an int by `config.as_positive_integer` (2.0 is 2).
     """
 
     boundary: FiniteMetricSpace
@@ -652,19 +650,20 @@ class SimplexNet:
 
     def __post_init__(self):
         c = np.asarray(self.counts)
-        n, m = self.boundary.size, self.resolution
+        n = self.boundary.size
+        m = as_positive_integer(self.resolution, "resolution")
         if c.ndim != 2 or c.shape[1] != n or c.dtype.kind not in "iu":
             raise DomainError(f"counts must be an integer (measures, {n}) array, "
                               f"not {c.dtype} of shape {c.shape}")
-        if not m >= 1 or c.min(initial=0) < 0 or (c.sum(axis=1) != m).any():
-            raise DomainError(f"counts must be nonnegative rows that sum to the "
-                              f"resolution {m} >= 1")
+        if c.min(initial=0) < 0 or (c.sum(axis=1) != m).any():
+            raise DomainError(f"counts must be nonnegative rows that sum to the resolution {m}")
         missing = np.flatnonzero(~(c == m).any(axis=0))
         if missing.size:
             raise DomainError(f"net is missing the point mass at index {missing[0]}")
         c = c.astype(np.int64)      # a copy, so the caller's array cannot change it
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
+        object.__setattr__(self, "resolution", m)
 
 
 # most weight vectors convex_grid builds
@@ -673,9 +672,9 @@ _CONVEX_GRID_CAP = 200_000
 
 def convex_grid(k: int, m: int) -> np.ndarray:
     """All convex weight vectors of length k with entries in multiples of 1/m,
-    at most _CONVEX_GRID_CAP of them. Raises DomainError unless m >= 1."""
-    if m < 1:
-        raise DomainError(f"resolution m must be >= 1, got {m!r}")
+    at most _CONVEX_GRID_CAP of them. Raises DomainError unless m is a
+    positive integer (`config.as_positive_integer`: 2.0 is 2)."""
+    m = as_positive_integer(m, "resolution m")
     count = math.comb(m + k - 1, k - 1)
     if count > _CONVEX_GRID_CAP:
         raise DomainError(
@@ -711,12 +710,10 @@ def mix(measures, lambdas) -> Measure:
     lam = np.asarray(list(lambdas), dtype=float)
     if len(measures) != len(lam) or len(lam) == 0:
         raise DomainError("need one weight per measure")
-    if lam.min() < -TOL.weight_atol or abs(lam.sum() - 1.0) > TOL.weight_atol:
-        raise DomainError("weights are not convex")
-    for mu in measures[1:]:
-        _same_space(measures[0], mu)
+    _check_weights(lam)
+    X = _same_space(*measures)
     w = mixture_rows(np.array([mu.weights for mu in measures]), lam[None])[0]
-    return Measure(measures[0].space, w)
+    return Measure(X, w)
 
 
 def measure_from_json(space: FiniteMetricSpace, doc) -> Measure:

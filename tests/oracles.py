@@ -101,6 +101,27 @@ def circle_w1_atoms_loop(pos_a, w_a, pos_b, w_b, L: float) -> float:
     return float((lens * np.abs(G - alpha)).sum())
 
 
+def circle_w1_left_to_right(G, arcs) -> np.ndarray:
+    """`transport._circle_w1` in Python floats, one row of G at a time: alpha
+    is the first value of the sorted row whose cumulative arc length, added
+    in sorted order, reaches half the total, and the row's value is
+    sum_k arcs[k] |G[k] - alpha| added strictly left to right."""
+    arcs = [float(a) for a in arcs]
+    out = []
+    for row in np.atleast_2d(np.asarray(G, dtype=float)).tolist():
+        order = sorted(range(len(row)), key=row.__getitem__)
+        cum, total = [], 0.0
+        for k in order:
+            total += arcs[k]
+            cum.append(total)
+        alpha = row[order[sum(c < 0.5 * total for c in cum)]]
+        value = 0.0
+        for a, g in zip(arcs, row):
+            value += a * abs(g - alpha)
+        out.append(value)
+    return np.array(out)
+
+
 def hausdorff_brute(D, A, B) -> float:
     fwd = max(min(D[a][b] for b in B) for a in A)
     bwd = max(min(D[a][b] for a in A) for b in B)

@@ -48,7 +48,7 @@ SHIPPED_ARTIFACTS = {
     "nucleus/nucleus.csv": "468af5caddc920774041e53b914aebf8ab43b6f52b85af96749db212f863ec6f",
     "nucleus/report.json": "2985beca7f6737034597043e72e6235e4c4141d1ca04480a07797695308768aa",
     "rotation_field/dhat.csv": "f9c01b3eccfa3a7262bcefda07c4e69df1d4b7155ea3b696959faa847eab42ad",
-    "rotation_field/gamma.csv": "38192fef75d8a07ef435dc802ca1a15b76ed504cc0dd00ff5c543e0bd9ba4158",
+    "rotation_field/gamma.csv": "7c3cfd08a3e567ea6ccdc90dd25f5fa7233eb3d690159923240ef35a0332cdbf",
     "rotation_field/report.json":
         "affee8c1947578221895c6dec8da2e7ad6b1ba847757415cb8664fe866233891",
     "wasserstein/coupling.csv": "6f1a2a90640fc1b8b82d5f05e3fdc5396575b503aa4cce4fade941ef32e7a908",

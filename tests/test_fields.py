@@ -128,9 +128,8 @@ class TestEnvelope:
 
     def test_degenerate_rejected(self):
         X = interval_net(3, 1.0)
-        bad = MetricField(X.labels, (0.0, 1.0), (X.dist, 0.0 * X.dist))
         with pytest.raises(DomainError):
-            lipschitz_envelope(bad)
+            lipschitz_envelope(MetricField(X.labels, (0.0, 1.0), (X.dist, 0.0 * X.dist)))
 
 
 class TestNucleusField:

@@ -12,13 +12,14 @@ from metriclab import (Coupling, DomainError, Measure, SpaceMismatchError, WaveP
                        validate_metric, wasserstein1, wasserstein1_dual, wasserstein_inf,
                        wave_metric_field)
 from metriclab.config import TOL
-from metriclab.transport import (_SimplexStall, _cycle_arcs, _least_cost_basis,
+from metriclab.transport import (_SimplexStall, _circle_w1, _cycle_arcs, _least_cost_basis,
                                  _transport_simplex, _w1_fill, _winf_bracket, convex_grid,
                                  w1_hausdorff, w1_table)
 
-from oracles import (net_measures, northwest_corner, transport_simplex_rebuild, w1_dual_lp,
-                     w1_exhaustive, w1_line, wasserstein1_dual_full_support,
-                     wasserstein1_full_support, winf_cold_search, winf_exhaustive, winf_hall)
+from oracles import (circle_w1_left_to_right, net_measures, northwest_corner,
+                     transport_simplex_rebuild, w1_dual_lp, w1_exhaustive, w1_line,
+                     wasserstein1_dual_full_support, wasserstein1_full_support,
+                     winf_cold_search, winf_exhaustive, winf_hall)
 
 
 def random_space(rng, n):
@@ -496,6 +497,22 @@ def mixed_measures(rng, X, count):
 
 
 class TestW1Table:
+    @pytest.mark.parametrize("width", [3, 16, 37])
+    def test_circle_w1_adds_left_to_right(self, width):
+        # == a scalar left-to-right sum: the arc sum does not depend on the
+        # grouping of numpy's SIMD kernels, so artifacts built on it do not
+        rng = np.random.default_rng(width)
+        arcs = rng.uniform(0.1, 2.0, width)
+        G = rng.normal(size=(40, width))
+        assert np.array_equal(_circle_w1(G, arcs), circle_w1_left_to_right(G, arcs))
+        # ties: dyadic arcs add exactly in any order, so the median is the
+        # same whichever tied entry a sort puts first
+        dyadic = rng.integers(1, 8, width) / 8.0
+        ties = rng.integers(-2, 3, size=(40, width)) / 3.0
+        assert np.array_equal(_circle_w1(ties, dyadic), circle_w1_left_to_right(ties, dyadic))
+        zero = _circle_w1(np.zeros((1, width)), arcs)
+        assert zero[0] == 0.0 and np.array_equal(zero, circle_w1_left_to_right(np.zeros(width), arcs))
+
     def check_closed_form(self, rng, X):
         assert _cycle_arcs(X.dist) is not None
         A, B = mixed_measures(rng, X, 5), mixed_measures(rng, X, 4)
