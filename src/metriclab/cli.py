@@ -23,8 +23,8 @@ from . import __version__
 from .config import DomainError, as_integer
 from .distances import dq_upper, fukaya_distance, gh_distance, intertwining_gap, simplex_net
 from .dynamics import DynMap, birkhoff_rate, rotation, sine_pluck_map
-from .fields import (WaveProfile, circle_wave_metric, lipschitz_envelope, rotation_field,
-                     wave_metric_field)
+from .fields import (WaveProfile, birkhoff_field, circle_wave_metric, lipschitz_envelope,
+                     rotation_field, wave_metric_field)
 from .lipgeom import nucleus_net
 from .markov import RandomMapFamily, ldp_experiment
 from .selfcheck import run_checks
@@ -163,9 +163,9 @@ def _list_of(item):
 
 def _run_wasserstein(sc: Scenario):
     p = sc.params
-    X, mu_doc, nu_doc = _param(p, "space", space_from_json), _param(p, "mu"), _param(p, "nu")
-    mu = measure_from_json(X, mu_doc)
-    nu = measure_from_json(X, nu_doc)
+    X = _param(p, "space", space_from_json)
+    mu, nu = (measure_from_json(X, _param(p, key, partial(np.asarray, dtype=float)))
+              for key in ("mu", "nu"))
     value, plan = wasserstein1(mu, nu)
     dual, pot = wasserstein1_dual(mu, nu)
     winf = wasserstein_inf(mu, nu)
@@ -278,13 +278,15 @@ def _run_ldp(sc: Scenario):
 def _run_wave_field(sc: Scenario):
     p = sc.params
     n_points = _param(p, "n_points", as_integer, 17)
-    profile = (WaveProfile(_param(p, "modes", tuple), _param(p, "speed", float, 1.0),
+    profile = (WaveProfile(_param(p, "modes", _list_of(float)), _param(p, "speed", float, 1.0),
                            _param(p, "length", float, math.pi))
                if "modes" in p else
                WaveProfile.triangular_pluck(_param(p, "amplitude", float, 0.3)))
     ts = _param(p, "t_grid", _list_of(float), [i * profile.period / 8.0 for i in range(9)])
+    circle = _param(p, "circle", _boolean, False)
+    birkhoff_eps = _param(p, "birkhoff_eps", float) if "birkhoff_eps" in p else None
     fld = wave_metric_field(profile, ts, n_points)
-    if _param(p, "circle", _boolean, False):
+    if circle:
         fld = circle_wave_metric(fld)
     env = lipschitz_envelope(fld)
     report = {"thetas": list(fld.thetas), "points": len(fld.labels),
@@ -292,6 +294,19 @@ def _run_wave_field(sc: Scenario):
               "m": [float(v) for v in env.m], "M": [float(v) for v in env.M]}
     extras = {f"fibre_{k}.csv": (fld.labels, fld.fibres[k]) for k in range(len(fld.thetas))}
     extras["envelope.csv"] = (["theta", "m", "M"], zip(fld.thetas, env.m, env.M))
+    if birkhoff_eps is not None:
+        # per-fibre rates of the turn by the least step k > 1 prime to the label count
+        n = len(fld.labels)
+        step = next((k for k in range(2, n) if math.gcd(k, n) == 1), None)
+        if step is None:
+            raise DomainError(f"no rotation step k > 1 is prime to {n} points")
+        h = DynMap(fld.fibre_space(0), (np.arange(n) + step) % n)
+        rep = birkhoff_field(fld, h, birkhoff_eps, max(0.5 * F.max() for F in fld.fibres),
+                             12 * n, sample_budget=128, probe_count=16, seed=sc.seed)
+        report.update(birkhoff_rates=list(rep.rates), usc_flags=list(rep.usc_flags))
+        extras["wave_field.csv"] = (["t", "m", "M", "birkhoff_rate"],
+                                    [[f"{t:.6g}", m, M, str(rate)] for t, m, M, rate
+                                     in zip(fld.thetas, env.m, env.M, rep.rates)])
     return report, extras
 
 

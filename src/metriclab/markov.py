@@ -2,7 +2,11 @@
 
 Kernels arise from random map families by convolution; trajectories are
 reproducible through the pinned splitmix64 generator with per-trial child
-seeds, so the large-deviation experiment is bit-stable across platforms.
+seeds, so every trial's map choices are the same bits on every platform.
+The large-deviation flags are not yet: the stationary measure (a LAPACK
+solve) and the visit-count products go through BLAS, so a trial whose
+deviation lies within rounding of eps can flip under another OpenBLAS
+kernel.
 """
 from __future__ import annotations
 
@@ -344,19 +348,29 @@ def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
             exceed[len(short):, lo:hi] = walk(long, choices)
 
     probs = exceed.mean(axis=1)[[horizons.index(n) for n in n_values]]
-    ns = np.asarray(n_values, dtype=float)
-    mask = probs > 0
-    if mask.sum() >= 2:
-        logs = np.log(probs[mask])
-        A = np.stack([np.ones(mask.sum()), -ns[mask] * eps ** 2], axis=1)
-        coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
-        c1 = float(math.exp(coef[0]))
-        c2 = float(coef[1])
-        pred = A @ coef
-        ss_res = float(((logs - pred) ** 2).sum())
-        ss_tot = float(((logs - logs.mean()) ** 2).sum())
-        r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    else:
-        c1, c2, r2 = float("nan"), float("nan"), float("nan")
+    c1, c2, r2 = _ldp_fit(n_values, probs.tolist(), eps)
     return LdpReport(eps, tuple(n_values), tuple(float(p) for p in probs),
                      c1, c2, r2, trials, seed, tuple(int(s) for s in starts))
+
+
+def _ldp_fit(n_values, probs, eps: float) -> tuple[float, float, float]:
+    """(c1, c2, R^2) of the least-squares line log p = log c1 - c2 n eps^2
+    over the horizons with p > 0, all nan unless two of them differ.
+
+    The 2x2 normal equations are solved in centred form, in plain floats
+    summed in horizon order, so no BLAS or LAPACK kernel moves the bits.
+    """
+    pts = [(-n * eps ** 2, math.log(p)) for n, p in zip(n_values, probs) if p > 0]
+    k = len(pts)
+    if k < 2:
+        return math.nan, math.nan, math.nan
+    x_bar = sum(x for x, _ in pts) / k
+    y_bar = sum(y for _, y in pts) / k
+    sxx = sum((x - x_bar) ** 2 for x, _ in pts)
+    if sxx == 0:
+        return math.nan, math.nan, math.nan
+    slope = sum((x - x_bar) * (y - y_bar) for x, y in pts) / sxx
+    intercept = y_bar - slope * x_bar
+    ss_res = sum((y - (intercept + slope * x)) ** 2 for x, y in pts)
+    ss_tot = sum((y - y_bar) ** 2 for _, y in pts)
+    return math.exp(intercept), slope, 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot

@@ -144,13 +144,18 @@ def validate_metric(D, labels: Sequence | None = None,
 
 @dataclass(frozen=True)
 class SubsetRef:
-    """Nonempty, duplicate-free index set inside a fixed space."""
+    """Nonempty, duplicate-free index set inside a fixed space; each index
+    an integer by the rule of `config.as_integer` (2.0 passes, 1.5 and True
+    do not)."""
 
     space: FiniteMetricSpace
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        try:
+            idx = tuple(as_integer(i) for i in self.indices)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"subset index is not an integer: {exc}") from exc
         if len(idx) == 0:
             raise DomainError("subset must be nonempty")
         if len(set(idx)) != len(idx):

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL, DomainError, as_positive_integer
-from .spaces import FiniteMetricSpace, _check_map, _same_space
+from .spaces import FiniteMetricSpace, SubsetRef, _check_map, _same_space
 
 
 def _check_weights(W: np.ndarray) -> None:
@@ -95,18 +95,18 @@ class Measure:
 
 
 def point_mass(space: FiniteMetricSpace, i: int) -> Measure:
-    w = np.zeros(space.size)
-    w[i] = 1.0
-    return Measure(space, w)
+    return uniform_measure(space, (i,))
 
 
 def uniform_measure(space: FiniteMetricSpace, indices=None) -> Measure:
+    """Uniform measure on the space, or on the index set `indices`, which
+    must be a `SubsetRef` of it: nonempty, duplicate-free, in range."""
     w = np.zeros(space.size)
     if indices is None:
         w[:] = 1.0 / space.size
     else:
-        idx = np.asarray(list(indices), dtype=int)
-        w[idx] = 1.0 / len(idx)
+        idx = SubsetRef(space, tuple(indices)).indices
+        w[list(idx)] = 1.0 / len(idx)
     return Measure(space, w)
 
 

@@ -38,13 +38,13 @@ SHIPPED_ARTIFACTS = {
     "gap/report.json": "479b593f02126db6a0c1b0eb79a3edef2449919ea490cc3f634eab542352af45",
     "ldp/ldp.csv": "a5dcd1ed365695045612593092ef2361352a3e90674e6ff2e526b2a4d0d9cfea",
     "ldp/ldp.svg": "3a55215f275e3e708df925e731089b9583783fd965c3a0752a9b1971615a7887",
-    "ldp/report.json": "f8e38e9777c83e2120ad778e4d1ba7e5f05e85da594025402f3c18a9de9b1b22",
+    "ldp/report.json": "ad38d48139a57997a66c011999514d383e36e5c34e1d7b40ecaebf73cde2e040",
     "ldp_two_contractions/ldp.csv":
         "a5dcd1ed365695045612593092ef2361352a3e90674e6ff2e526b2a4d0d9cfea",
     "ldp_two_contractions/ldp.svg":
         "3a55215f275e3e708df925e731089b9583783fd965c3a0752a9b1971615a7887",
     "ldp_two_contractions/report.json":
-        "f8e38e9777c83e2120ad778e4d1ba7e5f05e85da594025402f3c18a9de9b1b22",
+        "ad38d48139a57997a66c011999514d383e36e5c34e1d7b40ecaebf73cde2e040",
     "nucleus/nucleus.csv": "468af5caddc920774041e53b914aebf8ab43b6f52b85af96749db212f863ec6f",
     "nucleus/report.json": "2985beca7f6737034597043e72e6235e4c4141d1ca04480a07797695308768aa",
     "rotation_field/dhat.csv": "f9c01b3eccfa3a7262bcefda07c4e69df1d4b7155ea3b696959faa847eab42ad",
@@ -54,7 +54,14 @@ SHIPPED_ARTIFACTS = {
     "wasserstein/coupling.csv": "6f1a2a90640fc1b8b82d5f05e3fdc5396575b503aa4cce4fade941ef32e7a908",
     "wasserstein/potential.csv": "40d7979b16ffe726312ad36f16568c253faa4f4de7f2eff67dc3833c36e0375a",
     "wasserstein/report.json": "5efe9c4407ffe10c970f09509309776f171a43887936baf70e3086800055f84b",
-    "wave_field_demo/wave_field.csv":
+    "wave_field/envelope.csv": "4d1ac7a291dc9537070dc444a513668188dfd95eceb440d2c02b5a8e94bf365a",
+    "wave_field/fibre_0.csv": "a9fe7c7908ab073bac5152fd099cab8407001ab7819ae1e96bd090b2134c8962",
+    "wave_field/fibre_1.csv": "52165e5e0332a6f064a56a07c348a190039a6979c2c9e16b143d1a9f52319aa7",
+    "wave_field/fibre_2.csv": "7534e86f835bf851a69efa1cf90bd9e6990003b8f5caa47e3b56c5f29681eca7",
+    "wave_field/fibre_3.csv": "52165e5e0332a6f064a56a07c348a190039a6979c2c9e16b143d1a9f52319aa7",
+    "wave_field/fibre_4.csv": "a9fe7c7908ab073bac5152fd099cab8407001ab7819ae1e96bd090b2134c8962",
+    "wave_field/report.json": "7da4cff9f13cf09c3b9ca7250059de5da32572bc419705cdb58ff16b78a2e127",
+    "wave_field/wave_field.csv":
         "fec65dd2df95d4f5fd1c2606d52437fcf5f0855ae3910284574236cd6f20208f",
 }
 
@@ -88,10 +95,7 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
 
 
 def scenario_doc(name):
-    """A shipped scenario by file name, or a small wave-field scenario for "wave_field"."""
-    if name == "wave_field":
-        return {"kind": "wave-field", "params": {"modes": [0.3], "t_grid": [0.0, 0.5],
-                                                 "n_points": 5, "circle": True}}
+    """A shipped scenario by file name."""
     return json.loads((SCENARIOS / f"{name}.json").read_text())
 
 
@@ -170,7 +174,8 @@ class TestScenarioLoading:
         ("rotation_field", "net_size", 32.5), ("rotation_field", "theta", [1.5, 4]),
         ("ldp", "trials", 2.5), ("ldp", "n_values", [2.7, 4]),
         ("wave_field", "circle", "false"), ("wave_field", "circle", 1),
-        ("wave_field", "n_points", 5.5)])
+        ("wave_field", "n_points", 5.5), ("wave_field", "modes", ["x"]),
+        ("wasserstein", "mu", "abc"), ("wasserstein", "nu", {"a": 1})])
     def test_wrongly_shaped_param_is_config_error(self, tmp_path, capsys, scenario, key, value):
         doc = scenario_doc(scenario)
         doc["params"][key] = value
@@ -430,6 +435,15 @@ class TestRun:
         assert report["points"] == 6      # the glued ends are one point
         assert (out / "fibre_0.csv").exists()
         assert (out / "envelope.csv").exists()
+
+    def test_wave_field_rates_need_a_rotation_step(self, tmp_path):
+        # three string points glue into a 2-point circle: no step k > 1 is prime to 2
+        doc = {"kind": "wave-field",
+               "params": {"modes": [0.3], "t_grid": [0.0, 0.5], "n_points": 3,
+                          "circle": True, "birkhoff_eps": 0.15}}
+        out = tmp_path / "out"
+        assert main(["--config", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 1
+        assert "rotation step" in json.loads((out / "report.json").read_text())["error"]
 
     def test_gap_scenario_report_schema(self, tmp_path):
         doc = {"kind": "gap",

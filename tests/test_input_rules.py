@@ -1,18 +1,19 @@
-"""The four input rules, each with one implementation: probability vectors
+"""The input rules, each with one implementation: probability vectors
 (`transport._check_weights`), a shared space (`spaces._same_space`),
-positive counts (`config.as_positive_integer`) and metric fields whose
-fibres are validated once, when the field is built."""
+positive counts (`config.as_positive_integer`), index sets (`SubsetRef`,
+behind `point_mass` and `uniform_measure`) and metric fields whose fibres
+are validated once, when the field is built."""
 import math
 
 import numpy as np
 import pytest
 
 from metriclab import (DomainError, DynMap, MarkovKernel, MetricField, Observable,
-                       RandomMapFamily, SimplexNet, SpaceMismatchError, birkhoff_field,
-                       birkhoff_rate, circle_net, crossed_product_seminorm, deform,
-                       identity_map, interval_net, invariant_simplex_hausdorff,
+                       RandomMapFamily, SimplexNet, SpaceMismatchError, SubsetRef,
+                       birkhoff_field, birkhoff_rate, circle_net, crossed_product_seminorm,
+                       deform, identity_map, interval_net, invariant_simplex_hausdorff,
                        ldp_experiment, mix, nucleus_net, point_mass, prob_net, rotation,
-                       rotation_field)
+                       rotation_field, uniform_measure)
 from metriclab import fields, spaces
 from metriclab.config import as_positive_integer
 from metriclab.distances import intertwining_gap
@@ -150,6 +151,35 @@ def test_integral_float_resolution_gives_the_same_values():
 def test_fractional_resolution_is_a_domain_error(call):
     with pytest.raises(DomainError, match="resolution"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# index sets
+
+# each once wrapped to the last point, crashed or truncated the index
+BAD_INDICES = {
+    "point_mass -1": lambda X: point_mass(X, -1),
+    "point_mass past the end": lambda X: point_mass(X, 4),
+    "point_mass 1.5": lambda X: point_mass(X, 1.5),
+    "uniform_measure [-1]": lambda X: uniform_measure(X, [-1]),
+    "uniform_measure []": lambda X: uniform_measure(X, []),
+    "uniform_measure duplicate": lambda X: uniform_measure(X, [1, 1]),
+    "SubsetRef 1.5": lambda X: SubsetRef(X, (1.5,)),
+    "SubsetRef True": lambda X: SubsetRef(X, (True,)),
+}
+
+
+@pytest.mark.parametrize("call", BAD_INDICES.values(), ids=BAD_INDICES.keys())
+def test_index_sets_are_in_range_integers(call):
+    X = interval_net(4, 1.0)
+    with pytest.raises(DomainError, match="subset"):
+        call(X)
+
+
+def test_integral_indices_pass():
+    X = interval_net(4, 1.0)
+    assert np.array_equal(point_mass(X, 2.0).weights, [0.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(uniform_measure(X, (np.int64(3), 1.0)).weights, [0.0, 0.5, 0.0, 0.5])
 
 
 # ---------------------------------------------------------------------------

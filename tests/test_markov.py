@@ -215,6 +215,13 @@ class TestLdp:
         assert rep.n_values == (2, 2, 4, 8)
         assert rep.probabilities == (p[0], p[0], p[1], p[2])
 
+    def test_fit_needs_two_distinct_horizons(self):
+        X, fam = two_contraction_family(16)
+        nuc = nucleus_net(X, X.radius, 0.25, sample_budget=64, probe_count=16)
+        rep = ldp_experiment(fam, nuc, 0.1, [2, 2], trials=50)
+        assert all(p > 0 for p in rep.probabilities)
+        assert all(math.isnan(v) for v in (rep.c1, rep.c2, rep.fit_quality))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_two_contractions_match_scalar_oracle(self, seed):
         X, fam = two_contraction_family(16)
@@ -255,7 +262,7 @@ class TestLdp:
                      "--format", "json"]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["probabilities"] == [1.0, 0.8911, 0.461, 0.1647, 0.0247]
-        assert report["c2"] == 2.7873374522218626
+        assert report["c2"] == 2.7873374522218617
         assert report["fit_quality"] == 0.9976909476440213
         assert report["rng"] == "splitmix64-v1"
 
