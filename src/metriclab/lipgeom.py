@@ -2,10 +2,11 @@
 
 A nucleus at level r is a finite family inside the polytope of r-bounded
 1-Lipschitz functions. Small spaces get a complete quantize-and-project
-enumeration, built point by point over the admissible grid prefixes; as soon
-as a point's prefix count exceeds `_NUCLEUS_SIZE_CAP`, the net falls back to
-metric cones, constants and random projected samples, with the achieved
-sup-norm density measured by probing instead of assumed.
+enumeration, built point by point over the admissible grid prefixes. When a
+closed-form floor on the member count, or else a point's prefix count,
+exceeds `_NUCLEUS_SIZE_CAP`, the net falls back to metric cones, constants
+and random projected samples, with the achieved sup-norm density measured by
+probing instead of assumed.
 """
 from __future__ import annotations
 
@@ -184,6 +185,31 @@ class Nucleus:
         return self.values.shape[0]
 
 
+def _grid_member_floor(D, grid, slack) -> int:
+    """A lower bound on the member count of `_enumerate_grid_members`, exact
+    in Python ints.
+
+    A grid function whose values lie within k grid levels of each other,
+    k h <= slack + d_min (h the widest step of the ascending grid, d_min the
+    least distance between two points), passes every pairwise test. With L
+    levels there are (L - k)((k + 1)**n - k**n) + k**n of them: for each
+    least level a, the functions into levels a .. a + k that take a. The
+    member count is the count at the last point, so a floor over `cap`
+    means the enumeration returns None. k keeps a margin of 16 roundings
+    of the scale of D and the grid, more than the tests' two operations and
+    the grid steps' own rounding take, so each such function passes the
+    float tests too.
+    """
+    n, levels = D.shape[0], len(grid)
+    if n == 1 or levels == 1:
+        return levels
+    d_min = float(D[~np.eye(n, dtype=bool)].min())
+    margin = 16.0 * np.finfo(float).eps * (float(np.abs(grid).max()) + float(D.max()) + slack)
+    k = math.floor((slack + d_min - margin) / float(np.diff(grid).max()))
+    k = min(levels - 1, max(0, k))
+    return (levels - k) * ((k + 1) ** n - k ** n) + k ** n
+
+
 def _enumerate_grid_members(D, grid, slack, cap):
     """Grid functions that are 1-Lipschitz up to `slack` pairwise, as rows in
     lexicographic order of grid index, or None when more than `cap` exist.
@@ -199,8 +225,11 @@ def _enumerate_grid_members(D, grid, slack, cap):
     least slack + tol - delta > slack long and, as every v_j lies in the
     grid's range, meets that range in a stretch as long, so it holds a grid
     value. The first count over `cap` therefore decides, before any row of
-    that point is built.
+    that point is built. Before any of that, `_grid_member_floor` decides
+    most fallbacks without building a row.
     """
+    if _grid_member_floor(D, grid, slack) > cap:
+        return None
     n = D.shape[0]
     delta = max(0.0, max(float((D - D[b][:, None] - D[b][None, :]).max()) for b in range(n)))
     tol = 1e-12 + delta
@@ -235,7 +264,8 @@ def _unique_rows(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-# most admissible grid prefixes at any point before nucleus_net falls back
+# most admissible grid prefixes at any point before nucleus_net falls back;
+# a member-count floor above it decides the fallback before any grid row
 _NUCLEUS_SIZE_CAP = 200_000
 # cells of one (rows, block) array of _directed_sup_hausdorff (1 MiB)
 _DENSITY_CELLS = 1 << 17
@@ -246,14 +276,17 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float, sample_budget: int =
     """eps-net (sup norm) of the polytope of r-bounded 1-Lipschitz functions.
 
     Construction: quantize values to an eps/2 grid, then project with the
-    McShane regularisation and clip to [-r, r]. When no point of the
-    quantized enumeration has more than `_NUCLEUS_SIZE_CAP` admissible
-    prefixes, the enumeration runs in full and the net is complete (density
-    <= eps by construction). Otherwise the net holds the metric cone
-    functions, a constants grid and projected random samples, and the
-    reported density is measured by random-member probing: the
-    `_directed_sup_hausdorff` from the probes to the members, the max over
-    probes of the min over members of the sup distance.
+    McShane regularisation and clip to [-r, r]. A closed-form floor on the
+    member count (`_grid_member_floor`: the grid functions within k levels
+    of each other, k h <= h + the least distance) is checked first, so a
+    net over `_NUCLEUS_SIZE_CAP` is usually known before any grid row is
+    built. When neither that floor nor any point of the quantized
+    enumeration exceeds the cap, the enumeration runs in full and the net
+    is complete (density <= eps by construction). Otherwise the net holds
+    the metric cone functions, a constants grid and projected random
+    samples, and the reported density is measured by random-member
+    probing: the `_directed_sup_hausdorff` from the probes to the members,
+    the max over probes of the min over members of the sup distance.
     """
     if not eps > 0:
         raise DomainError("eps must be positive")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -132,7 +131,10 @@ class LdpReport:
 # trials per block of ldp_experiment, and prefixes per chunk of its prefix
 # table: a block's start walks, visit counts and held visits take about this
 # many numbers (4 MB), so each step and each horizon works in cache instead
-# of streaming whole-experiment arrays through main memory
+# of streaming whole-experiment arrays through main memory. A block's
+# start-0 products with the values and their deviations from the mean go to
+# two (block, members) buffers of at most this many numbers over the number
+# of starts, allocated once per experiment and reused by every block
 _LDP_BLOCK_CELLS = 1 << 19
 
 
@@ -189,7 +191,7 @@ def _exact_flags(flat_maps, size, values, mean, eps, horizons, offsets, path):
     return out
 
 
-def _exceed_flags(flat_maps, size, starts, values, mean, eps, horizons, choices):
+def _exceed_flags(flat_maps, size, starts, values, mean, eps, horizons, choices, prod, dev):
     """(len(horizons), trials) flags: does trial t deviate by more than eps
     at horizon n? Trial t applies map choices[k, t] at step k, from every
     start at once. choices needs horizons[-1] - 1 steps, the last that a
@@ -212,7 +214,11 @@ def _exceed_flags(flat_maps, size, starts, values, mean, eps, horizons, choices)
     TOL.ldp_tie_margin * max(1, max|values|) from eps gets its exact flag.
 
     Recheck: the few others get their exact count rows back, start 0's
-    plus the differences, and _deviates decides them."""
+    plus the differences, and _deviates decides them.
+
+    prod and dev are float buffers of at least (trials, members): the
+    filter writes start 0's products and their deviations into their first
+    rows in place, with the bits of the same expressions evaluated anew."""
     S, B = len(starts), choices.shape[1]
     offsets = choices * size                             # map choice -> flat_maps
     path = np.empty((max(1, min(horizons[-1], _LDP_BLOCK_CELLS // (S * B))), S, B),
@@ -253,10 +259,11 @@ def _exceed_flags(flat_maps, size, starts, values, mean, eps, horizons, choices)
     hi, lo = spread.max(axis=0)[which], spread.min(axis=0)[which]
     margin = TOL.ldp_tie_margin * max(1.0, float(np.abs(values).max()))
     common = _horizon_counts(flat_maps, size, horizons, offsets[:, sure], path[:, 0, sure])
+    base, d = prod[:len(sure)], dev[:len(sure)]
     for i, (n, c) in enumerate(zip(horizons, common)):
-        base = c @ values.T
-        up = ((base + hi) / n - mean).max(axis=1)
-        down = ((base + lo) / n - mean).min(axis=1)
+        np.matmul(c, values.T, out=base)
+        up = np.subtract(np.divide(np.add(base, hi, out=d), n, out=d), mean, out=d).max(axis=1)
+        down = np.subtract(np.divide(np.add(base, lo, out=d), n, out=d), mean, out=d).min(axis=1)
         out[i, sure] = (up > eps) | (down < -eps)
         near = np.flatnonzero(~((up > eps + margin) | (down < -eps - margin)
                                 | ((up < eps - margin) & (down > margin - eps))))
@@ -315,8 +322,15 @@ def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
     flat_maps = np.concatenate([m.idx for m in F.maps])   # [c * size + x]: map c of x
     cum_p = np.cumsum(F.probabilities)
     maps = len(F.maps)
-    walk = partial(_exceed_flags, flat_maps, X.size, starts, nucleus.values, mean, eps)
     block = max(1, _LDP_BLOCK_CELLS // (len(starts) * max(X.size, len(nucleus))))
+    # one block's start-0 products with the values and their deviations
+    # from the mean, written in place by every walk
+    prod = np.empty((block, len(nucleus)))
+    dev = np.empty_like(prod)
+
+    def walk(horizons, choices):
+        return _exceed_flags(flat_maps, X.size, starts, nucleus.values, mean, eps,
+                             horizons, choices, prod, dev)
 
     horizons = sorted(set(n_values))
     short = [n for n in horizons if maps ** (n - 1) <= trials]

@@ -38,6 +38,15 @@ class MetricViolation:
 _TRIANGLE_CELLS = 1 << 15
 
 
+def _triangle_bad(D, lo, rows, k0) -> np.ndarray:
+    """bad[i - lo, j, k - k0] = D[i,k] > D[i,j] + D[j,k] + TOL.metric_atol,
+    for the block of rows i = lo .. lo + rows - 1 and every k >= k0."""
+    block = D[lo:lo + rows]
+    rhs = block[:, :, None] + D[None, :, k0:]
+    rhs += TOL.metric_atol
+    return block[:, None, k0:] > rhs
+
+
 def check_metric(D) -> list[MetricViolation]:
     """Return a report of every violated metric axiom (empty list if valid),
     each tested with slack TOL.metric_atol.
@@ -48,7 +57,10 @@ def check_metric(D) -> list[MetricViolation]:
     so its memory is O(n**2): one block of max(n**2, _TRIANGLE_CELLS) cells
     instead of three (n, n, n) arrays. Up to 32 points it is one block. Each
     block evaluates the same expression in the same order as the full cube,
-    so every decision and the listed triples are the cube's.
+    so every decision and the listed triples are the cube's. When D equals
+    D.T exactly, a first pass tests only k >= lo in the block from row lo,
+    which holds every triple with k >= i and, from 33 points up, skips up to
+    half the cube; the full pass runs only when that one finds a violation.
     """
     D = np.asarray(D, dtype=float)
     out: list[MetricViolation] = []
@@ -59,7 +71,8 @@ def check_metric(D) -> list[MetricViolation]:
         return [MetricViolation("nonfinite", (int(i), int(j)), f"non-finite entry at ({i},{j})")]
     n = D.shape[0]
     atol = TOL.metric_atol
-    asym = np.argwhere(np.abs(D - D.T) > atol)
+    skew = D - D.T
+    asym = np.argwhere(np.abs(skew) > atol)
     for i, j in asym:
         if i < j:
             out.append(MetricViolation("asymmetry", (int(i), int(j)),
@@ -77,12 +90,15 @@ def check_metric(D) -> list[MetricViolation]:
                                        f"nonpositive off-diagonal at ({i},{j}): {D[i, j]!r}"))
     # triangle: D[i,k] <= D[i,j] + D[j,k] for all triples, one block of i at a time
     rows = max(1, _TRIANGLE_CELLS // (n * n))
+    blocks = range(0, n, rows)
+    # an exactly symmetric D gives (i, j, k) and (k, j, i) the same two
+    # sides, so the triples with k >= i decide; only a violation among them
+    # runs the full test, which lists the witnesses
+    if not skew.any() and not any(_triangle_bad(D, lo, rows, lo).any() for lo in blocks):
+        return out
     left = 64
-    for lo in range(0, n, rows):
-        block = D[lo:lo + rows]
-        rhs = block[:, :, None] + D[None, :, :]
-        rhs += atol
-        bad = block[:, None, :] > rhs
+    for lo in blocks:
+        bad = _triangle_bad(D, lo, rows, 0)
         if not bad.any():
             continue
         for i, j, k in np.argwhere(bad)[:left]:

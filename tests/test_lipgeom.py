@@ -14,9 +14,9 @@ from metriclab import (DomainError, MatrixObservable, Measure, MetricField, Nucl
                        nucleus_field, nucleus_net, point_mass, prob_net, state_metric,
                        validate_metric, wasserstein1, wasserstein1_dual)
 from metriclab.fields import retract_between_fibres
-from metriclab.lipgeom import (_DENSITY_CELLS, _directed_sup_hausdorff,
-                               _enumerate_grid_members, _lipschitz_excess, _uniform_rows,
-                               _unique_rows, operator_norm)
+from metriclab.lipgeom import (_DENSITY_CELLS, _NUCLEUS_SIZE_CAP, _directed_sup_hausdorff,
+                               _enumerate_grid_members, _grid_member_floor, _lipschitz_excess,
+                               _uniform_rows, _unique_rows, operator_norm)
 from metriclab.rng import SplitMix64
 from metriclab.spaces import check_metric, space_from_json
 
@@ -270,9 +270,14 @@ class TestNucleus:
         assert dead_at_1e12 > 0
 
     def test_fallback_decided_without_enumerating(self):
-        # 8-point circle at eps 0.15 is over the 200k cap; a full enumeration
-        # block alone would take 200 001 x 8 floats (12.2 MiB)
+        # 8-point circle at eps 0.15 is over the 200k cap, and its member
+        # floor (k = 11, 7.1e9 rows) says so before any grid row is built.
+        # What remains is the fallback family and its density pass, two
+        # (members, block) arrays of _DENSITY_CELLS cells (2 MiB); building
+        # the prefixes up to the first count over the cap peaks at 3.4 MiB
         X = circle_net(8, 2 * math.pi)
+        grid = np.linspace(-math.pi / 2, math.pi / 2, math.ceil(4 * (math.pi / 2) / 0.15) + 1)
+        assert _grid_member_floor(X.dist, grid, grid[1] - grid[0]) > _NUCLEUS_SIZE_CAP
         tracemalloc.start()
         try:
             nuc = nucleus_net(X, math.pi / 2, 0.15)
@@ -280,7 +285,37 @@ class TestNucleus:
         finally:
             tracemalloc.stop()
         assert not nuc.complete
-        assert peak < 6 * 2 ** 20
+        assert peak < 3 * 2 ** 20
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_member_floor_never_exceeds_the_count(self, n):
+        # the floor decides a fallback only where the enumeration has more
+        # than cap members; the oracle runs at the enumerator's tolerance, on
+        # spaces scaled by 2**-20, 1 and 2**20, with n + levels <= 12 so
+        # that its counts stay below 14 000
+        pts = np.random.default_rng(n).uniform(0.0, 2.0, size=(n, 2))
+        planar = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+        decided = 0
+        for scale in (2.0 ** -20, 1.0, 2.0 ** 20):
+            for X in (circle_net(n, 2.0 * scale), interval_net(n, 2.0 * scale),
+                      validate_metric(scale * planar)):
+                D = X.dist.tolist()
+                defect = max(0.0, max(D[a][c] - D[b][a] - D[b][c]
+                                      for a in range(n) for b in range(n) for c in range(n)))
+                for levels in range(3, min(10, 13 - n)):
+                    grid = np.linspace(-X.radius, X.radius, levels)
+                    h = grid[1] - grid[0]
+                    full = grid_members_dfs(D, grid, h, 200_000, 1e-12 + defect)
+                    floor = _grid_member_floor(X.dist, grid, h)
+                    assert 1 <= floor <= len(full)
+                    for cap in (len(full) // 2, len(full) - 1, len(full)):
+                        decided += floor > cap
+                        got = _enumerate_grid_members(X.dist, grid, h, cap)
+                        if len(full) > cap:
+                            assert got is None
+                        else:
+                            assert got is not None and np.array_equal(got, full)
+        assert decided > 0
 
     def test_nan_member_rejected(self):
         X = interval_net(3, 1.0)

@@ -13,7 +13,7 @@ from metriclab import (DomainError, DynMap, MarkovKernel, Measure, RandomMapFami
 from metriclab.cli import main
 from metriclab.dynamics import birkhoff_rate
 from metriclab.lipgeom import Nucleus
-from metriclab.spaces import epsilon_net, validate_metric
+from metriclab.spaces import epsilon_net, space_from_json, validate_metric
 from oracles import ldp_probabilities_scalar, stationary_measures_scc
 
 LDP_SCENARIO = Path(__file__).resolve().parents[1] / "scripts" / "scenarios" / "ldp.json"
@@ -242,6 +242,26 @@ class TestLdp:
         rep = ldp_experiment(fam, nuc, 0.15, n_values, trials=97, seed=5)
         assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, 0.15, n_values,
                                                              97, 5)
+
+    def test_shipped_family_blocks_match_scalar_oracle(self, monkeypatch):
+        # the ldp.json family and nucleus, 16 starts and 99 members: 2 000
+        # trials make blocks of 331 (the default), 41 and 3 trials, each
+        # with a shorter last block, and the prefix table of 128 codes is
+        # walked in 1, 4 and 43 blocks; every block's products and
+        # deviations go to the first rows of the experiment's two buffers
+        doc = json.loads(LDP_SCENARIO.read_text())
+        p = doc["params"]
+        X = space_from_json(p["space"])
+        fam = RandomMapFamily(tuple(DynMap(X, m["map"]) for m in p["maps"]), np.array([0.5, 0.5]))
+        nuc = nucleus_net(X, X.radius, p["nucleus_eps"], sample_budget=p["nucleus_samples"],
+                          seed=doc["seed"])
+        assert (len(epsilon_net(X, p["eps"] / 4).indices), len(nuc)) == (16, 99)
+        args = (fam, nuc, p["eps"], p["n_values"], 2000, doc["seed"])
+        want = scalar_ldp_probabilities(*args)
+        assert 0.0 < min(want) < max(want) == 1.0
+        for cells in (markov._LDP_BLOCK_CELLS, 1 << 16, 5_000):
+            monkeypatch.setattr(markov, "_LDP_BLOCK_CELLS", cells)
+            assert ldp_experiment(*args).probabilities == want
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_three_map_family_matches_scalar_oracle(self, seed):

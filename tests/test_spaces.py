@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from metriclab import (DomainError, MetricValidationError, SubsetRef, bridge_metric,
                        circle_net, epsilon_net, interval_net, product_space,
                        space_from_json, validate_metric)
+from metriclab import spaces
 from metriclab.config import TOL
 from metriclab.spaces import BridgeConstructionError, check_metric
 
@@ -109,6 +110,27 @@ class TestTriangleBlocks:
             assert lengths["squared"] == lengths["late"] == 64
             assert 0 < lengths["noisy-collinear"]
             assert 40 <= lengths["detoured"]
+
+    def test_symmetric_matrix_tests_the_upper_triples_only(self, monkeypatch):
+        # an exactly symmetric valid matrix is decided on k >= lo in each
+        # block from row lo: at 64 points, 8 blocks of 8 rows, 36 / 64 of
+        # the cube; one asymmetric entry brings back the full cube
+        cells = []
+        bad = spaces._triangle_bad
+
+        def record(D, lo, rows, k0):
+            out = bad(D, lo, rows, k0)
+            cells.append(out.size)
+            return out
+
+        monkeypatch.setattr(spaces, "_triangle_bad", record)
+        D = planar(np.random.default_rng(64), 64)
+        assert not check_metric(D)
+        assert sum(cells) == 8 * 64 * sum(64 - lo for lo in range(0, 64, 8))
+        cells.clear()
+        D[0, 1] += 1e-12
+        assert not check_metric(D)
+        assert sum(cells) == 64 ** 3
 
     def test_validate_metric_memory_is_quadratic(self):
         D = planar(np.random.default_rng(128), 128)
