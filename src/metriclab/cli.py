@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import DomainError, as_integer
+from .config import DomainError, as_integer, as_positive_integer
 from .distances import dq_upper, fukaya_distance, gh_distance, intertwining_gap, simplex_net
 from .dynamics import DynMap, birkhoff_rate, rotation, sine_pluck_map
 from .fields import (WaveProfile, birkhoff_field, circle_wave_metric, lipschitz_envelope,
@@ -79,17 +79,27 @@ def _json_default(o):
 _CSV_BLOCK_ROWS = 4096
 
 
+def _bit_patterns(bits: np.ndarray) -> np.ndarray:
+    """np.unique(bits) from one flat sort and a neighbour compare, without
+    np.unique's own passes; empty for an empty array."""
+    s = np.sort(bits, axis=None)
+    step = np.ones(len(s), dtype=bool)
+    step[1:] = s[1:] != s[:-1]
+    return s[step]
+
+
 def _write_csv(path: Path, header, rows):
     """Write a CSV header and rows, every float as "%.12g", which equals
     format(v, ".12g"). Header and cells are quoted where CSV needs it, so a
     product space's tuple label is one field.
 
     A 2-D float64 array with columns is formatted once per distinct bit
-    pattern (so -0.0, 0.0 and each NaN keep their own text): each pattern's
-    text, ended by "," or, in the last column, by a newline, is a cell of a
-    table, and each block of _CSV_BLOCK_ROWS rows is one join of the cells
-    its codes pick. Any other rows (lists, tuples, zips, mixed str/int/float
-    cells) go through csv.writer, a float pre-formatted as .12g.
+    pattern (so -0.0, 0.0 and each NaN keep their own text), the patterns
+    found by `_bit_patterns`: each pattern's text, ended by "," or, in the
+    last column, by a newline, is a cell of a table, and each block of
+    _CSV_BLOCK_ROWS rows is one join of the cells its codes pick. Any other
+    rows (lists, tuples, zips, mixed str/int/float cells) go through
+    csv.writer, a float pre-formatted as .12g.
     """
     with path.open("w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -97,7 +107,7 @@ def _write_csv(path: Path, header, rows):
         if (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
                 and rows.shape[1]):
             bits = rows.view(np.uint64)
-            patterns = np.unique(bits)
+            patterns = _bit_patterns(bits)
             text = [format(v, ".12g") for v in patterns.view(np.float64).tolist()]
             cells = np.array([s + "," for s in text] + [s + "\n" for s in text], dtype=object)
             codes = np.searchsorted(patterns, bits)     # (rows, columns)
@@ -140,6 +150,15 @@ def _boolean(v):
 def _int_pair(v):
     a, b = v
     return as_integer(a), as_integer(b)
+
+
+def _count(v):
+    """v by `config.as_positive_integer`, whose DomainError is a ValueError
+    here, so that `_param` names the key."""
+    try:
+        return as_positive_integer(v, "a count")
+    except DomainError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _object(v):
@@ -250,7 +269,7 @@ def _run_ldp(sc: Scenario):
     X, map_docs = _param(p, "space", space_from_json), _param(p, "maps", _list_of(_object))
     eps, n_values = _param(p, "eps", float), _param(p, "n_values", _list_of(as_integer))
     nucleus_eps = _param(p, "nucleus_eps", float, 0.2)
-    samples = _param(p, "nucleus_samples", as_integer, 256)
+    samples = _param(p, "nucleus_samples", _count, 256)
     trials = _param(p, "trials", as_integer, 10_000)
     maps = tuple(_build_dynamics(X, doc) for doc in map_docs)
     if not maps:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL, DomainError
+from .config import TOL, DomainError, as_positive_integer
 from .rng import SplitMix64
 from .spaces import FiniteMetricSpace
 
@@ -170,6 +170,10 @@ class Nucleus:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
+        n = self.space.size
+        if vals.ndim != 2 or vals.shape[0] == 0 or vals.shape[1] != n:
+            raise DomainError(f"nucleus values must be a (members, {n}) array with at "
+                              f"least one member, got shape {vals.shape}")
         # negated tests: a NaN fails them, at no extra pass
         top = np.abs(vals).max()
         if not top <= self.r + TOL.lipschitz_atol:
@@ -255,13 +259,44 @@ def _unique_rows(x: np.ndarray) -> np.ndarray:
     One stable lexsort on the rounded columns, then a row is kept when it
     differs from the one before; this is np.unique(np.round(x, 12), axis=0)
     without its structured-dtype sort. Rows that differ only in the sign of
-    a zero compare equal, and the first of them in x is kept.
+    a zero compare equal, and the first of them in x is kept. The fallback
+    family's dedupe: on its few hundred rows this beats the rank keys of
+    `_unique_ranked_rows`, whose cost is per column.
     """
     x = np.round(x, 12)
     x = x[np.lexsort(x.T[::-1])]
     keep = np.ones(len(x), dtype=bool)
     keep[1:] = (x[1:] != x[:-1]).any(axis=1)
     return x[keep]
+
+
+def _unique_ranked_rows(x: np.ndarray) -> np.ndarray:
+    """`_unique_rows` of a finite x, bit for bit, sorting small integers in
+    place of floats: the complete net's dedupe.
+
+    Each rounded column is ranked against its own sorted distinct values (a
+    sort, a neighbour compare, then np.searchsorted), in the least unsigned
+    dtype that holds the ranks. np.lexsort sorts such keys of 16 bits or
+    less by a stable radix sort, and a row is kept when its ranks differ
+    from the previous row's. Ranks are order-isomorphic to the rounded
+    values, and -0.0 ranks with 0.0, so the order, the kept rows and their
+    signed zeros are `_unique_rows`'.
+    """
+    x = np.round(x, 12)
+    ranks = []
+    for col in x.T:
+        s = np.sort(col)
+        step = np.ones(len(s), dtype=bool)
+        step[1:] = s[1:] != s[:-1]
+        distinct = s[step]
+        ranks.append(np.searchsorted(distinct, col).astype(np.min_scalar_type(len(distinct) - 1)))
+    order = np.lexsort(ranks[::-1])
+    keep = np.zeros(len(x), dtype=bool)
+    keep[:1] = True
+    for key in ranks:
+        key = key[order]
+        keep[1:] |= key[1:] != key[:-1]
+    return x[order[keep]]
 
 
 # most admissible grid prefixes at any point before nucleus_net falls back;
@@ -282,12 +317,19 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float, sample_budget: int =
     net over `_NUCLEUS_SIZE_CAP` is usually known before any grid row is
     built. When neither that floor nor any point of the quantized
     enumeration exceeds the cap, the enumeration runs in full and the net
-    is complete (density <= eps by construction). Otherwise the net holds
-    the metric cone functions, a constants grid and projected random
-    samples, and the reported density is measured by random-member
-    probing: the `_directed_sup_hausdorff` from the probes to the members,
-    the max over probes of the min over members of the sup distance.
+    is complete (density <= eps by construction), its projections clipped
+    in place and deduplicated on rank keys (`_unique_ranked_rows`).
+    Otherwise the net holds the metric cone functions, a constants grid and
+    projected random samples (deduplicated by `_unique_rows`), and the
+    reported density is measured by random-member probing: the
+    `_directed_sup_hausdorff` from the probes to the members, the max over
+    probes of the min over members of the sup distance.
+    `sample_budget` and `probe_count` are positive counts
+    (`config.as_positive_integer`), read even when the net is complete: a
+    fallback with no probes would report density 0.0, which reads as exact.
     """
+    sample_budget = as_positive_integer(sample_budget, "sample_budget")
+    probe_count = as_positive_integer(probe_count, "probe_count")
     if not eps > 0:
         raise DomainError("eps must be positive")
     if not (r >= X.radius - TOL.metric_atol and math.isfinite(r)):
@@ -303,8 +345,8 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float, sample_budget: int =
 
     members = _enumerate_grid_members(X.dist, grid, slack=h, cap=_NUCLEUS_SIZE_CAP)
     if members is not None:
-        proj = np.clip(mcshane_project(X, members), -r, r)
-        proj = _unique_rows(proj)
+        proj = mcshane_project(X, members)
+        proj = _unique_ranked_rows(np.clip(proj, -r, r, out=proj))
         # rounding a member to the grid moves it h/2; projection cannot widen that
         return Nucleus(X, r, proj, density=h / 2.0, complete=True, target_eps=eps)
 

@@ -306,6 +306,17 @@ def unique_rows_np(x):
     return np.unique(np.round(x, 12), axis=0)
 
 
+def unique_rows_lexsort(x):
+    """The complete nucleus's earlier dedupe: a stable float lexsort of x
+    rounded to 12 decimals, keeping a row when it differs from the one
+    before (so of rows equal up to the sign of a zero, the first stays)."""
+    x = np.round(x, 12)
+    x = x[np.lexsort(x.T[::-1])]
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = (x[1:] != x[:-1]).any(axis=1)
+    return x[keep]
+
+
 def _grid_extensions(D, grid, slack, tol, vals, pos):
     """Grid values g with |g - vals[j]| <= D[pos][j] + slack (up to tol) for
     every j < pos."""

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import metriclab
-from metriclab.cli import Scenario, _write_csv, load_scenario, main, run
+from metriclab.cli import Scenario, _bit_patterns, _write_csv, load_scenario, main, run
 from metriclab.selfcheck import _max_detail, run_checks
 from metriclab.svg import emit_plot
 
@@ -175,7 +175,9 @@ class TestScenarioLoading:
         ("ldp", "trials", 2.5), ("ldp", "n_values", [2.7, 4]),
         ("wave_field", "circle", "false"), ("wave_field", "circle", 1),
         ("wave_field", "n_points", 5.5), ("wave_field", "modes", ["x"]),
-        ("wasserstein", "mu", "abc"), ("wasserstein", "nu", {"a": 1})])
+        ("wasserstein", "mu", "abc"), ("wasserstein", "nu", {"a": 1}),
+        ("ldp", "nucleus_samples", 0), ("ldp", "nucleus_samples", -1),
+        ("ldp", "nucleus_samples", 2.5)])
     def test_wrongly_shaped_param_is_config_error(self, tmp_path, capsys, scenario, key, value):
         doc = scenario_doc(scenario)
         doc["params"][key] = value
@@ -506,6 +508,15 @@ def test_float_array_csv_matches_cell_writer(tmp_path, rows):
     x = rng.standard_normal(rows * cols) * 10.0 ** rng.integers(-20, 20, rows * cols)
     x[:len(CSV_FLOATS)] = CSV_FLOATS[:len(x)]
     assert_block_writer_matches_cell_writer(tmp_path, x.reshape(rows, cols))
+
+
+def test_bit_patterns_match_numpy_unique():
+    x = np.array(CSV_FLOATS * 3).reshape(6, 7)
+    bits = x.view(np.uint64)
+    got = _bit_patterns(bits)
+    assert got.dtype == np.uint64 and np.array_equal(got, np.unique(bits))
+    assert len(got) == len(CSV_FLOATS)          # -0.0 and 0.0 are two patterns
+    assert _bit_patterns(np.empty((0, 6)).view(np.uint64)).shape == (0,)
 
 
 def repeated_float_arrays():

@@ -16,14 +16,15 @@ from metriclab import (DomainError, MatrixObservable, Measure, MetricField, Nucl
 from metriclab.fields import retract_between_fibres
 from metriclab.lipgeom import (_DENSITY_CELLS, _NUCLEUS_SIZE_CAP, _directed_sup_hausdorff,
                                _enumerate_grid_members, _grid_member_floor, _lipschitz_excess,
-                               _uniform_rows, _unique_rows, operator_norm)
+                               _uniform_rows, _unique_ranked_rows, _unique_rows,
+                               operator_norm)
 from metriclab.rng import SplitMix64
 from metriclab.spaces import check_metric, space_from_json
 
 from oracles import (density_per_probe, grid_dead_prefixes, grid_members_dfs,
                      lipnorm_from_state_metric, lipschitz_excess_full, mcshane_project_rows,
                      mcshane_project_scalar, net_measures, sup_hausdorff_chunked,
-                     unique_rows_np)
+                     unique_rows_lexsort, unique_rows_np)
 
 
 def random_hermitian_field(rng, X, n):
@@ -201,6 +202,67 @@ class TestNucleus:
         assert np.signbit(_unique_rows(x[::-1])[1, 1])
         assert _unique_rows(np.empty((0, 3))).shape == (0, 3)
 
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))   # signbits too
+
+    @pytest.mark.parametrize("X, eps, rows, kept", [
+        (interval_net(5, 2.0), 0.35, 44_743, 20_181), (circle_net(5, 3.0), 0.25, 73_361, 46_761)])
+    def test_ranked_rows_match_float_lexsort_on_complete_nets(self, X, eps, rows, kept):
+        r = X.radius
+        grid = np.linspace(-r, r, math.ceil(4.0 * r / eps) + 1)
+        members = _enumerate_grid_members(X.dist, grid, grid[1] - grid[0], _NUCLEUS_SIZE_CAP)
+        proj = np.clip(mcshane_project(X, members), -r, r)
+        want = unique_rows_lexsort(proj)
+        assert (len(proj), len(want)) == (rows, kept)     # projection duplicates
+        self.assert_same_bits(_unique_ranked_rows(proj), want)
+        nuc = nucleus_net(X, r, eps)
+        assert nuc.complete
+        self.assert_same_bits(nuc.values, want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ranked_rows_match_float_lexsort(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        n = int(rng.integers(2, 7))
+        x = rng.choice([-1.0, -0.5, 0.25, 0.5, 1.0], size=(int(rng.integers(50, 400)), n))
+        x = np.vstack([x, x[rng.integers(0, len(x), 40)] + 1e-14])   # planted near-duplicates
+        x = x[rng.permutation(len(x))]
+        x[:, 0] = rng.choice([0.0, -0.0], size=len(x))
+        x[:, 1] = -1e-14 * rng.random(len(x))    # rounds to -0.0
+        got = _unique_ranked_rows(x)
+        assert len(got) < len(x)
+        self.assert_same_bits(got, unique_rows_lexsort(x))
+
+    def test_ranked_rows_key_a_wide_column_in_16_bits(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        x = np.round(rng.uniform(-1.0, 1.0, size=(3000, 3)), 3)
+        x[:, 1] = rng.choice([-0.5, 0.0, 0.5], size=len(x))
+        x = np.vstack([x, x[:500]])
+        dtypes = []
+        lexsort = np.lexsort
+
+        def spy(keys):
+            dtypes.extend(k.dtype for k in keys)
+            return lexsort(keys)
+        monkeypatch.setattr(np, "lexsort", spy)
+        got = _unique_ranked_rows(x)
+        monkeypatch.undo()
+        assert len(np.unique(x[:, 0])) > 256 and len(np.unique(x[:, 2])) > 256
+        assert dtypes == [np.uint16, np.uint8, np.uint16]      # reversed: last column first
+        self.assert_same_bits(got, unique_rows_lexsort(x))
+
+    def test_ranked_rows_keep_the_first_signed_zero(self):
+        x = np.array([[1.0, 0.0], [0.5, -0.0], [1.0, -0.0], [0.5, 0.0], [-0.0, 2.0], [0.0, 2.0]])
+        for rows in (x, x[::-1]):
+            got = _unique_ranked_rows(rows)
+            assert got.tolist() == [[0.0, 2.0], [0.5, 0.0], [1.0, 0.0]]
+            self.assert_same_bits(got, unique_rows_lexsort(rows))
+        assert np.signbit(_unique_ranked_rows(x)).ravel().tolist() == [
+            True, False, False, True, False, False]
+        assert np.signbit(_unique_ranked_rows(x[::-1])).ravel().tolist() == [
+            False, False, False, False, False, True]
+
     def test_mcshane_rows_match_single_projections(self):
         X = circle_net(5, 4.0)
         rows = np.random.default_rng(3).uniform(-2.0, 2.0, size=(7, 5))
@@ -317,6 +379,29 @@ class TestNucleus:
                             assert got is not None and np.array_equal(got, full)
         assert decided > 0
 
+    @pytest.mark.parametrize("shape", [(3, 4), (6,), (0, 6), (2, 5), (1, 2, 6)])
+    def test_values_need_members_by_points(self, shape):
+        X = circle_net(6, 2.0)
+        with pytest.raises(DomainError, match="at least one member"):
+            Nucleus(X, X.radius, np.zeros(shape), 0.1, False, 0.1)
+        assert len(Nucleus(X, X.radius, np.zeros((1, 6)), 0.1, False, 0.1)) == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("probe_count", 0), ("probe_count", -1), ("probe_count", 1.5),
+        ("sample_budget", 0), ("sample_budget", -3), ("sample_budget", 2.5),
+        ("sample_budget", "8"), ("probe_count", True)])
+    @pytest.mark.parametrize("eps", [0.4, 0.05])      # complete, fallback
+    def test_counts_must_be_positive_integers(self, key, value, eps):
+        X = interval_net(5, 1.0)
+        with pytest.raises(DomainError, match=key):
+            nucleus_net(X, X.radius, eps, **{key: value})
+
+    def test_integral_float_counts_pass(self):
+        X = interval_net(5, 1.0)
+        a = nucleus_net(X, X.radius, 0.05, sample_budget=16.0, probe_count=8.0)
+        b = nucleus_net(X, X.radius, 0.05, sample_budget=16, probe_count=8)
+        assert not a.complete and np.array_equal(a.values, b.values) and a.density == b.density
+
     def test_nan_member_rejected(self):
         X = interval_net(3, 1.0)
         with pytest.raises(DomainError, match="not a number"):
@@ -359,6 +444,11 @@ class TestFallbackDensity:
     def test_shipped_nets(self, name, probe_count, cells, monkeypatch):
         if cells is not None:
             monkeypatch.setattr("metriclab.lipgeom._DENSITY_CELLS", cells)
+        if probe_count == 0:
+            # no probes would measure density 0.0, which reads as exact
+            with pytest.raises(DomainError, match="probe_count"):
+                scenario_net(name, probe_count)
+            return
         nuc, probes = scenario_net(name, probe_count)
         assert not nuc.complete
         assert nuc.density == density_per_probe(nuc.values, probes)
