@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 domain error (a module-level failure), 2
 configuration error (bad flags, schema, missing files, a document that is
 not a JSON object, a seed that is neither an integral number nor a string
 of one, params that are not an object, a missing param or one its
-conversion rejects, a space document with a missing or malformed key).
+conversion rejects (a count below 1 among them), a space document with a
+missing or malformed key).
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .markov import RandomMapFamily, ldp_experiment
 from .selfcheck import run_checks
 from .spaces import space_from_json
 from .svg import emit_plot
-from .transport import measure_from_json, wasserstein1, wasserstein1_dual, wasserstein_inf
+from .transport import Measure, wasserstein1, wasserstein1_dual, wasserstein_inf
 
 class ConfigError(Exception):
     pass
@@ -183,7 +184,7 @@ def _list_of(item):
 def _run_wasserstein(sc: Scenario):
     p = sc.params
     X = _param(p, "space", space_from_json)
-    mu, nu = (measure_from_json(X, _param(p, key, partial(np.asarray, dtype=float)))
+    mu, nu = (Measure(X, _param(p, key, partial(np.asarray, dtype=float)))
               for key in ("mu", "nu"))
     value, plan = wasserstein1(mu, nu)
     dual, pot = wasserstein1_dual(mu, nu)
@@ -208,7 +209,7 @@ def _run_gh(sc: Scenario):
 def _run_gap(sc: Scenario):
     p = sc.params
     X, Y = _param(p, "space_x", space_from_json), _param(p, "space_y", space_from_json)
-    m = _param(p, "resolution", as_integer, 2)
+    m = _param(p, "resolution", _count, 2)
     SX, SY = simplex_net(X, m), simplex_net(Y, m)
     gap = intertwining_gap(SX, SY)
     fuk = fukaya_distance(SX, SY)
@@ -250,7 +251,7 @@ def _build_dynamics(X, doc):
 def _run_birkhoff(sc: Scenario):
     p = sc.params
     X, dynamics = _param(p, "space", space_from_json), _param(p, "dynamics", _object)
-    eps, n_max = _param(p, "eps", float), _param(p, "n_max", as_integer)
+    eps, n_max = _param(p, "eps", float), _param(p, "n_max", _count)
     nucleus_eps = _param(p, "nucleus_eps", float, 0.1)
     h = _build_dynamics(X, dynamics)
     nuc = nucleus_net(X, _param(p, "r", float, X.radius), nucleus_eps, seed=sc.seed)
@@ -267,10 +268,10 @@ def _run_birkhoff(sc: Scenario):
 def _run_ldp(sc: Scenario):
     p = sc.params
     X, map_docs = _param(p, "space", space_from_json), _param(p, "maps", _list_of(_object))
-    eps, n_values = _param(p, "eps", float), _param(p, "n_values", _list_of(as_integer))
+    eps, n_values = _param(p, "eps", float), _param(p, "n_values", _list_of(_count))
     nucleus_eps = _param(p, "nucleus_eps", float, 0.2)
     samples = _param(p, "nucleus_samples", _count, 256)
-    trials = _param(p, "trials", as_integer, 10_000)
+    trials = _param(p, "trials", _count, 10_000)
     maps = tuple(_build_dynamics(X, doc) for doc in map_docs)
     if not maps:
         raise ConfigError("scenario key 'maps' lists no map")
@@ -296,7 +297,7 @@ def _run_ldp(sc: Scenario):
 
 def _run_wave_field(sc: Scenario):
     p = sc.params
-    n_points = _param(p, "n_points", as_integer, 17)
+    n_points = _param(p, "n_points", _count, 17)
     profile = (WaveProfile(_param(p, "modes", _list_of(float)), _param(p, "speed", float, 1.0),
                            _param(p, "length", float, math.pi))
                if "modes" in p else
@@ -332,9 +333,9 @@ def _run_wave_field(sc: Scenario):
 def _run_rotation_field(sc: Scenario):
     p = sc.params
     pnum, qnum = _param(p, "theta", _int_pair)
-    t_grid, net_size = _param(p, "t_grid", _list_of(float)), _param(p, "net_size", as_integer)
+    t_grid, net_size = _param(p, "t_grid", _list_of(float)), _param(p, "net_size", _count)
     rep = rotation_field(pnum, qnum, t_grid, net_size,
-                         resolution=_param(p, "resolution", as_integer, 1))
+                         resolution=_param(p, "resolution", _count, 1))
     report = {"theta": [pnum, qnum], "t_grid": list(rep.t_grid),
               "net_size": rep.net_size,
               "extremes_per_fibre": list(rep.extremes_per_fibre)}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL, DomainError
+from .config import TOL, DomainError, as_positive_integer
 from .distances import MapCost, SearchBudget, profile_seed, search_maps
 from .lipgeom import Nucleus, Observable, lipschitz_seminorm
 from .spaces import FiniteMetricSpace, _check_map, _same_space
@@ -223,10 +223,12 @@ def birkhoff_rate(h: DynMap, nucleus: Nucleus, eps: float, n_max: int) -> Birkho
     stays within eps for every n in [N, n_max].
 
     Requires unique ergodicity on the net; re-crossings beyond n_max are
-    undetectable and the report says so via `resolved`.
+    undetectable and the report says so via `resolved`. n_max is a count
+    (`config.as_positive_integer`: 3.0 is 3).
     """
-    if not (eps > 0 and n_max >= 1):
-        raise DomainError("need eps > 0 and n_max >= 1")
+    n_max = as_positive_integer(n_max, "n_max")
+    if not eps > 0:
+        raise DomainError("need eps > 0")
     _same_space(h, nucleus)
     if nucleus.r < h.space.radius - TOL.metric_atol:
         raise DomainError("nucleus level r must be at least the space radius")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL, DomainError
+from .config import TOL, DomainError, as_positive_integer
 from .dynamics import DynMap, birkhoff_rate, invariant_measures, rotation, sine_pluck
 from .lipgeom import (Observable, _directed_sup_hausdorff, _lipschitz_excess,
                       lipschitz_seminorm, nucleus_net)
@@ -135,8 +135,10 @@ def wave_metric_field(profile: WaveProfile, t_grid, n_points: int = 17) -> Metri
 
     The integrand sqrt(1 + slope^2) is integrated per grid segment and
     accumulated, so fibres are line metrics (triangle equality along the
-    order). The summed quadrature error bound is recorded in meta.
+    order). The summed quadrature error bound is recorded in meta. n_points
+    is a count (`config.as_positive_integer`: 17.0 is 17) of at least 2.
     """
+    n_points = as_positive_integer(n_points, "n_points")
     if n_points < 2:
         raise DomainError("need at least two sample points")
     t_grid = tuple(float(t) for t in t_grid)
@@ -356,7 +358,8 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
     sin^2 has period pi.
 
     The base rotation turns by the fraction p/q of the full circle; the net
-    size must be a multiple of q so the rotation is exact on the net. Each
+    size, a count (`config.as_positive_integer`: 16.0 is 16), must be a
+    multiple of q so the rotation is exact on the net. Each
     fibre's invariant simplex is spanned by the pushforwards of the periodic
     orbit uniforms under the projected g_t (a net permutation cannot carry a
     non-measure-preserving homeomorphism, so the projected g_t may be
@@ -379,6 +382,7 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
     """
     if q <= 0 or math.gcd(p, q) != 1:
         raise DomainError("theta must be given as a reduced fraction p/q")
+    net_size = as_positive_integer(net_size, "net_size")
     if net_size % q != 0:
         raise DomainError(f"net size must be a multiple of q={q}")
     X = circle_net(net_size, math.pi)

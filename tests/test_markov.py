@@ -286,6 +286,14 @@ class TestLdp:
         assert report["fit_quality"] == 0.9976909476440213
         assert report["rng"] == "splitmix64-v1"
 
+    def test_shipped_scenario_is_the_two_contractions(self):
+        # ldp.json's tables are x/2 and (x+1)/2 projected onto its 16-point net of [0, 1]
+        p = json.loads(LDP_SCENARIO.read_text())["params"]
+        _, fam = two_contraction_family(16)
+        assert p["space"] == {"generator": "interval", "params": {"n": 16, "length": 1.0}}
+        assert [m["map"] for m in p["maps"]] == [h.idx.tolist() for h in fam.maps]
+        assert "probabilities" not in p       # each map with probability 1/2
+
     @pytest.mark.parametrize("cells", [1, 1 << 30])
     def test_prefix_table_boundary(self, cells, monkeypatch):
         # 2 maps and 8 trials: n = 4 has 2 ** 3 = 8 choice prefixes, as many
