@@ -5,7 +5,7 @@ configuration error (bad flags, schema, missing files, a document that is
 not a JSON object, a seed that is neither an integral number nor a string
 of one, params that are not an object, a missing param or one its
 conversion rejects (a count below 1 among them), a space document with a
-missing or malformed key).
+missing or malformed key, an unknown generator or combiner among them).
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .distances import dq_upper, fukaya_distance, gh_distance, intertwining_gap,
 from .dynamics import DynMap, birkhoff_rate, rotation, sine_pluck_map
 from .fields import (WaveProfile, birkhoff_field, circle_wave_metric, lipschitz_envelope,
                      rotation_field, wave_metric_field)
-from .lipgeom import nucleus_net
+from .lipgeom import _ranks, nucleus_net
 from .markov import RandomMapFamily, ldp_experiment
 from .selfcheck import run_checks
 from .spaces import space_from_json
@@ -80,15 +80,6 @@ def _json_default(o):
 _CSV_BLOCK_ROWS = 4096
 
 
-def _bit_patterns(bits: np.ndarray) -> np.ndarray:
-    """np.unique(bits) from one flat sort and a neighbour compare, without
-    np.unique's own passes; empty for an empty array."""
-    s = np.sort(bits, axis=None)
-    step = np.ones(len(s), dtype=bool)
-    step[1:] = s[1:] != s[:-1]
-    return s[step]
-
-
 def _write_csv(path: Path, header, rows):
     """Write a CSV header and rows, every float as "%.12g", which equals
     format(v, ".12g"). Header and cells are quoted where CSV needs it, so a
@@ -96,22 +87,20 @@ def _write_csv(path: Path, header, rows):
 
     A 2-D float64 array with columns is formatted once per distinct bit
     pattern (so -0.0, 0.0 and each NaN keep their own text), the patterns
-    found by `_bit_patterns`: each pattern's text, ended by "," or, in the
-    last column, by a newline, is a cell of a table, and each block of
-    _CSV_BLOCK_ROWS rows is one join of the cells its codes pick. Any other
-    rows (lists, tuples, zips, mixed str/int/float cells) go through
-    csv.writer, a float pre-formatted as .12g.
+    and each cell's code given by `lipgeom._ranks` of its bits: each
+    pattern's text, ended by "," or, in the last column, by a newline, is a
+    cell of a table, and each block of _CSV_BLOCK_ROWS rows is one join of
+    the cells its codes pick. Any other rows (lists, tuples, zips, mixed
+    str/int/float cells) go through csv.writer, a float pre-formatted as .12g.
     """
     with path.open("w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         if (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
                 and rows.shape[1]):
-            bits = rows.view(np.uint64)
-            patterns = _bit_patterns(bits)
+            patterns, codes = _ranks(rows.view(np.uint64))     # codes: (rows, columns)
             text = [format(v, ".12g") for v in patterns.view(np.float64).tolist()]
             cells = np.array([s + "," for s in text] + [s + "\n" for s in text], dtype=object)
-            codes = np.searchsorted(patterns, bits)     # (rows, columns)
             codes[:, -1] += len(text)
             for start in range(0, len(rows), _CSV_BLOCK_ROWS):
                 fh.write("".join(cells[codes[start:start + _CSV_BLOCK_ROWS]].ravel().tolist()))

@@ -47,6 +47,15 @@ def as_integer(v) -> int:
     return int(v)
 
 
+def as_integer_argument(v, what: str) -> int:
+    """v by the integer rule of `as_integer`, of any sign; DomainError naming
+    `what` otherwise, so 2.0 passes as 2 and 2.5, "2" and True do not."""
+    try:
+        return as_integer(v)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be an integer, not {v!r}") from None
+
+
 def as_positive_integer(v, what: str) -> int:
     """v by the integer rule of `as_integer`, and at least 1: the one rule
     for counts, resolutions, trials and horizons. DomainError naming `what`

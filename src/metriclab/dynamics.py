@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL, DomainError, as_positive_integer
+from .config import TOL, DomainError, as_integer_argument, as_positive_integer
 from .distances import MapCost, SearchBudget, profile_seed, search_maps
 from .lipgeom import Nucleus, Observable, lipschitz_seminorm
 from .spaces import FiniteMetricSpace, _check_map, _same_space
@@ -66,9 +66,11 @@ def identity_map(space: FiniteMetricSpace) -> DynMap:
 
 
 def rotation(X: FiniteMetricSpace, steps: int) -> DynMap:
-    """Index shift on a circle net (exact rational rotation by steps/n)."""
+    """Index shift on a circle net (exact rational rotation by steps/n);
+    steps is an integer of any sign (`config.as_integer_argument`: 2.0 is 2)."""
     if X.meta.get("generator") != "circle":
         raise DomainError("rotation requires a circle net")
+    steps = as_integer_argument(steps, "steps")
     n = X.size
     return DynMap(X, (np.arange(n) + steps) % n, label=f"rot{steps % n}")
 

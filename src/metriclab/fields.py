@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL, DomainError, as_positive_integer
+from .config import TOL, DomainError, as_integer_argument, as_positive_integer
 from .dynamics import DynMap, birkhoff_rate, invariant_measures, rotation, sine_pluck
 from .lipgeom import (Observable, _directed_sup_hausdorff, _lipschitz_excess,
                       lipschitz_seminorm, nucleus_net)
@@ -357,9 +357,10 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
     on the circle of circumference pi, where g_t is a homeomorphism since
     sin^2 has period pi.
 
-    The base rotation turns by the fraction p/q of the full circle; the net
-    size, a count (`config.as_positive_integer`: 16.0 is 16), must be a
-    multiple of q so the rotation is exact on the net. Each
+    The base rotation turns by the fraction p/q of the full circle, p and q
+    integers (`config.as_integer_argument`: 4.0 is 4); the net size, a count
+    (`config.as_positive_integer`: 16.0 is 16), must be a multiple of q so
+    the rotation is exact on the net. Each
     fibre's invariant simplex is spanned by the pushforwards of the periodic
     orbit uniforms under the projected g_t (a net permutation cannot carry a
     non-measure-preserving homeomorphism, so the projected g_t may be
@@ -380,6 +381,7 @@ def rotation_field(p: int, q: int, t_grid, net_size: int,
     that the whole field shares, give each fibre's W1 between all mixture
     pairs in one weighted-median pass.
     """
+    p, q = as_integer_argument(p, "p"), as_integer_argument(q, "q")
     if q <= 0 or math.gcd(p, q) != 1:
         raise DomainError("theta must be given as a reduced fraction p/q")
     net_size = as_positive_integer(net_size, "net_size")

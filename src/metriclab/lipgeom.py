@@ -253,43 +253,34 @@ def _enumerate_grid_members(D, grid, slack, cap):
     return rows
 
 
-def _unique_rows(x: np.ndarray) -> np.ndarray:
-    """The rows of x rounded to 12 decimals, each once, in lexicographic order.
-
-    One stable lexsort on the rounded columns, then a row is kept when it
-    differs from the one before; this is np.unique(np.round(x, 12), axis=0)
-    without its structured-dtype sort. Rows that differ only in the sign of
-    a zero compare equal, and the first of them in x is kept. The fallback
-    family's dedupe: on its few hundred rows this beats the rank keys of
-    `_unique_ranked_rows`, whose cost is per column.
-    """
-    x = np.round(x, 12)
-    x = x[np.lexsort(x.T[::-1])]
-    keep = np.ones(len(x), dtype=bool)
-    keep[1:] = (x[1:] != x[:-1]).any(axis=1)
-    return x[keep]
+def _ranks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a, and each entry's rank among them (an
+    intp array of a's shape, empty for an empty a): one flat sort, a
+    neighbour compare, then np.searchsorted. In a float array -0.0 ranks
+    with 0.0; in a uint64 view of its bits they are two values."""
+    s = np.sort(a, axis=None)
+    step = np.ones(len(s), dtype=bool)
+    step[1:] = s[1:] != s[:-1]
+    distinct = s[step]
+    return distinct, np.searchsorted(distinct, a)
 
 
 def _unique_ranked_rows(x: np.ndarray) -> np.ndarray:
-    """`_unique_rows` of a finite x, bit for bit, sorting small integers in
-    place of floats: the complete net's dedupe.
+    """The rows of a finite x rounded to 12 decimals, each once, in
+    lexicographic order: every nucleus's dedupe.
 
-    Each rounded column is ranked against its own sorted distinct values (a
-    sort, a neighbour compare, then np.searchsorted), in the least unsigned
-    dtype that holds the ranks. np.lexsort sorts such keys of 16 bits or
-    less by a stable radix sort, and a row is kept when its ranks differ
-    from the previous row's. Ranks are order-isomorphic to the rounded
-    values, and -0.0 ranks with 0.0, so the order, the kept rows and their
-    signed zeros are `_unique_rows`'.
+    Each rounded column is ranked by `_ranks`, in the least unsigned dtype
+    that holds its ranks; np.lexsort sorts such keys of 16 bits or less by
+    a stable radix sort, and a row is kept when its ranks differ from the
+    previous row's. Ranks keep the order of the values and give -0.0 the
+    rank of 0.0, so this is a stable float lexsort, bit for bit: of rows
+    equal up to the sign of a zero, the first in x is kept.
     """
     x = np.round(x, 12)
     ranks = []
     for col in x.T:
-        s = np.sort(col)
-        step = np.ones(len(s), dtype=bool)
-        step[1:] = s[1:] != s[:-1]
-        distinct = s[step]
-        ranks.append(np.searchsorted(distinct, col).astype(np.min_scalar_type(len(distinct) - 1)))
+        distinct, rank = _ranks(col)
+        ranks.append(rank.astype(np.min_scalar_type(len(distinct) - 1)))
     order = np.lexsort(ranks[::-1])
     keep = np.zeros(len(x), dtype=bool)
     keep[:1] = True
@@ -318,12 +309,11 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float, sample_budget: int =
     built. When neither that floor nor any point of the quantized
     enumeration exceeds the cap, the enumeration runs in full and the net
     is complete (density <= eps by construction), its projections clipped
-    in place and deduplicated on rank keys (`_unique_ranked_rows`).
-    Otherwise the net holds the metric cone functions, a constants grid and
-    projected random samples (deduplicated by `_unique_rows`), and the
-    reported density is measured by random-member probing: the
-    `_directed_sup_hausdorff` from the probes to the members, the max over
-    probes of the min over members of the sup distance.
+    in place. Otherwise the net holds the metric cone functions, a constants
+    grid and projected random samples, and the reported density is measured
+    by random-member probing: the `_directed_sup_hausdorff` from the probes
+    to the members, the max over probes of the min over members of the sup
+    distance. Either net is deduplicated on rank keys (`_unique_ranked_rows`).
     `sample_budget` and `probe_count` are positive counts
     (`config.as_positive_integer`), read even when the net is complete: a
     fallback with no probes would report density 0.0, which reads as exact.
@@ -361,7 +351,7 @@ def nucleus_net(X: FiniteMetricSpace, r: float, eps: float, sample_budget: int =
     g = _uniform_rows(SplitMix64(seed), sample_budget, n, r)
     g = grid[np.clip(np.round((g + r) / h).astype(int), 0, len(grid) - 1)]
     rows.extend(np.clip(mcshane_project(X, g), -r, r))
-    vals = _unique_rows(np.asarray(rows))
+    vals = _unique_ranked_rows(np.asarray(rows))
 
     probes = _uniform_rows(SplitMix64(seed ^ 0x5EED), probe_count, n, r)
     probes = np.clip(mcshane_project(X, probes), -r, r)

@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import TOL, DomainError, SpaceMismatchError, as_integer, as_positive_integer
+from .config import (TOL, DomainError, SpaceMismatchError, as_integer, as_integer_argument,
+                     as_positive_integer)
 
 
 class MetricValidationError(DomainError):
@@ -161,17 +162,14 @@ def validate_metric(D, labels: Sequence | None = None,
 @dataclass(frozen=True)
 class SubsetRef:
     """Nonempty, duplicate-free index set inside a fixed space; each index
-    an integer by the rule of `config.as_integer` (2.0 passes, 1.5 and True
-    do not)."""
+    an integer by the rule of `config.as_integer_argument` (2.0 passes, 1.5
+    and True do not)."""
 
     space: FiniteMetricSpace
     indices: tuple
 
     def __post_init__(self):
-        try:
-            idx = tuple(as_integer(i) for i in self.indices)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"subset index is not an integer: {exc}") from exc
+        idx = tuple(as_integer_argument(i, "subset index") for i in self.indices)
         if len(idx) == 0:
             raise DomainError("subset must be nonempty")
         if len(set(idx)) != len(idx):
@@ -325,9 +323,11 @@ def bridge_metric(X: FiniteMetricSpace, Y: FiniteMetricSpace, f, delta: float) -
 def space_from_json(doc: dict | str) -> FiniteMetricSpace:
     """Load a space from {"labels", "dist"} or {"generator", "params"} documents.
 
-    A malformed document (a missing key, or a generator param its conversion
-    rejects: a circle or interval "n" must be an integer, so 6.7, "6" and
-    true are refused) raises ValueError naming the key."""
+    A malformed document (a missing key, a generator other than circle,
+    interval and product, a product combiner other than max and sum, or a
+    generator param its conversion rejects: a circle or interval "n" must
+    be an integer, so 6.7, "6" and true are refused) raises ValueError
+    naming the key."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict):
@@ -340,10 +340,12 @@ def space_from_json(doc: dict | str) -> FiniteMetricSpace:
         if gen == "interval":
             return interval_net(_key(params, "n", as_integer), _key(params, "length", float))
         if gen == "product":
-            return product_space(space_from_json(_key(params, "left")),
-                                 space_from_json(_key(params, "right")),
-                                 params.get("combiner", "max"))
-        raise DomainError(f"unknown generator {gen!r}")
+            left, right = (space_from_json(_key(params, side)) for side in ("left", "right"))
+            combiner = params.get("combiner", "max")
+            if combiner not in ("max", "sum"):
+                raise ValueError(f"space key 'combiner' must be 'max' or 'sum', not {combiner!r}")
+            return product_space(left, right, combiner)
+        raise ValueError(f"space key 'generator' must be circle, interval or product, not {gen!r}")
     labels = doc.get("labels")
     if labels is not None:
         labels = tuple(tuple(l) if isinstance(l, list) else l for l in labels)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import metriclab
-from metriclab.cli import Scenario, _bit_patterns, _write_csv, load_scenario, main, run
+from metriclab.cli import _write_csv, load_scenario, main
+from metriclab.lipgeom import _ranks
 from metriclab.selfcheck import _max_detail, run_checks
 from metriclab.svg import emit_plot
 
@@ -194,6 +195,20 @@ class TestScenarioLoading:
         doc["params"]["space"]["params"]["n"] = 4.0
         assert main(["--config", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["members"] > 0
+
+    @pytest.mark.parametrize("space, key", [
+        ({"generator": "torus", "params": {"n": 4, "circumference": 6.0}}, "generator"),
+        ({"generator": "product",
+          "params": {"left": {"generator": "interval", "params": {"n": 2, "length": 1.0}},
+                     "right": {"generator": "interval", "params": {"n": 2, "length": 1.0}},
+                     "combiner": "min"}}, "combiner"),
+        ({"generator": "product", "params": [1]}, "left")])
+    def test_malformed_space_document_is_config_error(self, tmp_path, capsys, space, key):
+        doc = {"kind": "nucleus", "params": {"space": space, "eps": 0.5}}
+        out = tmp_path / "out"
+        assert main(["--config", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_integral_float_is_an_integer(self, tmp_path):
         doc = scenario_doc("birkhoff")
@@ -506,10 +521,11 @@ def test_float_array_csv_matches_cell_writer(tmp_path, rows):
 def test_bit_patterns_match_numpy_unique():
     x = np.array(CSV_FLOATS * 3).reshape(6, 7)
     bits = x.view(np.uint64)
-    got = _bit_patterns(bits)
+    got, codes = _ranks(bits)
     assert got.dtype == np.uint64 and np.array_equal(got, np.unique(bits))
     assert len(got) == len(CSV_FLOATS)          # -0.0 and 0.0 are two patterns
-    assert _bit_patterns(np.empty((0, 6)).view(np.uint64)).shape == (0,)
+    assert codes.shape == bits.shape and np.array_equal(got[codes], bits)
+    assert _ranks(np.empty((0, 6)).view(np.uint64))[0].shape == (0,)
 
 
 def repeated_float_arrays():

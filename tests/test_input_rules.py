@@ -1,8 +1,10 @@
 """The input rules, each with one implementation: probability vectors
 (`transport._check_weights`), a shared space (`spaces._same_space`),
-positive counts (`config.as_positive_integer`), index sets (`SubsetRef`,
-behind `point_mass` and `uniform_measure`) and metric fields whose fibres
-are validated once, when the field is built."""
+positive counts (`config.as_positive_integer`), integers of any sign
+(`config.as_integer_argument`, behind `rotation`, `rotation_field` and
+`SubsetRef`), index sets (`SubsetRef`, behind `point_mass` and
+`uniform_measure`) and metric fields whose fibres are validated once, when
+the field is built."""
 import math
 
 import numpy as np
@@ -194,6 +196,35 @@ def test_integral_float_counts_give_the_same_results():
 def test_fractional_resolution_is_a_domain_error(call):
     with pytest.raises(DomainError, match="resolution"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# integers of any sign
+
+def test_integral_float_turns_give_the_same_results():
+    X = circle_net(8, math.pi)
+    a, b = rotation(X, 2.0), rotation(X, 2)
+    assert np.array_equal(a.idx, b.idx) and a.label == b.label == "rot2"
+    assert np.array_equal(rotation(X, -3.0).idx, rotation(X, 5).idx)
+    assert np.array_equal(rotation(X, 0.0).idx, np.arange(8))
+    a, b = rotation_field(1, 4.0, [0.0, 0.5], 8), rotation_field(1, 4, [0.0, 0.5], 8)
+    assert np.array_equal(a.dhat, b.dhat) and np.array_equal(a.gamma, b.gamma)
+    a, b = rotation_field(2.0, 5, [0.0, 0.5], 10), rotation_field(2, 5, [0.0, 0.5], 10)
+    assert np.array_equal(a.dhat, b.dhat) and np.array_equal(a.gamma, b.gamma)
+
+
+TURNS = {
+    "rotation steps": lambda v: rotation(circle_net(8, math.pi), v),
+    "rotation_field p": lambda v: rotation_field(v, 4, [0.0, 0.5], 8),
+    "rotation_field q": lambda v: rotation_field(1, v, [0.0, 0.5], 8),
+}
+
+
+@pytest.mark.parametrize("v", [2.5, True])
+@pytest.mark.parametrize("name", TURNS)
+def test_turns_are_integers(name, v):
+    with pytest.raises(DomainError, match=f"{name.split()[-1]} must be an integer"):
+        TURNS[name](v)
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from metriclab import (DomainError, MatrixObservable, Measure, MetricField, Nucleus,
-                       Observable, circle_net, interval_net, lipschitz_envelope,
+                       Observable, WaveProfile, circle_net, circle_wave_metric,
+                       interval_net, lipschitz_envelope,
                        lipschitz_seminorm, matrix_nucleus_membership,
                        matrix_trace_observable, mcshane_project, nucleus_decompose,
                        nucleus_field, nucleus_net, point_mass, prob_net, state_metric,
-                       validate_metric, wasserstein1, wasserstein1_dual)
+                       validate_metric, wasserstein1, wasserstein1_dual,
+                       wave_metric_field)
 from metriclab.fields import retract_between_fibres
 from metriclab.lipgeom import (_DENSITY_CELLS, _NUCLEUS_SIZE_CAP, _directed_sup_hausdorff,
                                _enumerate_grid_members, _grid_member_floor, _lipschitz_excess,
-                               _uniform_rows, _unique_ranked_rows, _unique_rows,
-                               operator_norm)
+                               _uniform_rows, _unique_ranked_rows, operator_norm)
 from metriclab.rng import SplitMix64
 from metriclab.spaces import check_metric, space_from_json
 
@@ -190,17 +191,17 @@ class TestNucleus:
         x[:, 1] = -0.0
         if n > 2:
             x[:, 2] = -1e-14 * rng.random(len(x))    # rounds to -0.0
-        got, want = _unique_rows(x), unique_rows_np(x)
+        got, want = _unique_ranked_rows(x), unique_rows_np(x)
         assert got.shape == want.shape and len(got) < len(x)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_unique_rows_keep_the_first_signed_zero(self):
         x = np.array([[1.0, 0.0], [0.5, 2.0], [1.0, -0.0], [0.5, 2.0]])
-        assert _unique_rows(x).tolist() == [[0.5, 2.0], [1.0, 0.0]]
-        assert not np.signbit(_unique_rows(x)[1, 1])
-        assert np.signbit(_unique_rows(x[::-1])[1, 1])
-        assert _unique_rows(np.empty((0, 3))).shape == (0, 3)
+        assert _unique_ranked_rows(x).tolist() == [[0.5, 2.0], [1.0, 0.0]]
+        assert not np.signbit(_unique_ranked_rows(x)[1, 1])
+        assert np.signbit(_unique_ranked_rows(x[::-1])[1, 1])
+        assert _unique_ranked_rows(np.empty((0, 3))).shape == (0, 3)
 
     @staticmethod
     def assert_same_bits(got, want):
@@ -470,6 +471,39 @@ class TestFallbackDensity:
         assert not nuc.complete
         assert nuc.density == density_per_probe(nuc.values,
                                                 fallback_probes(nuc, probe_count, seed))
+
+
+def wave_field_fibre_net():
+    """The first fibre's nucleus of wave_field.json, built as its Birkhoff
+    rates build it."""
+    doc = json.loads((SCENARIOS / "wave_field.json").read_text())
+    p = doc["params"]
+    fld = circle_wave_metric(wave_metric_field(WaveProfile.triangular_pluck(p["amplitude"]),
+                                               p["t_grid"], p["n_points"]))
+    r = max(0.5 * F.max() for F in fld.fibres)
+    return nucleus_net(fld.fibre_space(0), r, p["birkhoff_eps"], sample_budget=128,
+                       probe_count=16, seed=doc["seed"])
+
+
+@pytest.mark.parametrize("build, shape", [
+    (lambda: scenario_net("ldp.json")[0], (101, 16)),
+    (lambda: scenario_net("birkhoff.json")[0], (1062, 8)),
+    (wave_field_fibre_net, (156, 8))], ids=["ldp", "birkhoff", "wave_field fibre 0"])
+def test_fallback_dedupe_matches_float_lexsort(build, shape, monkeypatch):
+    """The shipped fallback families go through the rank-key dedupe and keep
+    the rows, order and signed zeros of the float lexsort."""
+    seen = []
+    dedupe = _unique_ranked_rows
+
+    def spy(x):
+        seen.append(x.copy())
+        return dedupe(x)
+    monkeypatch.setattr("metriclab.lipgeom._unique_ranked_rows", spy)
+    nuc = build()
+    assert not nuc.complete and [x.shape for x in seen] == [shape]
+    want = unique_rows_lexsort(seen[0])
+    assert nuc.values.shape == want.shape
+    assert np.array_equal(nuc.values.view(np.uint64), want.view(np.uint64))   # signbits too
 
 
 class TestDirectedSupHausdorff:

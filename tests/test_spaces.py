@@ -184,6 +184,8 @@ class TestConstructors:
         assert S.dist[0, 3] == pytest.approx(3.0)
         assert S.dist[0, 1] == pytest.approx(2.0)
         assert S.dist[0, 2] == pytest.approx(1.0)
+        with pytest.raises(DomainError, match="unknown combiner 'min'"):
+            product_space(A, B, "min")
 
 
 class TestHausdorff:
