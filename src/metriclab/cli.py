@@ -31,7 +31,7 @@ from .markov import RandomMapFamily, ldp_experiment
 from .selfcheck import run_checks
 from .spaces import space_from_json
 from .svg import emit_plot
-from .transport import Measure, wasserstein1, wasserstein1_dual, wasserstein_inf
+from .transport import Coupling, Measure, _w1_solve, _w1_witness, wasserstein_inf
 
 class ConfigError(Exception):
     pass
@@ -175,13 +175,14 @@ def _run_wasserstein(sc: Scenario):
     X = _param(p, "space", space_from_json)
     mu, nu = (Measure(X, _param(p, key, partial(np.asarray, dtype=float)))
               for key in ("mu", "nu"))
-    value, plan = wasserstein1(mu, nu)
-    dual, pot = wasserstein1_dual(mu, nu)
+    # one moved-mass solve gives the plan and the dual witness
+    value, P, sinks, col_pot = _w1_solve(mu, nu)
+    dual, pot = _w1_witness(mu, nu, value, sinks, col_pot)
     winf = wasserstein_inf(mu, nu)
     report = {"w1": value, "w1_dual": dual, "w_inf": winf,
               "duality_gap": abs(value - dual)}
     extras = {
-        "coupling.csv": (X.labels, plan.matrix),
+        "coupling.csv": (X.labels, Coupling(mu, nu, P).matrix),
         "potential.csv": (["point", "value"],
                           [[str(l), v] for l, v in zip(X.labels, pot.values)]),
     }

@@ -272,6 +272,18 @@ def _exceed_flags(flat_maps, size, starts, values, mean, eps, horizons, choices,
     return out
 
 
+def _map_choices(cum_p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The map each uniform draw in u picks under the cumulative
+    probabilities cum_p: the number of cum_p[:-1] entries at or below it.
+    That is min(searchsorted(cum_p, u, side="right"), maps - 1), so a draw
+    at or above a cum_p[-1] that rounds below 1 picks the last map, but it
+    costs one compare per map boundary, not a binary search per draw."""
+    choices = np.zeros(u.shape, dtype=np.intp)
+    for q in cum_p[:-1].tolist():
+        choices += u >= q
+    return choices
+
+
 def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
                    n_values, trials: int = 10_000, seed: int = 0) -> LdpReport:
     """Empirical finite-time large-deviation curve for the random system.
@@ -353,7 +365,7 @@ def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
         # trial t draws its map choices from SplitMix64(derive_seed(seed, t));
         # the counter-based block gives the same bits as drawing trial by trial
         u = uniform_block(seeds[lo:hi], steps).T
-        choices = np.minimum(np.searchsorted(cum_p, u, side="right"), maps - 1)
+        choices = _map_choices(cum_p, u)
         code = np.zeros(hi - lo, dtype=np.intp)
         for row in choices[:width]:
             code = code * maps + row

@@ -379,6 +379,22 @@ def _moved_mass(wa: np.ndarray, wb: np.ndarray):
     return sa, sb, d[sa], -d[sb]
 
 
+def _w1_solve(mu: Measure, nu: Measure):
+    """The one moved-mass solve behind `wasserstein1` and
+    `wasserstein1_dual`: (cost, plan, sinks, v), with the full plan
+    diag(min(mu, nu)) plus the moved mass's optimal plan, the sink points of
+    (mu - nu)- and the optimal column potentials v over them. When nothing
+    moves the cost is 0.0, the plan diagonal and v None."""
+    X = _same_space(mu, nu)
+    plan = np.diag(np.minimum(mu.weights, nu.weights))
+    sa, sb, a, b = _moved_mass(mu.weights, nu.weights)
+    if not (len(sa) and len(sb)):
+        return 0.0, plan, sb, None
+    cost, P, _, v = _transport_simplex(a, b, X.dist[sa[:, None], sb])
+    plan[sa[:, None], sb] = P
+    return cost, plan, sb, v
+
+
 def wasserstein1(mu: Measure, nu: Measure) -> tuple[float, Coupling]:
     """Exact optimal transport cost under the space metric, with a witness plan.
 
@@ -391,13 +407,7 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple[float, Coupling]:
     optimum up to rounding. When mu - nu has no positive or no negative entry (measures
     equal up to rounding) nothing moves and the value is 0.0.
     """
-    X = _same_space(mu, nu)
-    plan = np.diag(np.minimum(mu.weights, nu.weights))
-    sa, sb, a, b = _moved_mass(mu.weights, nu.weights)
-    if not (len(sa) and len(sb)):
-        return 0.0, Coupling(mu, nu, plan)
-    cost, P, _, _ = _transport_simplex(a, b, X.dist[sa[:, None], sb])
-    plan[sa[:, None], sb] = P
+    cost, plan, _, _ = _w1_solve(mu, nu)
     return cost, Coupling(mu, nu, plan)
 
 
@@ -520,12 +530,18 @@ def wasserstein1_dual(mu: Measure, nu: Measure) -> tuple[float, Potential]:
     (mu - nu has no positive or no negative entry) the value is 0.0 and the
     witness is the zero potential.
     """
-    X = _same_space(mu, nu)
-    sa, sb, a, b = _moved_mass(mu.weights, nu.weights)
-    if not (len(sa) and len(sb)):
+    cost, _, sinks, v = _w1_solve(mu, nu)
+    return _w1_witness(mu, nu, cost, sinks, v)
+
+
+def _w1_witness(mu: Measure, nu: Measure, cost, sinks, v) -> tuple[float, Potential]:
+    """The dual value and witness of `wasserstein1_dual` from the cost,
+    sinks and column potentials of `_w1_solve`, so that a caller that wants
+    both the plan and the witness solves once."""
+    X = mu.space
+    if v is None:
         return 0.0, Potential(X, np.zeros(X.size))
-    cost, _, _, v = _transport_simplex(a, b, X.dist[np.ix_(sa, sb)])
-    f = (X.dist[:, sb] - v).min(axis=1)
+    f = (X.dist[:, sinks] - v).min(axis=1)
     pot = Potential(X, f - f[0])
     value = pot.pairing(mu, nu)
     gap = abs(cost - value)
@@ -537,6 +553,17 @@ def wasserstein1_dual(mu: Measure, nu: Measure) -> tuple[float, Potential]:
 
 # ---------------------------------------------------------------------------
 # infinity-Wasserstein by threshold search on the network simplex
+
+def _hall_reach(mass, dst, M) -> np.ndarray:
+    """Per row r of M: the least distance within which the weights `dst`
+    hold mass[r], within TOL.feasibility_atol, or the row's largest distance
+    when they never do. Orders the row by distance (stable) and sums `dst`
+    along it."""
+    order = np.argsort(M, axis=1, kind="stable")
+    held = np.cumsum(dst[order], axis=1)
+    k = np.minimum((held < mass[:, None] - TOL.feasibility_atol).sum(axis=1), M.shape[1] - 1)
+    return np.take_along_axis(M, order, 1)[np.arange(len(mass)), k]
+
 
 def _winf_bracket(a, b, D, cands, basis) -> tuple[int, int]:
     """Indices (lo, hi) into the sorted candidates `cands` that bracket the
@@ -550,11 +577,12 @@ def _winf_bracket(a, b, D, cands, basis) -> tuple[int, int]:
     c + TOL.threshold_slack at or above it. Floor: at threshold c each source
     point must reach its mass, within TOL.feasibility_atol, in the columns
     within c + TOL.threshold_slack, and each sink point in the rows (Hall's
-    condition on single points; Gale, Pacific J. Math. 1957). Ordering each
-    row and each column of D by distance (stable) and summing the weights
-    along it gives, per point, the least distance at which that holds; lo is
-    the first candidate c with c + TOL.threshold_slack at or above the
-    largest of these, and never above hi."""
+    condition on single points; Gale, Pacific J. Math. 1957). `_hall_reach`
+    gives, per point, the least distance at which that holds; lo is the
+    first candidate c with c + TOL.threshold_slack at or above the largest
+    of these, and never above hi. `wasserstein_inf` lifts this floor after
+    every infeasible probe, by the same rule on the sources of a minimum
+    cut read off the probe's plan (`_cut_floor`)."""
     P = _plan(basis, len(a), len(b))
     try:
         _check_plan(P, a, b)
@@ -563,13 +591,41 @@ def _winf_bracket(a, b, D, cands, basis) -> tuple[int, int]:
                           "marginals inconsistent") from None
     reach = cands + TOL.threshold_slack
     hi = int(np.searchsorted(reach, D[P > 0].max()))
-    need = 0.0
-    for src, dst, M in ((a, b, D), (b, a, D.T)):
-        order = np.argsort(M, axis=1, kind="stable")
-        held = np.cumsum(dst[order], axis=1)
-        k = np.minimum((held < src[:, None] - TOL.feasibility_atol).sum(axis=1), len(dst) - 1)
-        need = max(need, np.take_along_axis(M, order, 1)[np.arange(len(src)), k].max())
+    need = max(_hall_reach(a, b, D).max(), _hall_reach(b, a, D.T).max())
     return min(int(np.searchsorted(reach, need)), hi), hi
+
+
+def _min_cut_sources(P, far) -> np.ndarray:
+    """The sources of a minimum cut, as a mask over the rows of the optimal
+    plan P of an infeasible threshold probe whose arcs farther than the
+    threshold are `far`.
+
+    The set S is labelled as in Ford & Fulkerson's max-flow algorithm (Canad.
+    J. Math. 1956): the sources that ship mass along a far arc, then every
+    sink they reach along a near arc, then every source that sends mass to
+    those sinks along a near arc, until nothing changes. At an optimum the
+    near neighbours N(S) of S are the sinks so labelled and take all their
+    mass from S, so a(S) - b(N(S)) is the mass P ships farther than the
+    threshold: S violates Hall's condition by exactly that mass."""
+    ship = P > 0
+    near = ship & ~far
+    S = (ship & far).any(axis=1)
+    while True:
+        grown = S | near[:, (~far[S]).any(axis=0)].any(axis=1)
+        if np.array_equal(grown, S):
+            return S
+        S = grown
+
+
+def _cut_floor(a, b, D, P, far) -> float:
+    """A floor for the W-infinity value read off the optimal plan P of an
+    infeasible threshold probe: the least distance at which the sources S of
+    its minimum cut (`_min_cut_sources`) can place their mass. Merged into
+    one source at its least distance to each sink, S must reach a(S) as a
+    single point must in the floor of `_winf_bracket`, and `_hall_reach`
+    gives the least distance at which it does."""
+    S = _min_cut_sources(P, far)
+    return _hall_reach(a[S].sum(keepdims=True), b, D[S].min(axis=0, keepdims=True))[0]
 
 
 def wasserstein_inf(mu: Measure, nu: Measure) -> float:
@@ -584,9 +640,13 @@ def wasserstein_inf(mu: Measure, nu: Measure) -> float:
     ceiling where the least-cost plan already ships everything. It probes
     the floor and then gallops up from it (floor + 1, + 3, + 7, ...), each
     probe capped at the midpoint of the bracket, and bisects once a probe is
-    feasible, so a floor at or just below the value costs few solves. The
-    value is the least candidate that the rule calls feasible, as in a
-    bisection over every candidate.
+    feasible, so a floor at or just below the value costs few solves. An
+    infeasible probe's optimal plan gives a minimum cut, a set of sources
+    whose near sinks cannot hold their mass (`_cut_floor`). The floor rises
+    to the first candidate at which that set can place its mass; when that
+    lies past the probe + 1, the gallop restarts there. The value is the
+    least candidate that the rule calls feasible, as in a bisection over
+    every candidate.
 
     Every threshold has the same marginals, so one basis is carried through
     the search: the first solve starts from the least-cost basis of the
@@ -603,18 +663,21 @@ def wasserstein_inf(mu: Measure, nu: Measure) -> float:
     a, b = mu.weights[sa], nu.weights[sb]
     D = X.dist[np.ix_(sa, sb)]
     cands = np.unique(D)
+    reach = cands + TOL.threshold_slack
     basis = _least_cost_basis(a, b, D)
-
-    def feasible(t: float) -> bool:
-        beyond = (D > t + TOL.threshold_slack).astype(float)
-        return _transport_simplex(a, b, beyond, basis=basis)[0] <= TOL.feasibility_atol
-
     lo, hi = _winf_bracket(a, b, D, cands, basis)
     floor, step = lo, 1
     while lo < hi:
         mid = min(floor + step - 1, (lo + hi) // 2)
-        if feasible(cands[mid]):
+        far = D > reach[mid]
+        beyond, P, _, _ = _transport_simplex(a, b, far.astype(float), basis=basis)
+        if beyond <= TOL.feasibility_atol:
             hi = mid
+            continue
+        lift = min(int(np.searchsorted(reach, _cut_floor(a, b, D, P, far))), hi)
+        if lift > mid + 1:
+            lo = floor = lift
+            step = 1
         else:
             lo = mid + 1
             step *= 2

@@ -550,8 +550,10 @@ def winf_cold_search(mu, nu) -> float:
     fresh northwest-corner start at every threshold and the feasibility rule
     of `transport.wasserstein_inf`. The reference for that search, which
     brackets the candidates before it solves (a single-point floor, the
-    least-cost plan as ceiling), gallops up from the floor and carries one
-    basis from threshold to threshold."""
+    least-cost plan as ceiling), gallops up from the floor, lifts the floor
+    off the minimum cut of every infeasible probe's plan and carries one
+    basis from threshold to threshold. This one reads nothing off a plan
+    but its cost."""
     from metriclab.config import TOL
     from metriclab.transport import _transport_simplex
 

@@ -13,6 +13,7 @@ from metriclab import (DomainError, DynMap, MarkovKernel, Measure, RandomMapFami
 from metriclab.cli import main
 from metriclab.dynamics import birkhoff_rate
 from metriclab.lipgeom import Nucleus
+from metriclab.rng import derive_seeds, uniform_block
 from metriclab.spaces import epsilon_net, space_from_json, validate_metric
 from oracles import ldp_probabilities_scalar, stationary_measures_scc
 
@@ -331,6 +332,27 @@ class TestLdp:
         assert any(0.0 < p < 1.0 for p in rep.probabilities)
         assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, 0.1, n_values,
                                                              200, 4)
+
+    @pytest.mark.parametrize("probs", [[1.0], [0.5, 0.5], [0.2, 0.3, 0.5], [0.4, 0.0, 0.6],
+                                       [0.5, 0.5, 0.0], [0.1] * 10],
+                             ids=["one", "two", "three", "zero middle", "zero last", "ten"])
+    def test_map_choices_match_searchsorted(self, probs):
+        # the compare count picks the map of a binary search over the
+        # cumulative probabilities clamped to the last map, at the boundaries
+        # too, and above a cum_p[-1] that rounds below 1 (ten maps of 0.1)
+        cum_p = np.cumsum(probs)
+        assert (cum_p[-1] < 1.0) == (len(probs) == 10)
+        edges = np.concatenate([cum_p, np.nextafter(cum_p, 0.0), np.nextafter(cum_p, 1.0),
+                                [0.0, np.nextafter(1.0, 0.0)]])
+        # the drawn (steps, trials) block as ldp_experiment reads it, and
+        # the edges among other draws
+        blocks = (uniform_block(derive_seeds(36, 331), 12).T,
+                  np.concatenate([np.random.default_rng(36).uniform(size=4000), edges]))
+        for block in blocks:
+            expected = np.minimum(np.searchsorted(cum_p, block, side="right"), len(probs) - 1)
+            got = markov._map_choices(cum_p, block)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("cells", [1, 1 << 30])
     def test_one_map_family_is_one_table_walk(self, cells, monkeypatch):
