@@ -128,42 +128,44 @@ class LdpReport:
         return list(zip(self.n_values, self.probabilities))
 
 
-# trials per block of ldp_experiment, and prefixes per chunk of its prefix
-# table: a block's start walks, visit counts and held visits take about this
-# many numbers (4 MB), so each step and each horizon works in cache instead
-# of streaming whole-experiment arrays through main memory. A block's
-# start-0 products with the values and their deviations from the mean go to
-# two (block, members) buffers of at most this many numbers over the number
-# of starts, allocated once per experiment and reused by every block
+# one budget of numbers for the stages of ldp_experiment, each sized by
+# what it holds (4 MB): a walk block of trials draws its map choices, finds
+# where its starts meet, walks start 0 and counts its horizons, holding at
+# most starts x size numbers per trial (its leaves' differences); the
+# stages that hold starts x members numbers per trial or leaf (the
+# products of the differences, the late trials' exact count rows and
+# products) run in chunks of this many over starts x max(size, members).
+# The chunk's start-0 products and their deviations from the mean go to
+# two (chunk, members) buffers, allocated once per experiment
 _LDP_BLOCK_CELLS = 1 << 19
 
 
-def _horizon_counts(flat_maps, size, horizons, offsets, path):
-    """Yield every row's visit counts, (rows, size), at each horizon n: its
-    positions at steps 0 .. n - 1. path (k, *rows) holds the first k of them;
-    the rest are walked on from path[-1], step j going from x to
-    flat_maps[offsets[j - 1] + x]. One array, updated in place."""
-    k, shape = len(path), path.shape[1:]
-    rows = path[0].size
+def _horizon_counts(flat_maps, size, horizons, offsets, pos):
+    """Yield every row's visit counts, (*rows, size), at each horizon n: its
+    positions at steps 0 .. n - 1, from pos (*rows) at step 0, step j going
+    from x to flat_maps[offsets[j - 1] + x]. One array, updated in place."""
+    shape, rows = pos.shape, pos.size
     cells = np.arange(rows).reshape(shape) * size        # each row's first count
     counts = np.zeros(rows * size)
-    # positions walked but not yet counted: counted at each horizon, or
-    # earlier when the buffer is full
-    held = np.empty((max(1, min(horizons[-1] - k, _LDP_BLOCK_CELLS // rows)),) + shape,
+    # the count cells of positions walked but not yet counted: counted at
+    # each horizon, or earlier when the buffer is full
+    held = np.empty((max(1, min(horizons[-1], _LDP_BLOCK_CELLS // rows)),) + shape,
                     dtype=np.intp)
-    pos, h, walked, counted = path[-1], 0, k, 0
+    np.add(pos, cells, out=held[0])
+    h = walked = 1
     for n in horizons:
-        if counted < min(n, k):
-            counts += np.bincount((path[counted:n] + cells).ravel(), minlength=counts.size)
-            counted = min(n, k)
         while walked < n:
-            pos = flat_maps.take(offsets[walked - 1] + pos, out=held[h])
+            if h == len(held):
+                counts += np.bincount(held.ravel(), minlength=counts.size)
+                h = 0
+            pos = flat_maps.take(offsets[walked - 1] + pos)
+            np.add(pos, cells, out=held[h])
             h += 1
             walked += 1
-            if h == len(held) or walked == n:
-                counts += np.bincount((held[:h] + cells).ravel(), minlength=counts.size)
-                h = 0
-        yield counts.reshape(rows, size)
+        if h:
+            counts += np.bincount(held[:h].ravel(), minlength=counts.size)
+            h = 0
+        yield counts.reshape(shape + (size,))
 
 
 def _deviates(counts, n, values, mean, eps):
@@ -180,95 +182,178 @@ def _deviates(counts, n, values, mean, eps):
             | ((seg.min(axis=0) / n - mean) < -eps).any(axis=1))
 
 
-def _exact_flags(flat_maps, size, values, mean, eps, horizons, offsets, path):
-    """(len(horizons), trials) flags of the rows (start, trial) whose first
-    positions are path (k, S, trials), walked on with offsets (see
+def _exact_flags(flat_maps, size, values, mean, eps, horizons, offsets, pos):
+    """(len(horizons), trials) flags of the rows (start, trial) that stand
+    at pos (S, trials) at step 0 and walk on with offsets (see
     _horizon_counts), each horizon decided by _deviates."""
-    out = np.empty((len(horizons), path.shape[2]), dtype=bool)
-    counts = _horizon_counts(flat_maps, size, horizons, offsets, path)
+    out = np.empty((len(horizons), pos.shape[1]), dtype=bool)
+    counts = _horizon_counts(flat_maps, size, horizons, offsets, pos)
     for i, (n, c) in enumerate(zip(horizons, counts)):
-        out[i] = _deviates(c.reshape(path.shape[1:] + (size,)), n, values, mean, eps)
+        out[i] = _deviates(c, n, values, mean, eps)
     return out
 
 
-def _exceed_flags(flat_maps, size, starts, values, mean, eps, horizons, choices, prod, dev):
+def _coalescence(flat_maps, starts, offsets, depth):
+    """Where the starts of each trial meet: (leaf, met, reps). Trial t
+    goes from x to flat_maps[offsets[j, t] + x] at step j + 1.
+
+    The starts' positions after j steps depend only on the first j map
+    choices, so they are walked once per choice prefix that some trial
+    drew, not once per trial: the nodes at depth j are those prefixes whose
+    starts have not all met, each with its (starts,) positions. A child
+    whose starts meet becomes a leaf. leaf[t] is trial t's leaf, -1 if its
+    starts have not met after `depth` steps; met[l] is the step at which
+    leaf l's starts met and reps[l] one trial that reaches it. The trials
+    of a leaf share their positions up to met, where the starts coincide."""
+    span, B = len(flat_maps), offsets.shape[1]
+    leaf = np.full(B, -1)
+    live = np.arange(B)                     # trials whose starts have not met
+    node = np.zeros(B, dtype=np.intp)       # the node of each live trial
+    pos = starts[None, :]                   # (nodes, starts)
+    met, reps = [], []
+    for j in range(depth):
+        key = node * span + offsets[j, live]
+        used = np.zeros(len(pos) * span, dtype=bool)
+        used[key] = True
+        kids = np.flatnonzero(used)
+        pos = flat_maps[(kids % span)[:, None] + pos[kids // span]]
+        child = (np.cumsum(used) - 1)[key]
+        joined = (pos == pos[:, :1]).all(axis=1)
+        if joined.any():
+            ids = np.cumsum(joined) - 1 + len(reps)
+            done = joined[child]
+            leaf[live[done]] = ids[child[done]]
+            rep = np.empty(int(joined.sum()), dtype=np.intp)
+            rep[ids[child[done]] - len(reps)] = live[done]
+            reps.extend(rep.tolist())
+            met.extend([j + 1] * len(rep))
+            live, child = live[~done], child[~done]
+            pos = pos[~joined]
+            child = (np.cumsum(~joined) - 1)[child]
+        node = child
+        if not live.size:
+            break
+    return leaf, np.asarray(met, dtype=np.intp), np.asarray(reps, dtype=np.intp)
+
+
+def _leaf_spreads(flat_maps, size, starts, values, offsets, met, reps, chunk):
+    """(diff, hi, lo) of the leaves of _coalescence: diff (S, leaves, size)
+    holds each start's visits less start 0's before the starts met, counted
+    from the walk of the leaf's trial reps[l] (later steps, where the starts
+    coincide, cancel), and hi and lo (leaves, members) the largest and the
+    smallest product of a start's differences with the values. The products
+    run over chunks of at most `chunk` leaves."""
+    S = len(starts)
+    diff = np.empty((S, len(reps), size), dtype=np.intp)
+    hi = np.empty((len(reps), len(values)))
+    lo = np.empty_like(hi)
+    for a in range(0, len(reps), chunk):
+        r = slice(a, min(len(reps), a + chunk))
+        path = np.empty((max(1, met[r].max()), S, r.stop - a), dtype=np.intp)
+        path[0] = starts[:, None]
+        for k in range(1, len(path)):
+            flat_maps.take(offsets[k - 1, reps[r]] + path[k - 1], out=path[k])
+        cells = np.arange(path[0].size).reshape(S, -1) * size
+        seen = np.bincount((path + cells).ravel(), minlength=cells.size * size)
+        seen = seen.reshape(S, -1, size)
+        diff[:, r] = seen - seen[0]
+        spread = (diff[:, r].reshape(-1, size).astype(float) @ values.T).reshape(S, -1, len(values))
+        spread.max(axis=0, out=hi[r])
+        spread.min(axis=0, out=lo[r])
+    return diff, hi, lo
+
+
+def _abel_bound(counts, n, nu, steps):
+    """(rows,) bounds on |<f, row - n nu>| over the count rows (rows, size)
+    and every f with |f(k) - f(k+1)| <= steps[k] and |f(last)| <= steps[-1]:
+    sum_k steps[k] |G_k|, G the cumulative sum of row - n nu in point order.
+    This is Abel summation, <f, g> = sum_k (f(k) - f(k+1)) G_k + f(last)
+    G_last. With steps[k] = D[k, k+1] (those of the 1-Lipschitz ball) and
+    rows of mass n, n times W1(row / n, nu) is at most the bound, and equal
+    to it on a line net."""
+    size = counts.shape[1]
+    # integer counts make this product exact whatever the kernel
+    G = counts @ np.triu(np.ones((size, size))) - n * np.cumsum(nu)
+    return np.abs(G, out=G) @ steps
+
+
+def _exceed_flags(flat_maps, size, starts, values, nu, eps, horizons, offsets, prod, dev):
     """(len(horizons), trials) flags: does trial t deviate by more than eps
-    at horizon n? Trial t applies map choices[k, t] at step k, from every
-    start at once. choices needs horizons[-1] - 1 steps, the last that a
-    horizon depends on.
+    at horizon n? At step k + 1 trial t goes from x to flat_maps[offsets[k,
+    t] + x], size times its map choice, from every start at once. offsets
+    needs horizons[-1] - 1 steps, the last that a horizon depends on; nu is
+    the stationary law, and the member means are values @ nu.
 
     Merge: all starts of a trial take the same maps, so once they sit at
     one point they stay together, and from then on each start's count row
-    is start 0's plus the difference of their visits before they met. The
-    kernel walks every start until each trial's starts have met, or its
-    buffer of _LDP_BLOCK_CELLS positions is full. A trial whose starts meet
-    after the first horizon, or not at all, is walked on from there by
-    _exact_flags. The other trials walk start 0 alone, and their
-    differences are multiplied by the values once per choice prefix.
+    is start 0's plus the difference of their visits before they met.
+    _coalescence finds where each trial's starts meet, once per choice
+    prefix. A trial whose starts meet after the first horizon, or after more
+    steps than a chunk of leaf walks holds in _LDP_BLOCK_CELLS positions, is
+    walked from its starts by _exact_flags. The other trials walk start 0
+    alone, and each leaf's differences are counted and multiplied by the
+    values once (_leaf_spreads).
 
-    Filter: at each horizon a flag is read from (start 0's product + the
-    largest or the smallest difference product) / n - mean against eps.
+    Screen: with G the cumulative sum, in point order, of start 0's counts
+    less n nu, Abel summation gives <f, counts - n nu> = sum_k (f(k) -
+    f(k+1)) G_k + f(last) G_last for every member f. So no start deviates by
+    more than (sum_k w_k |G_k| + reach) / n, where w_k is the members'
+    largest |f(k) - f(k+1)| (|f(last)| at the last point) and reach the
+    largest |difference product| of the trial's leaf. For 1-Lipschitz
+    members w_k <= D[k, k+1] + TOL.lipschitz_atol, so on a line net the
+    first term is at most W1 of the occupation measure and nu. A trial whose
+    bound lies below eps - margin (the filter's margin) gets flag False with
+    no product.
+
+    Filter: the others' flags are read from start 0's product plus the
+    largest or the smallest difference product, less n mean, against n eps.
     The counts are exact integers and the exact kernel's seg / n - mean
-    differs from this by less than (4 size + 8) u max|values|, u the unit
-    roundoff, so a trial whose deviations all stay more than
-    TOL.ldp_tie_margin * max(1, max|values|) from eps gets its exact flag.
+    differs from that sum over n by less than (4 size + 8) u max|values|, u
+    the unit roundoff, so a trial whose deviations all stay more than
+    margin = TOL.ldp_tie_margin * max(1, max|values|) from eps gets its
+    exact flag.
 
     Recheck: the few others get their exact count rows back, start 0's
     plus the differences, and _deviates decides them.
 
-    prod and dev are float buffers of at least (trials, members): the
-    filter writes start 0's products and their deviations into their first
-    rows in place, with the bits of the same expressions evaluated anew."""
-    S, B = len(starts), choices.shape[1]
-    offsets = choices * size                             # map choice -> flat_maps
-    path = np.empty((max(1, min(horizons[-1], _LDP_BLOCK_CELLS // (S * B))), S, B),
-                    dtype=np.intp)
-    path[0] = starts[:, None]
-    k = 1
-    # the first and the last start meeting is cheap to test and necessary
-    while k < len(path) and not ((path[k - 1, -1] == path[k - 1, 0]).all()
-                                 and (path[k - 1] == path[k - 1, 0]).all()):
-        flat_maps.take(offsets[k - 1] + path[k - 1], out=path[k])
-        k += 1
-    path = path[:k]
-    # met[t]: the first step at which trial t's starts coincide, k if none
-    met = np.full(B, k)
-    if (path[-1] == path[-1, 0]).all(axis=0).any():
-        met = (path != path[:, :1]).any(axis=1).sum(axis=0)
-    late = met > min(horizons[0], k - 1)
-    if late.all():
-        return _exact_flags(flat_maps, size, values, mean, eps, horizons, offsets, path)
-    out = np.empty((len(horizons), B), dtype=bool)
-    if late.any():
-        out[:, late] = _exact_flags(flat_maps, size, values, mean, eps, horizons,
-                                    offsets[:, late], path[:, :, late])
-    sure = np.flatnonzero(~late)
-    # a trial's differences are fixed by its map choices before its starts
-    # met, so they are counted and multiplied once per such prefix; the key
-    # is met and the prefix, -1 for later choices, as one byte string per
-    # trial, which np.unique sorts fast (met keeps it nonempty at k = 1)
-    key = np.vstack([met[sure], np.where(np.arange(k - 1)[:, None] < met[sure] - 1,
-                                         choices[:k - 1, sure], -1)])
-    key = np.ascontiguousarray(key.T).view(np.dtype((np.void, key.itemsize * k)))
-    _, first, which = np.unique(key.ravel(), return_index=True, return_inverse=True)
-    cells = np.arange(S * len(first)).reshape(S, -1) * size
-    seen = np.bincount((path[:, :, sure[first]] + cells).ravel(), minlength=cells.size * size)
-    seen = seen.reshape(S, len(first), size)
-    diff = seen - seen[0]
-    spread = (diff.reshape(-1, size).astype(float) @ values.T).reshape(S, len(first), -1)
-    hi, lo = spread.max(axis=0)[which], spread.min(axis=0)[which]
+    prod and dev are float buffers of (chunk, members). Every stage that
+    holds starts or members numbers per trial runs over at most chunk
+    trials or leaves at a time, and the filter writes start 0's products
+    and their deviations into the buffers' first rows."""
+    S, B = len(starts), offsets.shape[1]
+    chunk = len(prod)
+    mean = values @ nu
     margin = TOL.ldp_tie_margin * max(1.0, float(np.abs(values).max()))
-    common = _horizon_counts(flat_maps, size, horizons, offsets[:, sure], path[:, 0, sure])
-    base, d = prod[:len(sure)], dev[:len(sure)]
+    depth = max(0, min(horizons[0], len(offsets), _LDP_BLOCK_CELLS // (S * chunk) - 1))
+    leaf, met, reps = _coalescence(flat_maps, starts, offsets, depth)
+    out = np.empty((len(horizons), B), dtype=bool)
+    late = np.flatnonzero(leaf < 0)
+    for a in range(0, len(late), chunk):
+        t = late[a:a + chunk]
+        out[:, t] = _exact_flags(flat_maps, size, values, mean, eps, horizons, offsets[:, t],
+                                 np.repeat(starts[:, None], len(t), axis=1))
+    diff, hi, lo = _leaf_spreads(flat_maps, size, starts, values, offsets, met, reps, chunk)
+    sure = np.flatnonzero(leaf >= 0)
+    reach = np.maximum(hi.max(axis=1), -lo.min(axis=1))[leaf[sure]]
+    steps = np.abs(np.diff(values, axis=1, append=0.0)).max(axis=0)
+    common = _horizon_counts(flat_maps, size, horizons, offsets,
+                             np.full(B, starts[0], dtype=np.intp))
     for i, (n, c) in enumerate(zip(horizons, common)):
-        np.matmul(c, values.T, out=base)
-        up = np.subtract(np.divide(np.add(base, hi, out=d), n, out=d), mean, out=d).max(axis=1)
-        down = np.subtract(np.divide(np.add(base, lo, out=d), n, out=d), mean, out=d).min(axis=1)
-        out[i, sure] = (up > eps) | (down < -eps)
-        near = np.flatnonzero(~((up > eps + margin) | (down < -eps - margin)
-                                | ((up < eps - margin) & (down > margin - eps))))
-        if near.size:
-            out[i, sure[near]] = _deviates(c[near] + diff[:, which[near]], n, values, mean, eps)
+        out[i, sure] = False
+        rest = sure[_abel_bound(c[sure], n, nu, steps) + reach >= n * (eps - margin)]
+        for a in range(0, len(rest), chunk):
+            t = rest[a:a + chunk]
+            w = leaf[t]
+            base, d = prod[:len(t)], dev[:len(t)]
+            np.matmul(c[t], values.T, out=base)
+            # n times the largest and the smallest deviation over starts
+            up = np.add(base, np.take(hi - n * mean, w, axis=0, out=d), out=d).max(axis=1)
+            down = np.add(base, np.take(lo - n * mean, w, axis=0, out=d), out=d).min(axis=1)
+            out[i, t] = (up > n * eps) | (down < -n * eps)
+            near = np.flatnonzero(~((up > n * (eps + margin)) | (down < -n * (eps + margin))
+                                    | ((up < n * (eps - margin)) & (down > n * (margin - eps)))))
+            if near.size:
+                out[i, t[near]] = _deviates(c[t[near]] + diff[:, w[near]], n, values, mean, eps)
     return out
 
 
@@ -294,22 +379,26 @@ def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
     are the fraction of trials whose deviation exceeds eps, and (c1, c2)
     come from a least-squares fit of log p against n (diagnostic only).
 
-    Trials run in blocks through one walk kernel. A horizon n depends only
-    on a trial's first n - 1 map choices, so where maps ** (n - 1) <= trials
-    the kernel walks every such choice prefix once and each trial reads its
-    flag from that table by its prefix code. The kernel walks all starts of
-    a trial until they meet; from then on they move together, so it walks
-    start 0 alone and reads each flag from start 0's product with the
+    Trials run in walk blocks through one kernel, _exceed_flags. A horizon
+    n depends only on a trial's first n - 1 map choices, so where
+    maps ** (n - 1) <= trials the kernel walks every such choice prefix once
+    and each trial reads its flag from that table by its prefix code. The
+    starts of a trial take the same maps, so once they meet they move
+    together: the kernel finds where they meet once per choice prefix, walks
+    start 0 alone, and reads each flag from start 0's product with the
     nucleus values plus the product of the starts' visits before the
     meeting. That sum is within (4 size + 8) u max|values| of the exact
     seg (u the unit roundoff), so only trials with a deviation within
     TOL.ldp_tie_margin * max(1, max|values|) of eps are re-decided, from
     their exact count rows; trials whose starts meet after the first
-    horizon, or never, are counted exactly throughout. The bits are those
-    of evaluating every trial on its own: each exact (trial, start) count
-    row goes through the same product with the nucleus values whatever
-    block or table it sits in, and |seg / n - mean| > eps is decided at the
-    largest and the smallest seg over starts because rounding is monotone.
+    horizon, or never, are counted exactly throughout. Before any product,
+    a trial whose deviation an Abel-summation bound keeps below eps less
+    that margin gets its flag, False, from the bound alone.
+    The bits are those of evaluating every trial on its own: each exact
+    (trial, start) count row goes through the same product with the nucleus
+    values whatever block or table it sits in, and |seg / n - mean| > eps is
+    decided at the largest and the smallest seg over starts because rounding
+    is monotone.
     """
     if not eps > 0:
         raise DomainError("eps must be positive")
@@ -330,19 +419,20 @@ def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
             break
 
     starts = np.asarray(epsilon_net(X, eps / 4.0).indices, dtype=int)
-    mean = nucleus.values @ nu.weights                    # (F,)
     flat_maps = np.concatenate([m.idx for m in F.maps])   # [c * size + x]: map c of x
     cum_p = np.cumsum(F.probabilities)
     maps = len(F.maps)
-    block = max(1, _LDP_BLOCK_CELLS // (len(starts) * max(X.size, len(nucleus))))
-    # one block's start-0 products with the values and their deviations
-    # from the mean, written in place by every walk
-    prod = np.empty((block, len(nucleus)))
+    # trials per walk block and per chunk (see _LDP_BLOCK_CELLS); chunk <= block
+    block = max(1, _LDP_BLOCK_CELLS // (len(starts) * X.size))
+    chunk = max(1, _LDP_BLOCK_CELLS // (len(starts) * max(X.size, len(nucleus))))
+    # one chunk's start-0 products with the values and their deviations
+    # from the mean, written in place by every chunk
+    prod = np.empty((chunk, len(nucleus)))
     dev = np.empty_like(prod)
 
-    def walk(horizons, choices):
-        return _exceed_flags(flat_maps, X.size, starts, nucleus.values, mean, eps,
-                             horizons, choices, prod, dev)
+    def walk(horizons, offsets):
+        return _exceed_flags(flat_maps, X.size, starts, nucleus.values, nu.weights, eps,
+                             horizons, offsets, prod, dev)
 
     horizons = sorted(set(n_values))
     short = [n for n in horizons if maps ** (n - 1) <= trials]
@@ -355,7 +445,7 @@ def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
         digit = maps ** np.arange(width - 1, -1, -1, dtype=np.intp)[:, None]
         for lo in range(0, table.shape[1], block):
             codes = np.arange(lo, min(table.shape[1], lo + block))
-            table[:, codes] = walk(short, codes // digit % maps)
+            table[:, codes] = walk(short, codes // digit % maps * X.size)
 
     seeds = derive_seeds(seed, trials)
     steps = long[-1] - 1 if long else width
@@ -364,13 +454,13 @@ def ldp_experiment(F: RandomMapFamily, nucleus: Nucleus, eps: float,
         hi = min(trials, lo + block)
         # trial t draws its map choices from SplitMix64(derive_seed(seed, t));
         # the counter-based block gives the same bits as drawing trial by trial
-        u = uniform_block(seeds[lo:hi], steps).T
-        choices = _map_choices(cum_p, u)
+        choices = _map_choices(cum_p, uniform_block(seeds[lo:hi], steps).T)
         code = np.zeros(hi - lo, dtype=np.intp)
         for row in choices[:width]:
             code = code * maps + row
         exceed[:len(short), lo:hi] = table[:, code]
         if long:
+            choices *= X.size                            # map choice -> flat_maps offset
             exceed[len(short):, lo:hi] = walk(long, choices)
 
     probs = exceed.mean(axis=1)[[horizons.index(n) for n in n_values]]

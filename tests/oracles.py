@@ -367,13 +367,13 @@ def grid_dead_prefixes(D, grid, slack, tol=1e-12):
     return rec(0)
 
 
-def ldp_probabilities_scalar(maps_table, probabilities, values, mean, starts,
-                             eps, n_values, trials, seed):
-    """Exceedance fractions of the LDP experiment, computed the slow way: one
-    scalar splitmix64 draw per (trial, step), and |seg / n - mean| over every
-    (trial, start, member) before the max. `maps_table` is (maps, points),
-    `values` the nucleus members (members, points), `mean` their stationary
-    means and `starts` the start points."""
+def ldp_deviations_scalar(maps_table, probabilities, values, mean, starts,
+                          n_values, trials, seed):
+    """{n: (trials,) deviations} of the LDP experiment, computed the slow
+    way: one scalar splitmix64 draw per (trial, step), and |seg / n - mean|
+    over every (trial, start, member) before the max. `maps_table` is
+    (maps, points), `values` the nucleus members (members, points), `mean`
+    their stationary means and `starts` the start points."""
     from metriclab.rng import SplitMix64, derive_seed
 
     cum_p = np.cumsum(probabilities)
@@ -390,7 +390,7 @@ def ldp_probabilities_scalar(maps_table, probabilities, values, mean, starts,
     counts = np.zeros((trials, S, N))
     t_rows, s_cols = np.arange(trials)[:, None], np.arange(S)[None, :]
     block = max(1, 2_000_000 // max(1, S * len(values)))
-    hit = {}
+    devs = {}
     for k in range(n_max):
         counts[t_rows, s_cols, pos] += 1.0
         pos = maps_table[choices[:, k][:, None], pos]
@@ -402,8 +402,17 @@ def ldp_probabilities_scalar(maps_table, probabilities, values, mean, starts,
                 hi = min(trials, lo + block)
                 seg = np.abs(flat[lo * S:hi * S] @ values.T / n - mean[None, :])
                 dev[lo:hi] = seg.reshape(hi - lo, S, -1).max(axis=(1, 2))
-            hit[n] = dev > eps
-    return tuple(float(hit[n].mean()) for n in sorted(n_values))
+            devs[n] = dev
+    return devs
+
+
+def ldp_probabilities_scalar(maps_table, probabilities, values, mean, starts,
+                             eps, n_values, trials, seed):
+    """Exceedance fractions of the LDP experiment: the share of trials whose
+    `ldp_deviations_scalar` deviation exceeds eps, per horizon in order."""
+    devs = ldp_deviations_scalar(maps_table, probabilities, values, mean, starts,
+                                 n_values, trials, seed)
+    return tuple(float((devs[n] > eps).mean()) for n in sorted(n_values))
 
 
 def northwest_corner(a, b) -> dict[tuple[int, int], float]:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,12 @@ from metriclab import (DomainError, DynMap, MarkovKernel, Measure, RandomMapFami
                        ldp_experiment, nucleus_net, point_mass, rotation,
                        stationary_measures, wasserstein1)
 from metriclab.cli import main
+from metriclab.config import TOL
 from metriclab.dynamics import birkhoff_rate
 from metriclab.lipgeom import Nucleus
 from metriclab.rng import derive_seeds, uniform_block
 from metriclab.spaces import epsilon_net, space_from_json, validate_metric
-from oracles import ldp_probabilities_scalar, stationary_measures_scc
+from oracles import ldp_deviations_scalar, ldp_probabilities_scalar, stationary_measures_scc
 
 LDP_SCENARIO = Path(__file__).resolve().parents[1] / "scripts" / "scenarios" / "ldp.json"
 
@@ -245,11 +247,14 @@ class TestLdp:
                                                              97, 5)
 
     def test_shipped_family_blocks_match_scalar_oracle(self, monkeypatch):
-        # the ldp.json family and nucleus, 16 starts and 99 members: 2 000
-        # trials make blocks of 331 (the default), 41 and 3 trials, each
-        # with a shorter last block, and the prefix table of 128 codes is
-        # walked in 1, 4 and 43 blocks; every block's products and
-        # deviations go to the first rows of the experiment's two buffers
+        # the ldp.json family and nucleus, 16 starts, 16 points and 99
+        # members: a walk block takes 16 x 16 numbers per trial of the
+        # budget, a member chunk 16 x 99. With 2 000 trials the default
+        # budget walks them as one block in chunks of 330; 1 << 16 walks 7
+        # blocks of 256 and a shorter last one in chunks of 41; 5 000 walks
+        # blocks of 19 in chunks of 3, and the prefix table of 128 codes in
+        # 7 blocks. Every chunk's products and deviations go to the first
+        # rows of the experiment's two buffers
         doc = json.loads(LDP_SCENARIO.read_text())
         p = doc["params"]
         X = space_from_json(p["space"])
@@ -260,9 +265,140 @@ class TestLdp:
         args = (fam, nuc, p["eps"], p["n_values"], 2000, doc["seed"])
         want = scalar_ldp_probabilities(*args)
         assert 0.0 < min(want) < max(want) == 1.0
-        for cells in (markov._LDP_BLOCK_CELLS, 1 << 16, 5_000):
+        kernel = markov._exceed_flags
+        cases = [(markov._LDP_BLOCK_CELLS, [128], [2000], 330),
+                 (1 << 16, [128], [256] * 7 + [208], 41),
+                 (5_000, [19] * 6 + [14], [19] * 105 + [5], 3)]
+        for cells, table, blocks, chunk in cases:
+            walks = []
+
+            def record(*args):
+                walks.append((tuple(args[6]), args[7].shape[1], len(args[8])))
+                return kernel(*args)
+
             monkeypatch.setattr(markov, "_LDP_BLOCK_CELLS", cells)
+            monkeypatch.setattr(markov, "_exceed_flags", record)
             assert ldp_experiment(*args).probabilities == want
+            assert [b for h, b, _ in walks if h == (4, 8)] == table
+            assert [b for h, b, _ in walks if h == (16, 32, 64)] == blocks
+            assert {c for _, _, c in walks} == {chunk}
+
+    def test_abel_bound_is_a_w1_bound(self):
+        # with the 1-Lipschitz ball's steps D[k, k+1] the path bound is at
+        # least W1 on every pair of measures (Kantorovich-Rubinstein), in
+        # whatever order the points come, and W1 itself on a line net
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            pts = rng.uniform(0.0, 4.0, size=(n, 2))
+            X = validate_metric(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2)))
+            a, b = (rng.dirichlet(np.ones(n)) * (rng.uniform(size=n) < 0.8) + 1e-3
+                    for _ in range(2))
+            a, b = a / a.sum(), b / b.sum()
+            steps = np.append(np.diag(X.dist, 1), 0.0)
+            bound = markov._abel_bound(a[None, :], 1, b, steps)[0]
+            assert bound >= wasserstein1(Measure(X, a), Measure(X, b))[0] - 1e-12
+        for n in (2, 5, 16, 40):
+            X = interval_net(n, 3.0)
+            for _ in range(10):
+                a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+                steps = np.append(np.diag(X.dist, 1), 0.0)
+                bound = markov._abel_bound(a[None, :], 1, b, steps)[0]
+                assert bound == pytest.approx(wasserstein1(Measure(X, a), Measure(X, b))[0],
+                                              abs=1e-12)
+
+    def test_screen_settles_only_trials_far_below_eps(self):
+        # the ldp.json family over 2 000 trials: at every walked horizon the
+        # screen's bound, (Abel bound of start 0 + the leaf's reach) / n, is
+        # at least each merged trial's deviation by the scalar oracle, so no
+        # trial it settles lies within the margin of eps; at n = 64 it
+        # settles at least 90% of the merged trials
+        doc = json.loads(LDP_SCENARIO.read_text())
+        p = doc["params"]
+        X = space_from_json(p["space"])
+        fam = RandomMapFamily(tuple(DynMap(X, m["map"]) for m in p["maps"]), np.array([0.5, 0.5]))
+        nuc = nucleus_net(X, X.radius, p["nucleus_eps"], sample_budget=p["nucleus_samples"],
+                          seed=doc["seed"])
+        eps, trials, horizons = p["eps"], 2000, [16, 32, 64]
+        nu = stationary_measures(kernel_from_maps(fam))[0].weights
+        starts = np.asarray(epsilon_net(X, eps / 4).indices)
+        devs = ldp_deviations_scalar(np.stack([m.idx for m in fam.maps]), fam.probabilities,
+                                     nuc.values, nuc.values @ nu, starts, horizons, trials,
+                                     doc["seed"])
+        flat_maps = np.concatenate([m.idx for m in fam.maps])
+        u = uniform_block(derive_seeds(doc["seed"], trials), horizons[-1] - 1).T
+        offsets = markov._map_choices(np.cumsum(fam.probabilities), u) * X.size
+        leaf, met, reps = markov._coalescence(flat_maps, starts, offsets, horizons[0])
+        _, hi, lo = markov._leaf_spreads(flat_maps, X.size, starts, nuc.values, offsets, met,
+                                         reps, 330)
+        sure = np.flatnonzero(leaf >= 0)
+        assert len(sure) > 0.99 * trials
+        reach = np.maximum(hi.max(axis=1), -lo.min(axis=1))[leaf[sure]]
+        steps = np.abs(np.diff(nuc.values, axis=1, append=0.0)).max(axis=0)
+        assert (steps[:-1] <= np.diag(X.dist, 1) + TOL.lipschitz_atol).all()
+        margin = TOL.ldp_tie_margin * max(1.0, float(np.abs(nuc.values).max()))
+        counts = markov._horizon_counts(flat_maps, X.size, horizons, offsets,
+                                        np.full(trials, starts[0]))
+        settled = {}
+        for n, c in zip(horizons, counts):
+            bound = (markov._abel_bound(c[sure], n, nu, steps) + reach) / n
+            assert (bound >= devs[n][sure] - 1e-12).all()
+            free = bound < eps - margin
+            assert (devs[n][sure[free]] < eps - margin).all()
+            settled[n] = free.mean()
+        assert settled[16] < settled[32] < settled[64]
+        assert settled[64] >= 0.9
+
+    @pytest.mark.parametrize("family", ["circle", "planar"])
+    def test_screen_on_loose_bounds_matches_scalar_oracle(self, family, monkeypatch):
+        # the path bound follows the point order, which on a circle skips
+        # the closing edge and on a planar grid jumps between rows, so it is
+        # loose there and only costs time: the flags stay the oracle's
+        if family == "circle":
+            # two rotations and a reset to point 0
+            X = circle_net(16, 1.0)
+            fam = RandomMapFamily((rotation(X, 1), rotation(X, 3), DynMap(X, [0] * 16)),
+                                  np.array([0.45, 0.45, 0.1]))
+            nuc = nucleus_net(X, X.radius, 0.25, sample_budget=64, probe_count=16)
+            eps, n_values = 0.05, [4, 9, 16, 33]
+        else:
+            # a 4 x 4 grid of the plane, halved towards each of its corners
+            pts = np.array([(i, j) for i in range(4) for j in range(4)], dtype=float)
+            X = validate_metric(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2)))
+            fam = RandomMapFamily(tuple(DynMap(X, [4 * (i // 2 + a) + j // 2 + b
+                                                   for i in range(4) for j in range(4)])
+                                        for a in (0, 2) for b in (0, 2)), np.full(4, 0.25))
+            nuc = nucleus_net(X, X.radius, 1.0, sample_budget=64, probe_count=16)
+            eps, n_values = 0.5, [2, 5, 16, 33]
+        screened = []
+        bound = markov._abel_bound
+
+        def record(counts, *args):
+            screened.append(len(counts))
+            return bound(counts, *args)
+
+        monkeypatch.setattr(markov, "_abel_bound", record)
+        rep = ldp_experiment(fam, nuc, eps, n_values, trials=300, seed=6)
+        assert sum(screened) > 0
+        assert sum(0.0 < p < 1.0 for p in rep.probabilities) >= 2
+        assert rep.probabilities == scalar_ldp_probabilities(fam, nuc, eps, n_values, 300, 6)
+
+    def test_shipped_experiment_memory(self):
+        # tracemalloc peak of one ldp.json experiment: 4.41 MB when measured
+        # (6.26 MB before the stages were sized apart), with 10% headroom
+        doc = json.loads(LDP_SCENARIO.read_text())
+        p = doc["params"]
+        X = space_from_json(p["space"])
+        fam = RandomMapFamily(tuple(DynMap(X, m["map"]) for m in p["maps"]), np.array([0.5, 0.5]))
+        nuc = nucleus_net(X, X.radius, p["nucleus_eps"], sample_budget=p["nucleus_samples"],
+                          seed=doc["seed"])
+        tracemalloc.start()
+        try:
+            ldp_experiment(fam, nuc, p["eps"], p["n_values"], p["trials"], doc["seed"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 4.41e6
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_three_map_family_matches_scalar_oracle(self, seed):
